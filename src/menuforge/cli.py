@@ -130,7 +130,10 @@ def _cmd_solve_lp(args) -> int:
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(dump_text)
-    print(f"objective {_fmt(sol.objective)} entries {menu.size}")
+    print(
+        f"objective {_fmt(sol.objective)} entries {menu.size} "
+        f"rounds {sol.rounds} ic_rows_kept {sol.ic_rows_kept}"
+    )
     return EXIT_OK
 
 
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--dist", required=True)
     lp.add_argument("--out", required=True)
     lp.add_argument("--tol", type=float, default=1e-7)
-    lp.add_argument("--dump-lp", help="also write the LP in dense text form")
+    lp.add_argument("--dump-lp", help="also write the LP in sparse text form")
     lp.set_defaults(func=_cmd_solve_lp)
 
     rm = sub.add_parser("round-menu", help="round a menu into a lottery cover")

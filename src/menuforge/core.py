@@ -27,7 +27,7 @@ import numpy as np
 TIE_TOL = 1e-9
 LOTTERY_MASS_SLACK = 1e-9
 
-VALUE_RANGE_TAGS = ("unit_interval", "bounded", "nonneg")
+VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
 
 class ValidationError(ValueError):
@@ -57,10 +57,11 @@ class Valuation:
     """A buyer type: per-item values plus the assumed value-range class.
 
     The tag records which class the valuation is supposed to live in
-    ("unit_interval" for [0,1]^m, "bounded" for [1,H]^m, "nonneg" for
-    anything nonnegative).  Range checks run in :meth:`validate`, not in
-    the constructor, so intermediate data (e.g. 0-valued coordinates of
-    the overfitting family) stays representable.
+    ("unit_interval" for [0,1]^m, "bounded" for [1,H]^m, "monotone" for
+    nondecreasing values in [1,H]^m, "nonneg" for anything nonnegative).
+    Range checks run in :meth:`validate`, not in the constructor, so
+    intermediate data (e.g. 0-valued coordinates of the overfitting
+    family) stays representable.
     """
 
     values: np.ndarray
@@ -84,9 +85,11 @@ class Valuation:
             raise ValidationError("valuation has negative entries")
         if self.tag == "unit_interval" and np.any(v > 1 + 1e-12):
             raise ValidationError("unit_interval valuation exceeds 1")
-        if self.tag == "bounded":
+        if self.tag in ("bounded", "monotone"):
             if np.any(v < 1 - 1e-12) or np.any(v > self.H * (1 + 1e-12)):
-                raise ValidationError("bounded valuation leaves [1, H]")
+                raise ValidationError(f"{self.tag} valuation leaves [1, H]")
+        if self.tag == "monotone" and np.any(np.diff(v) < 0):
+            raise ValidationError("monotone valuation decreases")
         return self
 
     def to_json_dict(self) -> dict:

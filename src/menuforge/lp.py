@@ -8,6 +8,17 @@ rationality, and lottery feasibility.  The optimal basic solution pools
 types onto at most n distinct pairs, which :func:`extract_menu` turns
 into an explicit menu.
 
+The n(n-1) IC rows dominate the program, but almost all of them are slack
+at the optimum.  :func:`solve_lp` therefore solves by row generation: it
+starts from the IR and mass rows plus each type's nearest neighbours'
+IC rows, and adds the most violated IC rows until none outside the model
+is violated.  A solution that is optimal for a relaxation and feasible
+for the full program is optimal for the full program, so the loop ends
+with a certificate, not a heuristic stop.  The relaxation lives in one
+HiGHS model (scipy's bundled handle), so every round warm-starts from the
+previous basis; where that handle is missing the same loop re-solves the
+current rows with :func:`scipy.optimize.linprog`.
+
 :func:`brute_force_optimal` is an independent grid-search oracle: it
 enumerates small menus whose entries come from finite price and lottery
 grids and scores them by simulated buyer choice.  It lower-bounds the LP
@@ -24,8 +35,18 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+try:  # private scipy API, absent from some releases that pyproject allows
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
+
 from .core import Menu, ValidationError, expected_revenue, revenue_batch
 from .distributions import ExplicitDistribution
+
+# IC rows per type in the first relaxation: those against its nearest types
+SEED_NEIGHBOURS = 5
+# most violated IC rows added per truthful type in each round
+ROWS_PER_TYPE = 5
 
 
 class LPError(RuntimeError):
@@ -58,6 +79,7 @@ class MenuLP:
     b_ub: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    values: np.ndarray         # (n, m) support valuations, one row per type
 
     @property
     def num_variables(self) -> int:
@@ -86,23 +108,22 @@ def build_lp(dist: ExplicitDistribution) -> MenuLP:
     c = np.zeros(nv)
     c[np.arange(n) * width + m] = w
 
-    # IC rows: -(v_i . x_i) + p_i + (v_i . x_j) - p_j <= 0 for i != j
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    n_ic = len(pairs)
-    per_row = 2 * width
-    rows = np.repeat(np.arange(n_ic), per_row)
-    cols = np.empty((n_ic, per_row), dtype=np.int64)
-    data = np.empty((n_ic, per_row))
-    for r, (i, j) in enumerate(pairs):
-        cols[r, :m] = i * width + np.arange(m)
-        cols[r, m] = i * width + m
-        cols[r, m + 1 : 2 * m + 1] = j * width + np.arange(m)
-        cols[r, 2 * m + 1] = j * width + m
-        data[r, :m] = -V[i]
-        data[r, m] = 1.0
-        data[r, m + 1 : 2 * m + 1] = V[i]
-        data[r, 2 * m + 1] = -1.0
-    ic = sp.csr_matrix((data.ravel(), (rows, cols.ravel())), shape=(n_ic, nv))
+    # IC rows: -(v_i . x_i) + p_i + (v_i . x_j) - p_j <= 0 for i != j, in
+    # (i, j) row-major order; each row holds the (x, p) block of i and of j,
+    # written lower type index first so the column indices come out sorted
+    I, J = np.nonzero(~np.eye(n, dtype=bool))
+    n_ic = I.size
+    block = np.arange(width)
+    cols = np.empty((n_ic, 2, width), dtype=np.int64)
+    cols[:, 0] = np.minimum(I, J)[:, None] * width + block
+    cols[:, 1] = np.maximum(I, J)[:, None] * width + block
+    data = np.empty((n_ic, 2, width))
+    data[:, 0, :m] = V[I]
+    data[:, 0, m] = -1.0
+    data[:, 0] *= np.where(I < J, -1.0, 1.0)[:, None]
+    data[:, 1] = -data[:, 0]
+    indptr = np.arange(n_ic + 1) * 2 * width
+    ic = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n_ic, nv))
 
     # IR rows: -(v_i . x_i) + p_i <= 0
     rows = np.repeat(np.arange(n), width)
@@ -121,7 +142,7 @@ def build_lp(dist: ExplicitDistribution) -> MenuLP:
     lower = np.zeros(nv)
     upper = np.ones(nv)
     upper[np.arange(n) * width + m] = V.sum(axis=1)
-    return MenuLP(n=n, m=m, objective=c, A_ub=A, b_ub=b, lower=lower, upper=upper)
+    return MenuLP(n=n, m=m, objective=c, A_ub=A, b_ub=b, lower=lower, upper=upper, values=V)
 
 
 @dataclass(frozen=True)
@@ -130,42 +151,169 @@ class LPSolution:
     payments: np.ndarray      # (n,)
     objective: float
     status: str
+    rounds: int               # relaxations solved by the row-generation loop
+    ic_rows_kept: int         # IC rows in the last relaxation, of n(n-1)
+
+
+def _fail(lp: MenuLP, status, message) -> LPError:
+    coeffs = np.abs(lp.A_ub.data)
+    return LPError(
+        f"LP solve failed: status={status} message={message!r} "
+        f"coeff range [{coeffs.min():.3g}, {coeffs.max():.3g}]"
+    )
+
+
+class _WarmHighs:
+    """The relaxation held in one HiGHS model: added rows keep the basis,
+    so each run warm-starts from the previous optimum."""
+
+    def __init__(self, lp: MenuLP, A: sp.csr_matrix, b: np.ndarray, feas: float):
+        self.lp = lp
+        self.highs = _highs._Highs()
+        for name, value in (
+            ("output_flag", False),
+            ("primal_feasibility_tolerance", feas),
+            ("dual_feasibility_tolerance", feas),
+        ):
+            if self.highs.setOptionValue(name, value) == _highs.HighsStatus.kError:
+                raise _fail(lp, "option rejected", name)
+        model = _highs.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = lp.num_variables
+        model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+        model.sense_ = _highs.ObjSense.kMaximize
+        model.col_cost_ = lp.objective
+        model.col_lower_ = lp.lower
+        model.col_upper_ = lp.upper
+        model.row_lower_ = np.full(A.shape[0], -np.inf)
+        model.row_upper_ = b
+        model.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
+        model.a_matrix_.start_ = A.indptr
+        model.a_matrix_.index_ = A.indices
+        model.a_matrix_.value_ = A.data
+        if self.highs.passModel(model) == _highs.HighsStatus.kError:
+            raise _fail(lp, "model rejected", "passModel")
+
+    def add(self, A: sp.csr_matrix, b: np.ndarray) -> None:
+        status = self.highs.addRows(
+            A.shape[0], np.full(A.shape[0], -np.inf), b, A.nnz,
+            A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32), A.data,
+        )
+        if status == _highs.HighsStatus.kError:
+            raise _fail(self.lp, "rows rejected", "addRows")
+
+    def solve(self) -> np.ndarray:
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kUnbounded:
+            raise LPUnboundedError("LP reported unbounded despite payment bounds")
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise _fail(self.lp, status, self.highs.modelStatusToString(status))
+        return np.array(self.highs.getSolution().col_value)
+
+
+class _ColdLinprog:
+    """The relaxation re-solved from scratch by linprog after every change."""
+
+    def __init__(self, lp: MenuLP, A: sp.csr_matrix, b: np.ndarray, feas: float):
+        self.lp, self.A, self.b = lp, A, b
+        self.options = {"primal_feasibility_tolerance": feas, "dual_feasibility_tolerance": feas}
+
+    def add(self, A: sp.csr_matrix, b: np.ndarray) -> None:
+        self.A = sp.vstack([self.A, A], format="csr")
+        self.b = np.concatenate([self.b, b])
+
+    def solve(self) -> np.ndarray:
+        res = linprog(
+            -self.lp.objective,
+            A_ub=self.A,
+            b_ub=self.b,
+            bounds=np.column_stack([self.lp.lower, self.lp.upper]),
+            method="highs",
+            options=self.options,
+        )
+        if res.status == 3:
+            raise LPUnboundedError("LP reported unbounded despite payment bounds")
+        if res.status != 0 or res.x is None:
+            raise _fail(self.lp, res.status, res.message)
+        return res.x
+
+
+def _ic_row(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Row index of the IC row "type i does not prefer type j's pair"."""
+    return i * (n - 1) + j - (j > i)
+
+
+def _neighbour_ic_rows(lp: MenuLP) -> np.ndarray:
+    """IC rows of each type against its SEED_NEIGHBOURS nearest types."""
+    n = lp.n
+    k = min(SEED_NEIGHBOURS, n - 1)
+    if k == 0:
+        return np.zeros(0, dtype=np.int64)
+    V = lp.values
+    sq = np.einsum("ij,ij->i", V, V)
+    dist = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
+    np.fill_diagonal(dist, np.inf)
+    nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    return _ic_row(n, np.arange(n)[:, None], nearest).ravel()
 
 
 def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     """Solve to an optimal basic solution within ``tol`` of the optimum.
 
-    Uses the HiGHS dual simplex via scipy with feasibility tolerances two
-    orders below ``tol``.  Unboundedness cannot occur with the payment
-    bounds in place but is still mapped to :class:`LPUnboundedError`.
+    Row generation over the IC rows, with HiGHS feasibility tolerances
+    ``feas = min(tol * 1e-2, 1e-9)``.  The first relaxation holds every
+    column and bound, the IR and mass rows, and each type's IC rows
+    against its SEED_NEIGHBOURS nearest types in value space.  Each round
+    solves the relaxation, computes all n(n-1) IC slacks in one product
+    with ``lp.A_ub``, and adds up to ROWS_PER_TYPE of the most violated
+    rows per truthful type.  Only rows not yet in the model are
+    separated: HiGHS holds its own rows only to ``feas``, so a model row
+    can read as violated and must not be added again.  The loop stops when no row outside the model is
+    violated by more than ``feas``.  The solution is then optimal for a
+    relaxation and feasible for the full LP, which certifies it optimal
+    for the full LP.
+
+    The relaxation is one HiGHS model through scipy's bundled handle, so
+    each round warm-starts from the last basis; where scipy does not ship
+    that handle, each round re-solves the current rows with ``linprog``.
+    Unboundedness cannot occur with the payment bounds in place but is
+    still mapped to :class:`LPUnboundedError`; any other non-optimal
+    status raises :class:`LPError`.
     """
-    res = linprog(
-        -lp.objective,
-        A_ub=lp.A_ub,
-        b_ub=lp.b_ub,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": min(tol * 1e-2, 1e-9),
-            "dual_feasibility_tolerance": min(tol * 1e-2, 1e-9),
-        },
+    n_ic = lp.num_ic_rows
+    feas = min(tol * 1e-2, 1e-9)
+    in_model = np.zeros(n_ic, dtype=bool)
+    in_model[_neighbour_ic_rows(lp)] = True
+    first = np.concatenate([np.flatnonzero(in_model), np.arange(n_ic, lp.A_ub.shape[0])])
+    relaxation = (_WarmHighs if _highs is not None else _ColdLinprog)(
+        lp, lp.A_ub[first], lp.b_ub[first], feas
     )
-    if res.status == 3:
-        raise LPUnboundedError("LP reported unbounded despite payment bounds")
-    if res.status != 0 or res.x is None:
-        coeffs = np.abs(lp.A_ub.data)
-        diag = (
-            f"status={res.status} message={res.message!r} "
-            f"coeff range [{coeffs.min():.3g}, {coeffs.max():.3g}]"
-        )
-        raise LPError(f"LP solve failed: {diag}")
+    k = min(ROWS_PER_TYPE, lp.n - 1)
+    rounds = 0
+    while True:
+        x = relaxation.solve()
+        rounds += 1
+        if n_ic == 0:
+            break
+        violation = (lp.A_ub @ x)[:n_ic] - lp.b_ub[:n_ic]
+        violation[in_model] = -np.inf
+        violation = violation.reshape(lp.n, lp.n - 1)
+        worst = np.argpartition(-violation, k - 1, axis=1)[:, :k]
+        violated = np.take_along_axis(violation, worst, axis=1) > feas
+        rows = (np.arange(lp.n)[:, None] * (lp.n - 1) + worst)[violated]
+        if rows.size == 0:
+            break
+        in_model[rows] = True
+        relaxation.add(lp.A_ub[rows], lp.b_ub[rows])
     width = lp.m + 1
-    x = res.x.reshape(lp.n, width)
+    sol = x.reshape(lp.n, width)
     return LPSolution(
-        lotteries=x[:, : lp.m].copy(),
-        payments=x[:, lp.m].copy(),
-        objective=float(lp.objective @ res.x),
+        lotteries=sol[:, : lp.m].copy(),
+        payments=sol[:, lp.m].copy(),
+        objective=float(lp.objective @ x),
         status="optimal",
+        rounds=rounds,
+        ic_rows_kept=int(in_model.sum()),
     )
 
 
@@ -198,15 +346,18 @@ def optimal_menu(dist: ExplicitDistribution, tol: float = 1e-7) -> tuple[Menu, f
 
 
 def dump_lp(lp: MenuLP) -> str:
-    """Dense text form for cross-checking against external solvers.
+    """Sparse text form for cross-checking against external solvers.
 
-    First line: maximization objective coefficients.  Then one line per
-    constraint row "a_1 ... a_nv <= b", then the variable bounds.
+    First line: "maximize" and the objective coefficients.  Then one line
+    per constraint row, "col:value ... <= b" over the row's stored entries
+    (0-based column indices), then "bounds" and the variable bounds.
     """
+    A = lp.A_ub
     lines = ["maximize " + " ".join(f"{v:.17g}" for v in lp.objective)]
-    A = lp.A_ub.toarray()
     for r in range(A.shape[0]):
-        lines.append(" ".join(f"{v:.17g}" for v in A[r]) + f" <= {lp.b_ub[r]:.17g}")
+        row = slice(A.indptr[r], A.indptr[r + 1])
+        terms = [f"{c}:{v:.17g}" for c, v in zip(A.indices[row], A.data[row])]
+        lines.append(" ".join(terms + ["<=", f"{lp.b_ub[r]:.17g}"]))
     lines.append("bounds " + " ".join(f"[{lo:.17g},{hi:.17g}]" for lo, hi in zip(lp.lower, lp.upper)))
     return "\n".join(lines) + "\n"
 

@@ -200,15 +200,16 @@ def overfit_experiment(
     """Fit the naive menu to a sample, evaluate it on fresh draws.
 
     The fitting stream is seeded with ``seed``; fresh evaluation draws
-    come from the distinct stream ``seed + 1`` and never touch the
-    fitting stream.  ``lp_on_sample`` is the LP optimum on the first
-    min(sample_n, lp_cap) samples (NaN when disabled): the LP fits the
-    sample at least as well as the closed-form naive menu.
+    come from the stream keyed ``[seed, 1]``, which is no seed's fitting
+    stream, so in a seed sweep no run evaluates on another run's sample.
+    ``lp_on_sample`` is the LP optimum on the first min(sample_n, lp_cap)
+    samples (NaN when disabled): the LP fits the sample at least as well
+    as the closed-form naive menu.
     """
     params = OverfitProductParams(m=m, delta=delta)
     sampler = OverfitProductSampler(params, seed)
     S = sampler.draw(sample_n, np.random.default_rng(seed))
-    F = sampler.draw(eval_n, np.random.default_rng(seed + 1))
+    F = sampler.draw(eval_n, np.random.default_rng([seed, 1]))
 
     naive = naive_overfit_menu(S)
     naive_on_sample = float(revenue_batch(naive, S).mean())

@@ -196,6 +196,19 @@ def test_valuation_range_tags():
     mf.Valuation([1.0, 4.0], tag="bounded", H=4.0).validate()
     with pytest.raises(mf.ValidationError):
         mf.Valuation([0.5, 2.0], tag="bounded", H=4.0).validate()
+    mf.Valuation([1.0, 1.0, 4.0], tag="monotone", H=4.0).validate()
+    with pytest.raises(mf.ValidationError):
+        mf.Valuation([2.0, 1.5], tag="monotone", H=4.0).validate()
+    with pytest.raises(mf.ValidationError):
+        mf.Valuation([1.0, 5.0], tag="monotone", H=4.0).validate()
+
+
+def test_monotone_sampler_support_validates():
+    sampler = mf.MonotoneUniformSampler(5, 8.0, seed=0)
+    V = sampler.draw(50, np.random.default_rng(0))
+    dist = mf.explicit_from_samples(V, tag=sampler.tag, H=sampler.H)
+    for valuation in dist.support:
+        valuation.validate()
 
 
 def test_menu_json_round_trip(tmp_path):

@@ -1,10 +1,16 @@
 """The optimal-menu LP against structure counts, known optima, and the
 grid-search oracle."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 import menuforge as mf
+from menuforge import cli
+from menuforge import lp as lp_module
 
 
 def _uniform_dist(values):
@@ -123,6 +129,171 @@ def test_duplicate_support_points_are_fine():
     d = mf.ExplicitDistribution(np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([0.5, 0.5]))
     sol = mf.solve_lp(mf.build_lp(d))
     assert sol.objective == pytest.approx(2.0, abs=1e-7)
+
+
+def _full_linprog(lp):
+    """Reference: the whole LP, every IC row, in one linprog call."""
+    res = linprog(
+        -lp.objective,
+        A_ub=lp.A_ub,
+        b_ub=lp.b_ub,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.status == 0
+    return float(lp.objective @ res.x)
+
+
+def _solution_vector(sol):
+    return np.hstack([sol.lotteries, sol.payments[:, None]]).ravel()
+
+
+def _fuzz_distributions():
+    """Seeded supports for the lazy solver: monotone, uniform and
+    integer-valued overfit draws, with ties, duplicate rows, n=1 and n=2."""
+    rng = np.random.default_rng(11)
+    out = []
+    for n in (1, 2, 3, 7, 25, 60):
+        m = int(rng.integers(1, 6))
+        mono = mf.MonotoneUniformSampler(m, 8.0, 0).draw(n, rng)
+        out.append(mf.ExplicitDistribution(mono, rng.dirichlet(np.ones(n))))
+        out.append(mf.ExplicitDistribution(1 + 3 * rng.random((n, m)), np.full(n, 1.0 / n)))
+    for n, m, delta in ((2, 4, 0.3), (40, 6, 0.3), (120, 16, 0.2)):
+        draws = mf.OverfitProductSampler(mf.OverfitProductParams(m, delta), 0).draw(n, rng)
+        out.append(mf.explicit_from_samples(draws))  # duplicates kept as separate rows
+    rows = np.repeat(1 + rng.integers(0, 3, (4, 3)).astype(float), 3, axis=0)
+    out.append(mf.explicit_from_samples(rows))  # exact ties and triplicated rows
+    draws = mf.OverfitProductSampler(mf.OverfitProductParams(64, 0.1), 3).draw(200, rng)
+    out.append(mf.explicit_from_samples(draws).consolidated())
+    return out
+
+
+def test_lazy_solve_matches_full_lp_fuzz():
+    for d in _fuzz_distributions():
+        lp = mf.build_lp(d)
+        sol = mf.solve_lp(lp)
+        assert sol.objective == pytest.approx(_full_linprog(lp), abs=1e-7)
+        assert np.max(lp.A_ub @ _solution_vector(sol) - lp.b_ub) <= 1e-7
+        assert sol.rounds >= 1
+        assert sol.ic_rows_kept <= lp.num_ic_rows
+
+
+def test_linprog_fallback_gives_same_objectives(monkeypatch):
+    dists = _fuzz_distributions()[::3]
+    warm = [mf.solve_lp(mf.build_lp(d)).objective for d in dists]
+    monkeypatch.setattr(lp_module, "_highs", None)
+    for d, objective in zip(dists, warm):
+        lp = mf.build_lp(d)
+        sol = mf.solve_lp(lp)
+        assert sol.objective == pytest.approx(objective, abs=1e-7)
+        assert np.max(lp.A_ub @ _solution_vector(sol) - lp.b_ub) <= 1e-7
+
+
+def test_lazy_solve_keeps_few_ic_rows():
+    V = mf.MonotoneUniformSampler(5, 8.0, 0).draw(100, np.random.default_rng(4))
+    lp = mf.build_lp(mf.explicit_from_samples(V))
+    sol = mf.solve_lp(lp)
+    assert sol.ic_rows_kept < lp.num_ic_rows / 2
+    single = mf.solve_lp(mf.build_lp(_uniform_dist([[2.0, 1.0]])))
+    assert (single.rounds, single.ic_rows_kept) == (1, 0)
+
+
+def test_highs_handle_methods_used_by_solve_lp():
+    core = pytest.importorskip("scipy.optimize._highspy._core")
+    for name in ("passModel", "addRows", "run", "getSolution", "setOptionValue",
+                 "getModelStatus", "modelStatusToString"):
+        assert hasattr(core._Highs, name), name
+    # max x + y  s.t.  x + 2y <= 4, 0 <= x, y <= 10; then add 3x + y <= 6
+    h = core._Highs()
+    h.setOptionValue("output_flag", False)
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = 2
+    model.num_row_ = model.a_matrix_.num_row_ = 1
+    model.sense_ = core.ObjSense.kMaximize
+    model.col_cost_ = np.array([1.0, 1.0])
+    model.col_lower_ = np.zeros(2)
+    model.col_upper_ = np.full(2, 10.0)
+    model.row_lower_ = np.array([-np.inf])
+    model.row_upper_ = np.array([4.0])
+    model.a_matrix_.format_ = core.MatrixFormat.kRowwise
+    model.a_matrix_.start_ = np.array([0, 2])
+    model.a_matrix_.index_ = np.array([0, 1])
+    model.a_matrix_.value_ = np.array([1.0, 2.0])
+    assert h.passModel(model) != core.HighsStatus.kError
+    h.run()
+    assert h.getModelStatus() == core.HighsModelStatus.kOptimal
+    assert np.allclose(h.getSolution().col_value, [4.0, 0.0])
+    status = h.addRows(1, np.array([-np.inf]), np.array([6.0]), 2,
+                       np.array([0], dtype=np.int32), np.array([0, 1], dtype=np.int32), np.array([3.0, 1.0]))
+    assert status != core.HighsStatus.kError
+    h.run()
+    assert h.getModelStatus() == core.HighsModelStatus.kOptimal
+    assert np.allclose(h.getSolution().col_value, [1.6, 1.2])
+    assert hasattr(core.HighsModelStatus, "kUnbounded")
+
+
+def _pairwise_ic_block(V):
+    """Reference IC block, one (i, j) pair at a time."""
+    n, m = V.shape
+    width = m + 1
+    rows, cols, data = [], [], []
+    r = 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for c, v in zip(i * width + np.arange(width), np.append(-V[i], 1.0)):
+                rows.append(r); cols.append(c); data.append(v)
+            for c, v in zip(j * width + np.arange(width), np.append(V[i], -1.0)):
+                rows.append(r); cols.append(c); data.append(v)
+            r += 1
+    return sp.csr_matrix((data, (rows, cols)), shape=(n * (n - 1), n * width))
+
+
+def test_ic_block_matches_pairwise_reference():
+    rng = np.random.default_rng(5)
+    cases = [np.array([[2.0]]), 1 + 3 * rng.random((6, 3)), rng.integers(0, 3, (9, 4)).astype(float)]
+    for V in cases:
+        lp = mf.build_lp(_uniform_dist(V))
+        got = lp.A_ub[: lp.num_ic_rows]
+        want = _pairwise_ic_block(V)
+        got.sort_indices()
+        want.sort_indices()
+        assert got.nnz == want.nnz
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    d = _uniform_dist([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
+    dist.write_text(json.dumps(mf.distribution_to_json(d)))
+    assert cli.main(["solve-lp", "--dist", str(dist), "--out", str(tmp_path / "menu.json")]) == 0
+    words = capsys.readouterr().out.split()
+    assert words[0] == "objective" and words[2] == "entries"
+    assert words[4:6] == ["rounds", "1"]
+    assert words[6:] == ["ic_rows_kept", "12"]
+
+
+def test_dump_lp_parses_back_to_the_lp():
+    rng = np.random.default_rng(6)
+    lp = mf.build_lp(_uniform_dist(rng.integers(0, 4, (5, 3)).astype(float)))
+    lines = mf.dump_lp(lp).strip().splitlines()
+    objective = np.array([float(t) for t in lines[0].split()[1:]])
+    rows, cols, data, rhs = [], [], [], []
+    for r, line in enumerate(lines[1:-1]):
+        terms, bound = line.split("<=")
+        for term in terms.split():
+            c, v = term.split(":")
+            rows.append(r); cols.append(int(c)); data.append(float(v))
+        rhs.append(float(bound))
+    A = sp.csr_matrix((data, (rows, cols)), shape=(len(rhs), objective.size))
+    assert np.array_equal(objective, lp.objective)
+    assert np.array_equal(np.array(rhs), lp.b_ub)
+    assert (A != lp.A_ub).nnz == 0
+    assert len(data) == lp.A_ub.nnz
 
 
 def test_dump_lp_shape():
