@@ -132,7 +132,7 @@ def _cmd_solve_lp(args) -> int:
             fh.write(dump_text)
     print(
         f"objective {_fmt(sol.objective)} entries {menu.size} "
-        f"rounds {sol.rounds} ic_rows_kept {sol.ic_rows_kept}"
+        f"rounds {sol.rounds} ic_rows_kept {sol.ic_rows_kept} ic_rows_purged {sol.ic_rows_purged}"
     )
     return EXIT_OK
 

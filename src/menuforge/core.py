@@ -222,7 +222,8 @@ class Menu:
     def from_entries(cls, entries: Iterable[MenuEntry | tuple]) -> "Menu":
         ents = [e if isinstance(e, MenuEntry) else MenuEntry(e[0], e[1]) for e in entries]
         if not ents:
-            return cls.empty(1)
+            # the item count cannot be read off no entries
+            raise ValidationError("no menu entries; use Menu.empty(m) for an empty menu")
         return cls(np.array([e.lottery for e in ents]), np.array([e.price for e in ents]))
 
     @classmethod

@@ -14,10 +14,15 @@ starts from the IR and mass rows plus each type's nearest neighbours'
 IC rows, and adds the most violated IC rows until none outside the model
 is violated.  A solution that is optimal for a relaxation and feasible
 for the full program is optimal for the full program, so the loop ends
-with a certificate, not a heuristic stop.  The relaxation lives in one
-HiGHS model (scipy's bundled handle), so every round warm-starts from the
-previous basis; where that handle is missing the same loop re-solves the
-current rows with :func:`scipy.optimize.linprog`.
+with a certificate, not a heuristic stop.  The loop also deletes IC rows
+that have been slack by more than PURGE_SLACK for PURGE_ROUNDS solves in
+a row, and never a row added in the last PURGE_ROUNDS rounds, since the
+cost of each simplex iteration grows with the row count.  A deleted row
+goes back to the pool and can be separated again, so the certificate
+still covers every IC row.  The relaxation lives in one HiGHS model
+(scipy's bundled handle), so every round warm-starts from the previous
+basis; where that handle is missing the same loop re-solves the current
+rows with :func:`scipy.optimize.linprog`.
 
 :func:`brute_force_optimal` is an independent grid-search oracle: it
 enumerates small menus whose entries come from finite price and lottery
@@ -40,13 +45,17 @@ try:  # private scipy API, absent from some releases that pyproject allows
 except ImportError:
     _highs = None
 
-from .core import Menu, ValidationError, expected_revenue, revenue_batch
+from .core import Menu
 from .distributions import ExplicitDistribution
 
 # IC rows per type in the first relaxation: those against its nearest types
 SEED_NEIGHBOURS = 5
 # most violated IC rows added per truthful type in each round
 ROWS_PER_TYPE = 5
+# an IC row slack by more than PURGE_SLACK in PURGE_ROUNDS solves in a row
+# leaves the relaxation
+PURGE_SLACK = 1e-6
+PURGE_ROUNDS = 2
 
 
 class LPError(RuntimeError):
@@ -152,7 +161,8 @@ class LPSolution:
     objective: float
     status: str
     rounds: int               # relaxations solved by the row-generation loop
-    ic_rows_kept: int         # IC rows in the last relaxation, of n(n-1)
+    ic_rows_kept: int         # IC rows in the final relaxation
+    ic_rows_purged: int       # IC row deletions over the loop; a row can go twice
 
 
 def _fail(lp: MenuLP, status, message) -> LPError:
@@ -201,6 +211,12 @@ class _WarmHighs:
         if status == _highs.HighsStatus.kError:
             raise _fail(self.lp, "rows rejected", "addRows")
 
+    def delete(self, positions: np.ndarray) -> None:
+        """Delete rows by model position; HiGHS closes the gaps in order."""
+        status = self.highs.deleteRows(positions.size, positions.astype(np.int32))
+        if status == _highs.HighsStatus.kError:
+            raise _fail(self.lp, "rows rejected", "deleteRows")
+
     def solve(self) -> np.ndarray:
         self.highs.run()
         status = self.highs.getModelStatus()
@@ -221,6 +237,11 @@ class _ColdLinprog:
     def add(self, A: sp.csr_matrix, b: np.ndarray) -> None:
         self.A = sp.vstack([self.A, A], format="csr")
         self.b = np.concatenate([self.b, b])
+
+    def delete(self, positions: np.ndarray) -> None:
+        keep = np.ones(self.b.size, dtype=bool)
+        keep[positions] = False
+        self.A, self.b = self.A[keep], self.b[keep]
 
     def solve(self) -> np.ndarray:
         res = linprog(
@@ -257,6 +278,22 @@ def _neighbour_ic_rows(lp: MenuLP) -> np.ndarray:
     return _ic_row(n, np.arange(n)[:, None], nearest).ravel()
 
 
+def _purge(streak: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Advance each model IC row's run of slack solves; pick rows to delete.
+
+    ``streak`` counts, per model row, the solves in a row that left it
+    slack by more than PURGE_SLACK; ``slack`` is its slack after the
+    latest solve.  Returns the new counts and the rows whose count reached
+    PURGE_ROUNDS.  A row enters the model with a count of 0 and the count
+    moves once per solve, so no row is deleted within PURGE_ROUNDS rounds
+    of being added.  That age guard is the anti-cycling rule: a row that
+    left as soon as it was separated could be separated again the next
+    round, and so on without end.
+    """
+    streak = np.where(slack > PURGE_SLACK, streak + 1, 0)
+    return streak, streak >= PURGE_ROUNDS
+
+
 def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     """Solve to an optimal basic solution within ``tol`` of the optimum.
 
@@ -268,10 +305,18 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     with ``lp.A_ub``, and adds up to ROWS_PER_TYPE of the most violated
     rows per truthful type.  Only rows not yet in the model are
     separated: HiGHS holds its own rows only to ``feas``, so a model row
-    can read as violated and must not be added again.  The loop stops when no row outside the model is
-    violated by more than ``feas``.  The solution is then optimal for a
-    relaxation and feasible for the full LP, which certifies it optimal
-    for the full LP.
+    can read as violated and must not be added again.  The loop stops
+    when no row outside the model is violated by more than ``feas``.  The
+    solution is then optimal for a relaxation and feasible for the full
+    LP, which certifies it optimal for the full LP.
+
+    Before adding rows, a round deletes the model IC rows that the same
+    product shows slack by more than PURGE_SLACK in PURGE_ROUNDS solves in
+    a row (see :func:`_purge`); a row added in the last PURGE_ROUNDS
+    rounds is never deleted.  Deleting rows that are slack at the current
+    optimum leaves that point optimal, and a deleted row returns to the
+    pool of rows outside the model, so the stopping test above still
+    checks it: the certificate is unchanged.
 
     The relaxation is one HiGHS model through scipy's bundled handle, so
     each round warm-starts from the last basis; where scipy does not ship
@@ -282,29 +327,36 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     """
     n_ic = lp.num_ic_rows
     feas = min(tol * 1e-2, 1e-9)
-    in_model = np.zeros(n_ic, dtype=bool)
-    in_model[_neighbour_ic_rows(lp)] = True
-    first = np.concatenate([np.flatnonzero(in_model), np.arange(n_ic, lp.A_ub.shape[0])])
+    fixed = np.arange(n_ic, lp.A_ub.shape[0])   # IR and mass rows, never deleted
+    model = np.unique(_neighbour_ic_rows(lp))   # IC row id at each model position after them
+    first = np.concatenate([fixed, model])
     relaxation = (_WarmHighs if _highs is not None else _ColdLinprog)(
         lp, lp.A_ub[first], lp.b_ub[first], feas
     )
+    streak = np.zeros(model.size, dtype=np.int64)
     k = min(ROWS_PER_TYPE, lp.n - 1)
-    rounds = 0
+    rounds = purged = 0
     while True:
         x = relaxation.solve()
         rounds += 1
         if n_ic == 0:
             break
         violation = (lp.A_ub @ x)[:n_ic] - lp.b_ub[:n_ic]
-        violation[in_model] = -np.inf
+        streak, drop = _purge(streak, -violation[model])
+        violation[model] = -np.inf
         violation = violation.reshape(lp.n, lp.n - 1)
         worst = np.argpartition(-violation, k - 1, axis=1)[:, :k]
         violated = np.take_along_axis(violation, worst, axis=1) > feas
         rows = (np.arange(lp.n)[:, None] * (lp.n - 1) + worst)[violated]
         if rows.size == 0:
             break
-        in_model[rows] = True
+        if drop.any():
+            relaxation.delete(fixed.size + np.flatnonzero(drop))
+            purged += int(drop.sum())
+            model, streak = model[~drop], streak[~drop]
         relaxation.add(lp.A_ub[rows], lp.b_ub[rows])
+        model = np.concatenate([model, rows])
+        streak = np.concatenate([streak, np.zeros(rows.size, dtype=np.int64)])
     width = lp.m + 1
     sol = x.reshape(lp.n, width)
     return LPSolution(
@@ -313,7 +365,8 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
         objective=float(lp.objective @ x),
         status="optimal",
         rounds=rounds,
-        ic_rows_kept=int(in_model.sum()),
+        ic_rows_kept=int(model.size),
+        ic_rows_purged=purged,
     )
 
 

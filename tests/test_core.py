@@ -86,6 +86,11 @@ def test_expected_revenue_empty_menu_is_zero():
     assert mf.expected_revenue(mf.Menu.empty(2), d) == 0.0
 
 
+def test_menu_from_no_entries_points_to_empty():
+    with pytest.raises(mf.ValidationError, match=r"Menu\.empty\(m\)"):
+        mf.Menu.from_entries([])
+
+
 def test_expected_revenue_rejects_unnormalized_weights():
     with pytest.raises(mf.ValidationError):
         mf.ExplicitDistribution(np.array([[1.0]]), np.array([0.5]))

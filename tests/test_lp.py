@@ -183,11 +183,14 @@ def test_linprog_fallback_gives_same_objectives(monkeypatch):
     dists = _fuzz_distributions()[::3]
     warm = [mf.solve_lp(mf.build_lp(d)).objective for d in dists]
     monkeypatch.setattr(lp_module, "_highs", None)
+    purged = 0
     for d, objective in zip(dists, warm):
         lp = mf.build_lp(d)
         sol = mf.solve_lp(lp)
         assert sol.objective == pytest.approx(objective, abs=1e-7)
         assert np.max(lp.A_ub @ _solution_vector(sol) - lp.b_ub) <= 1e-7
+        purged += sol.ic_rows_purged
+    assert purged > 0  # the fallback deletes rows through the same loop
 
 
 def test_lazy_solve_keeps_few_ic_rows():
@@ -195,16 +198,36 @@ def test_lazy_solve_keeps_few_ic_rows():
     lp = mf.build_lp(mf.explicit_from_samples(V))
     sol = mf.solve_lp(lp)
     assert sol.ic_rows_kept < lp.num_ic_rows / 2
+    # slack rows leave the relaxation, and the optimum and feasibility hold
+    assert sol.ic_rows_purged > 0
+    assert sol.objective == pytest.approx(_full_linprog(lp), abs=1e-7)
+    assert np.max(lp.A_ub @ _solution_vector(sol) - lp.b_ub) <= 1e-7
     single = mf.solve_lp(mf.build_lp(_uniform_dist([[2.0, 1.0]])))
-    assert (single.rounds, single.ic_rows_kept) == (1, 0)
+    assert (single.rounds, single.ic_rows_kept, single.ic_rows_purged) == (1, 0, 0)
+
+
+def test_purge_keeps_rows_added_in_the_last_two_rounds():
+    assert lp_module.PURGE_ROUNDS == 2
+    slack = lp_module.PURGE_SLACK
+    streak = np.zeros(4, dtype=np.int64)  # four rows just added
+    # first solve after adding: all slack, none deleted (the age guard)
+    streak, drop = lp_module._purge(streak, np.array([1.0, 1.0, 2 * slack, slack]))
+    assert not drop.any()
+    # second solve: a row slack by more than PURGE_SLACK both times goes;
+    # one that bound in between, or sat exactly at PURGE_SLACK, stays
+    streak, drop = lp_module._purge(streak, np.array([1.0, 0.0, 2 * slack, 1.0]))
+    assert drop.tolist() == [True, False, True, False]
+    streak, drop = lp_module._purge(streak, np.ones(4))
+    assert drop.tolist() == [True, False, True, True]
 
 
 def test_highs_handle_methods_used_by_solve_lp():
     core = pytest.importorskip("scipy.optimize._highspy._core")
-    for name in ("passModel", "addRows", "run", "getSolution", "setOptionValue",
+    for name in ("passModel", "addRows", "deleteRows", "run", "getSolution", "setOptionValue",
                  "getModelStatus", "modelStatusToString"):
         assert hasattr(core._Highs, name), name
-    # max x + y  s.t.  x + 2y <= 4, 0 <= x, y <= 10; then add 3x + y <= 6
+    # max x + y  s.t.  x + 2y <= 4, 0 <= x, y <= 10; then add 3x + y <= 6,
+    # then delete it again
     h = core._Highs()
     h.setOptionValue("output_flag", False)
     model = core.HighsLp()
@@ -230,6 +253,10 @@ def test_highs_handle_methods_used_by_solve_lp():
     h.run()
     assert h.getModelStatus() == core.HighsModelStatus.kOptimal
     assert np.allclose(h.getSolution().col_value, [1.6, 1.2])
+    assert h.deleteRows(1, np.array([1], dtype=np.int32)) != core.HighsStatus.kError
+    h.run()
+    assert h.getModelStatus() == core.HighsModelStatus.kOptimal
+    assert np.allclose(h.getSolution().col_value, [4.0, 0.0])
     assert hasattr(core.HighsModelStatus, "kUnbounded")
 
 
@@ -274,7 +301,7 @@ def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):
     words = capsys.readouterr().out.split()
     assert words[0] == "objective" and words[2] == "entries"
     assert words[4:6] == ["rounds", "1"]
-    assert words[6:] == ["ic_rows_kept", "12"]
+    assert words[6:] == ["ic_rows_kept", "12", "ic_rows_purged", "0"]
 
 
 def test_dump_lp_parses_back_to_the_lp():
