@@ -14,7 +14,6 @@ from .core import (
     Lottery,
     Menu,
     MenuEntry,
-    TailForm,
     ValidationError,
     Valuation,
     choose,

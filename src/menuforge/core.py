@@ -124,32 +124,6 @@ class Lottery:
         return self
 
 
-@dataclass(frozen=True)
-class TailForm:
-    """Tail-probability form of a lottery: tails[i] = sum of probs[i:]."""
-
-    tails: np.ndarray
-
-    def __post_init__(self):
-        t = _as_vector(self.tails, "tails")
-        t.setflags(write=False)
-        object.__setattr__(self, "tails", t)
-
-    @property
-    def m(self) -> int:
-        return self.tails.size
-
-    def validate(self) -> "TailForm":
-        t = self.tails
-        if np.any(t < 0):
-            raise ValidationError("tail form has negative entries")
-        if t[0] > 1.0 + LOTTERY_MASS_SLACK:
-            raise ValidationError("tail form starts above 1")
-        if np.any(np.diff(t) > 1e-12):
-            raise ValidationError("tail form is not nonincreasing")
-        return self
-
-
 def to_tail_form(probs) -> np.ndarray:
     """Cumulative-from-the-right sums of a lottery vector."""
     p = np.asarray(probs, dtype=float)

@@ -9,14 +9,17 @@ types onto at most n distinct pairs, which :func:`extract_menu` turns
 into an explicit menu.
 
 The n(n-1) IC rows dominate the program, but almost all of them are slack
-at the optimum.  :func:`solve_lp` therefore solves by row generation: it
-starts from the IR and mass rows plus each type's nearest neighbours'
-IC rows, and adds the most violated IC rows until none outside the model
-is violated.  A solution that is optimal for a relaxation and feasible
-for the full program is optimal for the full program, so the loop ends
-with a certificate, not a heuristic stop.  The loop also deletes IC rows
-that have been slack by more than PURGE_SLACK for PURGE_ROUNDS solves in
-a row, and never a row added in the last PURGE_ROUNDS rounds, since the
+at the optimum.  :class:`MenuLP` therefore stores only the IR and mass
+rows and builds IC rows on demand, and :func:`solve_lp` solves by row
+generation: it starts from the IR and mass rows plus each type's nearest
+neighbours' IC rows, and adds the most violated IC rows until none
+outside the model is violated.  Each round reads every IC slack off one
+dense n x n utility matrix, so the IC block is never assembled.  A
+solution that is optimal for a relaxation and feasible for the full
+program is optimal for the full program, so the loop ends with a
+certificate, not a heuristic stop.  The loop also deletes IC rows that
+have been slack by more than PURGE_SLACK for PURGE_ROUNDS solves in a
+row, and never a row added in the last PURGE_ROUNDS rounds, since the
 cost of each simplex iteration grows with the row count.  A deleted row
 goes back to the pool and can be separated again, so the certificate
 still covers every IC row.  The relaxation lives in one HiGHS model
@@ -32,6 +35,7 @@ optimum and converges to it as the grids refine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,23 +76,30 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class MenuLP:
-    """Assembled LP data, kept in scipy's A_ub x <= b_ub form.
+    """The revenue LP in scipy's A_ub x <= b_ub form, IC rows built on demand.
 
     Variable layout: for support point i, columns i*(m+1) .. i*(m+1)+m-1
     are the allocation x_i and column i*(m+1)+m is the payment p_i.
-    Row order: the n(n-1) IC rows (i truthful vs reporting j), then n IR
-    rows, then n lottery-mass rows.  Payments carry the explicit upper
-    bound sum_l v_il, which keeps the program bounded.
+    Row order: the n(n-1) IC rows (i truthful vs reporting j, row id
+    i*(n-1) + j - (j > i)), then n IR rows, then n lottery-mass rows.
+    Payments carry the explicit upper bound sum_l v_il, which keeps the
+    program bounded.
+
+    Only the IR and mass rows are stored (``fixed``, right-hand sides
+    ``b_fixed``).  :meth:`ic_rows` builds any IC rows from ``values`` and
+    :meth:`ic_violations` evaluates all of them at a point; ``A_ub`` and
+    ``b_ub`` assemble the whole program on first read and keep it.
+    :func:`solve_lp` and :func:`dump_lp` read neither.
     """
 
     n: int
     m: int
     objective: np.ndarray      # coefficients of the maximization objective
-    A_ub: sp.csr_matrix
-    b_ub: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     values: np.ndarray         # (n, m) support valuations, one row per type
+    fixed: sp.csr_matrix       # the n IR rows, then the n lottery-mass rows
+    b_fixed: np.ndarray
 
     @property
     def num_variables(self) -> int:
@@ -105,6 +116,50 @@ class MenuLP:
     def payment_index(self, i: int) -> int:
         return i * (self.m + 1) + self.m
 
+    def ic_rows(self, ids) -> sp.csr_matrix:
+        """The IC rows with the given ids, in that order; each has
+        right-hand side 0.
+
+        Row (i, j) is -(v_i . x_i) + p_i + (v_i . x_j) - p_j <= 0.  It holds
+        the (x, p) block of i and of j, written lower type index first so
+        the column indices come out sorted.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        I, r = np.divmod(ids, self.n - 1)   # the inverse of _ic_row
+        J = r + (r >= I)
+        m = self.m
+        width = m + 1
+        block = np.arange(width)
+        cols = np.empty((ids.size, 2, width), dtype=np.int64)
+        cols[:, 0] = np.minimum(I, J)[:, None] * width + block
+        cols[:, 1] = np.maximum(I, J)[:, None] * width + block
+        data = np.empty((ids.size, 2, width))
+        data[:, 0, :m] = self.values[I]
+        data[:, 0, m] = -1.0
+        data[:, 0] *= np.where(I < J, -1.0, 1.0)[:, None]
+        data[:, 1] = -data[:, 0]
+        indptr = np.arange(ids.size + 1) * 2 * width
+        return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(ids.size, self.num_variables))
+
+    def ic_violations(self, x: np.ndarray) -> np.ndarray:
+        """``(A_ub @ x - b_ub)[:num_ic_rows]`` without the IC block.
+
+        With U[i, j] = v_i . x_j - p_j, the utility of type i for pair j,
+        row (i, j) reads U[i, j] - U[i, i]; dropping the diagonal leaves
+        the rows in id order.
+        """
+        sol = x.reshape(self.n, self.m + 1)
+        U = self.values @ sol[:, : self.m].T - sol[:, self.m]
+        return (U - np.diag(U)[:, None])[~np.eye(self.n, dtype=bool)]
+
+    @functools.cached_property
+    def A_ub(self) -> sp.csr_matrix:
+        return sp.vstack([self.ic_rows(np.arange(self.num_ic_rows)), self.fixed], format="csr")
+
+    @functools.cached_property
+    def b_ub(self) -> np.ndarray:
+        return np.concatenate([np.zeros(self.num_ic_rows), self.b_fixed])
+
 
 def build_lp(dist: ExplicitDistribution) -> MenuLP:
     """Assemble the revenue LP for an explicit distribution."""
@@ -117,23 +172,6 @@ def build_lp(dist: ExplicitDistribution) -> MenuLP:
     c = np.zeros(nv)
     c[np.arange(n) * width + m] = w
 
-    # IC rows: -(v_i . x_i) + p_i + (v_i . x_j) - p_j <= 0 for i != j, in
-    # (i, j) row-major order; each row holds the (x, p) block of i and of j,
-    # written lower type index first so the column indices come out sorted
-    I, J = np.nonzero(~np.eye(n, dtype=bool))
-    n_ic = I.size
-    block = np.arange(width)
-    cols = np.empty((n_ic, 2, width), dtype=np.int64)
-    cols[:, 0] = np.minimum(I, J)[:, None] * width + block
-    cols[:, 1] = np.maximum(I, J)[:, None] * width + block
-    data = np.empty((n_ic, 2, width))
-    data[:, 0, :m] = V[I]
-    data[:, 0, m] = -1.0
-    data[:, 0] *= np.where(I < J, -1.0, 1.0)[:, None]
-    data[:, 1] = -data[:, 0]
-    indptr = np.arange(n_ic + 1) * 2 * width
-    ic = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n_ic, nv))
-
     # IR rows: -(v_i . x_i) + p_i <= 0
     rows = np.repeat(np.arange(n), width)
     cols = (np.arange(n) * width)[:, None] + np.arange(width)[None, :]
@@ -145,13 +183,13 @@ def build_lp(dist: ExplicitDistribution) -> MenuLP:
     cols = (np.arange(n) * width)[:, None] + np.arange(m)[None, :]
     mass = sp.csr_matrix((np.ones(n * m), (rows, cols.ravel())), shape=(n, nv))
 
-    A = sp.vstack([ic, ir, mass], format="csr")
-    b = np.concatenate([np.zeros(n_ic + n), np.ones(n)])
-
     lower = np.zeros(nv)
     upper = np.ones(nv)
     upper[np.arange(n) * width + m] = V.sum(axis=1)
-    return MenuLP(n=n, m=m, objective=c, A_ub=A, b_ub=b, lower=lower, upper=upper, values=V)
+    return MenuLP(
+        n=n, m=m, objective=c, lower=lower, upper=upper, values=V,
+        fixed=sp.vstack([ir, mass], format="csr"), b_fixed=np.concatenate([np.zeros(n), np.ones(n)]),
+    )
 
 
 @dataclass(frozen=True)
@@ -166,7 +204,9 @@ class LPSolution:
 
 
 def _fail(lp: MenuLP, status, message) -> LPError:
-    coeffs = np.abs(lp.A_ub.data)
+    # IC rows hold +-v_il and +-1, which the IR rows hold too, so the
+    # fixed rows carry the coefficient range of the whole program
+    coeffs = np.abs(lp.fixed.data)
     return LPError(
         f"LP solve failed: status={status} message={message!r} "
         f"coeff range [{coeffs.min():.3g}, {coeffs.max():.3g}]"
@@ -301,17 +341,19 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     ``feas = min(tol * 1e-2, 1e-9)``.  The first relaxation holds every
     column and bound, the IR and mass rows, and each type's IC rows
     against its SEED_NEIGHBOURS nearest types in value space.  Each round
-    solves the relaxation, computes all n(n-1) IC slacks in one product
-    with ``lp.A_ub``, and adds up to ROWS_PER_TYPE of the most violated
-    rows per truthful type.  Only rows not yet in the model are
-    separated: HiGHS holds its own rows only to ``feas``, so a model row
-    can read as violated and must not be added again.  The loop stops
+    solves the relaxation, reads all n(n-1) IC slacks off one n x n
+    utility matrix (:meth:`MenuLP.ic_violations`), and adds up to
+    ROWS_PER_TYPE of the most violated rows per truthful type, built by
+    :meth:`MenuLP.ic_rows`; the IC block itself is never assembled.
+    Only rows not yet in the model are separated: HiGHS holds its own
+    rows only to ``feas``, so a model row can read as violated and must
+    not be added again.  The loop stops
     when no row outside the model is violated by more than ``feas``.  The
     solution is then optimal for a relaxation and feasible for the full
     LP, which certifies it optimal for the full LP.
 
     Before adding rows, a round deletes the model IC rows that the same
-    product shows slack by more than PURGE_SLACK in PURGE_ROUNDS solves in
+    matrix shows slack by more than PURGE_SLACK in PURGE_ROUNDS solves in
     a row (see :func:`_purge`); a row added in the last PURGE_ROUNDS
     rounds is never deleted.  Deleting rows that are slack at the current
     optimum leaves that point optimal, and a deleted row returns to the
@@ -327,11 +369,11 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     """
     n_ic = lp.num_ic_rows
     feas = min(tol * 1e-2, 1e-9)
-    fixed = np.arange(n_ic, lp.A_ub.shape[0])   # IR and mass rows, never deleted
+    n_fixed = lp.b_fixed.size                   # IR and mass rows, first and never deleted
     model = np.unique(_neighbour_ic_rows(lp))   # IC row id at each model position after them
-    first = np.concatenate([fixed, model])
     relaxation = (_WarmHighs if _highs is not None else _ColdLinprog)(
-        lp, lp.A_ub[first], lp.b_ub[first], feas
+        lp, sp.vstack([lp.fixed, lp.ic_rows(model)], format="csr"),
+        np.concatenate([lp.b_fixed, np.zeros(model.size)]), feas,
     )
     streak = np.zeros(model.size, dtype=np.int64)
     k = min(ROWS_PER_TYPE, lp.n - 1)
@@ -341,7 +383,7 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
         rounds += 1
         if n_ic == 0:
             break
-        violation = (lp.A_ub @ x)[:n_ic] - lp.b_ub[:n_ic]
+        violation = lp.ic_violations(x)
         streak, drop = _purge(streak, -violation[model])
         violation[model] = -np.inf
         violation = violation.reshape(lp.n, lp.n - 1)
@@ -351,10 +393,10 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
         if rows.size == 0:
             break
         if drop.any():
-            relaxation.delete(fixed.size + np.flatnonzero(drop))
+            relaxation.delete(n_fixed + np.flatnonzero(drop))
             purged += int(drop.sum())
             model, streak = model[~drop], streak[~drop]
-        relaxation.add(lp.A_ub[rows], lp.b_ub[rows])
+        relaxation.add(lp.ic_rows(rows), np.zeros(rows.size))
         model = np.concatenate([model, rows])
         streak = np.concatenate([streak, np.zeros(rows.size, dtype=np.int64)])
     width = lp.m + 1
@@ -402,15 +444,22 @@ def dump_lp(lp: MenuLP) -> str:
     """Sparse text form for cross-checking against external solvers.
 
     First line: "maximize" and the objective coefficients.  Then one line
-    per constraint row, "col:value ... <= b" over the row's stored entries
-    (0-based column indices), then "bounds" and the variable bounds.
+    per constraint row of ``A_ub``, "col:value ... <= b" over the row's
+    stored entries (0-based column indices), then "bounds" and the
+    variable bounds.  The IC rows are built one truthful type at a time,
+    so ``A_ub`` is never assembled.
     """
-    A = lp.A_ub
     lines = ["maximize " + " ".join(f"{v:.17g}" for v in lp.objective)]
-    for r in range(A.shape[0]):
-        row = slice(A.indptr[r], A.indptr[r + 1])
-        terms = [f"{c}:{v:.17g}" for c, v in zip(A.indices[row], A.data[row])]
-        lines.append(" ".join(terms + ["<=", f"{lp.b_ub[r]:.17g}"]))
+
+    def emit(A: sp.csr_matrix, b: np.ndarray) -> None:
+        for r in range(A.shape[0]):
+            row = slice(A.indptr[r], A.indptr[r + 1])
+            terms = [f"{c}:{v:.17g}" for c, v in zip(A.indices[row], A.data[row])]
+            lines.append(" ".join(terms + ["<=", f"{b[r]:.17g}"]))
+
+    for i in range(lp.n):
+        emit(lp.ic_rows(np.arange(i * (lp.n - 1), (i + 1) * (lp.n - 1))), np.zeros(lp.n - 1))
+    emit(lp.fixed, lp.b_fixed)
     lines.append("bounds " + " ".join(f"[{lo:.17g},{hi:.17g}]" for lo, hi in zip(lp.lower, lp.upper)))
     return "\n".join(lines) + "\n"
 

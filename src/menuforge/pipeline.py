@@ -194,7 +194,6 @@ def overfit_experiment(
     sample_n: int,
     eval_n: int,
     seed: int,
-    lp_cap: int = 200,
     include_lp: bool = True,
 ) -> OverfitReport:
     """Fit the naive menu to a sample, evaluate it on fresh draws.
@@ -202,9 +201,9 @@ def overfit_experiment(
     The fitting stream is seeded with ``seed``; fresh evaluation draws
     come from the stream keyed ``[seed, 1]``, which is no seed's fitting
     stream, so in a seed sweep no run evaluates on another run's sample.
-    ``lp_on_sample`` is the LP optimum on the first min(sample_n, lp_cap)
-    samples (NaN when disabled): the LP fits the sample at least as well
-    as the closed-form naive menu.
+    ``lp_on_sample`` is the LP optimum on the whole sample (NaN when
+    disabled): the LP fits the sample at least as well as the closed-form
+    naive menu.
     """
     params = OverfitProductParams(m=m, delta=delta)
     sampler = OverfitProductSampler(params, seed)
@@ -219,8 +218,7 @@ def overfit_experiment(
 
     lp_on_sample = float("nan")
     if include_lp:
-        capped = explicit_from_samples(S[: min(sample_n, lp_cap)]).consolidated()
-        lp_on_sample = solve_lp(build_lp(capped)).objective
+        lp_on_sample = solve_lp(build_lp(explicit_from_samples(S).consolidated())).objective
     return OverfitReport(naive_on_sample, naive_on_fresh, price1_on_fresh, lp_on_sample)
 
 

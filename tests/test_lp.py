@@ -173,8 +173,13 @@ def test_lazy_solve_matches_full_lp_fuzz():
     for d in _fuzz_distributions():
         lp = mf.build_lp(d)
         sol = mf.solve_lp(lp)
+        assert "A_ub" not in vars(lp) and "b_ub" not in vars(lp)  # the IC block was never assembled
+        x = _solution_vector(sol)
         assert sol.objective == pytest.approx(_full_linprog(lp), abs=1e-7)
-        assert np.max(lp.A_ub @ _solution_vector(sol) - lp.b_ub) <= 1e-7
+        assert np.max(lp.A_ub @ x - lp.b_ub) <= 1e-7
+        # the row-free slacks the loop separates on are the stored rows' slacks
+        n_ic = lp.num_ic_rows
+        assert np.max(np.abs(lp.ic_violations(x) - (lp.A_ub @ x - lp.b_ub)[:n_ic]), initial=0.0) <= 1e-12
         assert sol.rounds >= 1
         assert sol.ic_rows_kept <= lp.num_ic_rows
 
@@ -187,6 +192,7 @@ def test_linprog_fallback_gives_same_objectives(monkeypatch):
     for d, objective in zip(dists, warm):
         lp = mf.build_lp(d)
         sol = mf.solve_lp(lp)
+        assert "A_ub" not in vars(lp)
         assert sol.objective == pytest.approx(objective, abs=1e-7)
         assert np.max(lp.A_ub @ _solution_vector(sol) - lp.b_ub) <= 1e-7
         purged += sol.ic_rows_purged
@@ -278,19 +284,32 @@ def _pairwise_ic_block(V):
     return sp.csr_matrix((data, (rows, cols)), shape=(n * (n - 1), n * width))
 
 
+def _assert_same_rows(got, want):
+    assert got.shape == want.shape and got.nnz == want.nnz
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
 def test_ic_block_matches_pairwise_reference():
     rng = np.random.default_rng(5)
     cases = [np.array([[2.0]]), 1 + 3 * rng.random((6, 3)), rng.integers(0, 3, (9, 4)).astype(float)]
     for V in cases:
         lp = mf.build_lp(_uniform_dist(V))
-        got = lp.A_ub[: lp.num_ic_rows]
         want = _pairwise_ic_block(V)
-        got.sort_indices()
         want.sort_indices()
-        assert got.nnz == want.nnz
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+        got = lp.A_ub[: lp.num_ic_rows]
+        got.sort_indices()
+        _assert_same_rows(got, want)
+        # rows built on demand, in any order and with repeats, are the
+        # stored rows byte for byte
+        ids = rng.integers(0, max(lp.num_ic_rows, 1), lp.num_ic_rows)
+        on_demand = lp.ic_rows(ids)
+        stored = lp.A_ub[ids]
+        _assert_same_rows(on_demand, stored)
+        assert on_demand.data.tobytes() == stored.data.tobytes()
+        assert on_demand.indices.tobytes() == stored.indices.tobytes()
+        _assert_same_rows(on_demand, want[ids])
 
 
 def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):
@@ -327,6 +346,7 @@ def test_dump_lp_shape():
     d = _uniform_dist([[1.0], [2.0]])
     lp = mf.build_lp(d)
     text = mf.dump_lp(lp)
+    assert "A_ub" not in vars(lp)  # the dump builds its rows on demand
     lines = text.strip().splitlines()
     assert lines[0].startswith("maximize ")
     # 2 IC + 2 IR + 2 mass rows, plus objective and bounds lines

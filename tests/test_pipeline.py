@@ -1,8 +1,9 @@
-"""Seeding of the desk-scale experiments."""
+"""Seeding and sample use of the desk-scale experiments."""
 
 import numpy as np
 
 import menuforge as mf
+from menuforge import pipeline
 
 
 def test_overfit_fresh_draws_are_not_the_next_seeds_sample(monkeypatch):
@@ -28,3 +29,23 @@ def test_overfit_fresh_draws_are_not_the_next_seeds_sample(monkeypatch):
     for seed in range(4):
         sample, fresh = runs[seed]
         assert not np.array_equal(fresh[:sample_n], sample)
+
+
+def test_overfit_lp_fits_the_whole_sample(monkeypatch):
+    seen = []
+    original = pipeline.build_lp
+
+    def recording_build_lp(dist):
+        seen.append(dist)
+        return original(dist)
+
+    monkeypatch.setattr(pipeline, "build_lp", recording_build_lp)
+    m, delta, sample_n, seed = 8, 0.3, 260, 5
+    mf.overfit_experiment(m, delta, sample_n, 100, seed)
+    S = mf.OverfitProductSampler(mf.OverfitProductParams(m, delta), seed).draw(
+        sample_n, np.random.default_rng(seed)
+    )
+    whole = mf.explicit_from_samples(S).consolidated()
+    (dist,) = seen
+    assert np.array_equal(dist.values, whole.values)
+    assert np.array_equal(dist.weights, whole.weights)
