@@ -125,11 +125,10 @@ def _cmd_solve_lp(args) -> int:
     lp = build_lp(dist)
     sol = solve_lp(lp, tol=args.tol)
     menu = extract_menu(sol)
-    dump_text = dump_lp(lp) if args.dump_lp else None
     save_menu(menu, args.out)
     if args.dump_lp:
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
-            fh.write(dump_text)
+            dump_lp(lp, fh)
     print(
         f"objective {_fmt(sol.objective)} entries {menu.size} "
         f"rounds {sol.rounds} ic_rows_kept {sol.ic_rows_kept} ic_rows_purged {sol.ic_rows_purged}"

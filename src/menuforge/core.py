@@ -13,6 +13,8 @@ Conventions used throughout the package:
 * utility ties within ``TIE_TOL`` are resolved in favor of the higher
   price, then in favor of the earlier menu entry, with the implicit
   zero entry losing ties against explicit entries of equal price;
+* that rule is written once, in the blocked choice kernel ``_choose``
+  behind :func:`choose_batch` and :func:`revenue_batch`;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 
@@ -26,6 +28,7 @@ import numpy as np
 
 TIE_TOL = 1e-9
 LOTTERY_MASS_SLACK = 1e-9
+_BLOCK_CELLS = 2**17  # utilities per block of the choice kernel: about 1 MB of float64
 
 VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
@@ -289,10 +292,36 @@ def utility(v, entry) -> float:
     return float(values @ x - p)
 
 
-def _utilities(menu: Menu, V: np.ndarray) -> np.ndarray:
+def _choose(menu: Menu, V, tie_tol: float) -> np.ndarray:
+    """The one choice kernel: chosen entry index per valuation row, -1 for the zero entry.
+
+    The entries are sorted once by price, highest first, with a stable
+    sort, so among a row's candidates (the entries within ``tie_tol`` of
+    its best utility, the zero entry counting with utility 0) the first
+    in sorted order has the highest price and, among equal prices, the
+    earliest index.  A row takes the zero entry when it has no candidate
+    or that candidate's price is negative.  Rows are evaluated in blocks
+    of ``max(1, _BLOCK_CELLS // K)`` for K entries, so the working memory
+    is O(block * K), independent of the number of rows n.
+    """
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    idx = np.full(V.shape[0], -1, dtype=int)
+    if menu.size == 0:
+        return idx
     if V.shape[1] != menu.m:
         raise DimensionMismatchError(f"valuations have m={V.shape[1]}, menu has m={menu.m}")
-    return V @ menu.lotteries.T - menu.prices
+    order = np.argsort(-menu.prices, kind="stable")
+    L, P = menu.lotteries[order], menu.prices[order]
+    rows = max(1, _BLOCK_CELLS // menu.size)
+    for s in range(0, V.shape[0], rows):
+        U = V[s : s + rows] @ L.T
+        U -= P
+        top = U.max(axis=1)
+        best = np.maximum(top, 0.0) - tie_tol
+        first = (U >= best[:, None]).argmax(axis=1)
+        take = (top >= best) & (P[first] >= 0.0)
+        idx[s : s + rows] = np.where(take, order[first], -1)
+    return idx
 
 
 def choose_batch(menu: Menu, V, tie_tol: float = TIE_TOL) -> np.ndarray:
@@ -303,19 +332,7 @@ def choose_batch(menu: Menu, V, tie_tol: float = TIE_TOL) -> np.ndarray:
     equal prices the earliest wins, with the implicit zero entry placed
     after all explicit entries.
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if menu.size == 0:
-        return np.full(V.shape[0], -1, dtype=int)
-    U = _utilities(menu, V)
-    best = np.maximum(U.max(axis=1), 0.0)
-    cand = U >= (best - tie_tol)[:, None]
-    cand_prices = np.where(cand, menu.prices[None, :], -np.inf)
-    price_star = cand_prices.max(axis=1)
-    # zero entry wins only when no explicit candidate has price >= 0
-    take_zero = price_star < 0.0
-    idx = np.argmax(cand_prices >= price_star[:, None], axis=1)
-    idx[take_zero] = -1
-    return idx
+    return _choose(menu, V, tie_tol)
 
 
 def choose(menu: Menu, v, tie_tol: float = TIE_TOL) -> Choice:
@@ -330,15 +347,9 @@ def choose(menu: Menu, v, tie_tol: float = TIE_TOL) -> Choice:
 
 
 def revenue_batch(menu: Menu, V, tie_tol: float = TIE_TOL) -> np.ndarray:
-    """Per-valuation payment. Equals the price of the chosen entry."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if menu.size == 0:
-        return np.zeros(V.shape[0])
-    U = _utilities(menu, V)
-    best = np.maximum(U.max(axis=1), 0.0)
-    cand = U >= (best - tie_tol)[:, None]
-    pr = np.where(cand, menu.prices[None, :], -np.inf).max(axis=1)
-    return np.maximum(pr, 0.0)
+    """Per-valuation payment: the price of the chosen entry, 0 for the zero entry."""
+    # index -1, the zero entry, reads the appended price 0
+    return np.append(menu.prices, 0.0)[_choose(menu, V, tie_tol)]
 
 
 def revenue(menu: Menu, v, tie_tol: float = TIE_TOL) -> float:

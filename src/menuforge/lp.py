@@ -39,6 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +50,7 @@ try:  # private scipy API, absent from some releases that pyproject allows
 except ImportError:
     _highs = None
 
-from .core import Menu
+from .core import TIE_TOL, Menu
 from .distributions import ExplicitDistribution
 
 # IC rows per type in the first relaxation: those against its nearest types
@@ -440,28 +441,29 @@ def optimal_menu(dist: ExplicitDistribution, tol: float = 1e-7) -> tuple[Menu, f
     return extract_menu(sol), sol.objective
 
 
-def dump_lp(lp: MenuLP) -> str:
-    """Sparse text form for cross-checking against external solvers.
+def dump_lp(lp: MenuLP, out: TextIO) -> None:
+    """Write the LP in sparse text form to the text stream ``out``.
 
-    First line: "maximize" and the objective coefficients.  Then one line
-    per constraint row of ``A_ub``, "col:value ... <= b" over the row's
-    stored entries (0-based column indices), then "bounds" and the
-    variable bounds.  The IC rows are built one truthful type at a time,
-    so ``A_ub`` is never assembled.
+    The form is for cross-checking against external solvers.  First line:
+    "maximize" and the objective coefficients.  Then one line per
+    constraint row of ``A_ub``, "col:value ... <= b" over the row's stored
+    entries (0-based column indices), then "bounds" and the variable
+    bounds.  Each line is written as it is made, and the IC rows are built
+    one truthful type at a time, so neither the text nor ``A_ub`` is ever
+    held whole.
     """
-    lines = ["maximize " + " ".join(f"{v:.17g}" for v in lp.objective)]
+    out.write("maximize " + " ".join(f"{v:.17g}" for v in lp.objective) + "\n")
 
     def emit(A: sp.csr_matrix, b: np.ndarray) -> None:
         for r in range(A.shape[0]):
             row = slice(A.indptr[r], A.indptr[r + 1])
             terms = [f"{c}:{v:.17g}" for c, v in zip(A.indices[row], A.data[row])]
-            lines.append(" ".join(terms + ["<=", f"{b[r]:.17g}"]))
+            out.write(" ".join(terms + ["<=", f"{b[r]:.17g}"]) + "\n")
 
     for i in range(lp.n):
         emit(lp.ic_rows(np.arange(i * (lp.n - 1), (i + 1) * (lp.n - 1))), np.zeros(lp.n - 1))
     emit(lp.fixed, lp.b_fixed)
-    lines.append("bounds " + " ".join(f"[{lo:.17g},{hi:.17g}]" for lo, hi in zip(lp.lower, lp.upper)))
-    return "\n".join(lines) + "\n"
+    out.write("bounds " + " ".join(f"[{lo:.17g},{hi:.17g}]" for lo, hi in zip(lp.lower, lp.upper)) + "\n")
 
 
 def _grid_pairs(m: int, price_grid, lottery_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +514,7 @@ def brute_force_optimal(
             idx = block.reshape(-1, s)                   # (B, s)
             u = U[:, idx]                                # (n, B, s)
             topu = np.maximum(u.max(axis=2), 0.0)        # (n, B)
-            cand = u >= topu[:, :, None] - 1e-9
+            cand = u >= topu[:, :, None] - TIE_TOL
             pr = np.where(cand, P[idx][None, :, :], -np.inf).max(axis=2)
             rev = w @ np.maximum(pr, 0.0)                # (B,)
             b = int(np.argmax(rev))

@@ -1,6 +1,7 @@
 """Menus, choice, revenue, tail forms: examples and invariants."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import menuforge as mf
+from menuforge import core
 
 
 def test_utility_examples():
@@ -231,3 +233,68 @@ def test_menu_json_rejects_bad_entries(tmp_path):
     path.write_text(json.dumps({"m": 2, "entries": [{"lottery": [0.5, 0.0], "price": 0.0}]}))
     with pytest.raises(mf.ValidationError):
         mf.load_menu(path)
+
+
+def _loop_choice(menu, v):
+    """The documented rule for one buyer: the tie window, then the higher
+    price, then the earlier entry, with the zero entry after every explicit one."""
+    u = np.append(menu.lotteries @ v - menu.prices, 0.0)
+    p = np.append(menu.prices, 0.0)
+    window = u >= u.max() - mf.TIE_TOL
+    j = int(np.flatnonzero(window & (p == p[window].max()))[0])
+    return -1 if j == menu.size else j
+
+
+def _dyadic_menu(rng, k, m, prices):
+    # lotteries in eighths and integer buyers keep every utility exact, so ties are exact
+    X = rng.multinomial(8, np.ones(m + 1) / (m + 1), size=k)[:, :m] / 8.0
+    return mf.Menu(X, rng.choice(prices, size=k))
+
+
+@pytest.mark.parametrize("kind", ["ties", "repeated_prices", "near_ties", "zero_entry", "empty"])
+def test_choice_kernel_matches_the_loop_across_blocks(kind):
+    rng = np.random.default_rng(8)
+    m = 3
+    if kind == "empty":
+        menu = mf.Menu.empty(m)
+    elif kind == "ties":
+        menu = _dyadic_menu(rng, 200, m, np.arange(1, 25) / 8.0)
+    elif kind == "repeated_prices":
+        menu = _dyadic_menu(rng, 333, m, [0.5, 1.0, 2.0])
+    elif kind == "near_ties":
+        base = _dyadic_menu(rng, 300, m, [0.5, 1.0, 2.0])
+        # prices 3e-10 lower tie within TIE_TOL; prices 3e-9 lower do not
+        menu = mf.Menu(base.lotteries, base.prices - np.resize([3e-10, 0.0, 3e-9], 300))
+    else:
+        base = _dyadic_menu(rng, 250, m, np.arange(1, 25) / 8.0)
+        L, P = np.array(base.lotteries), np.array(base.prices)
+        L[57], P[57] = 0.0, 0.0  # an explicit zero-price, zero-lottery entry
+        menu = mf.Menu(L, P)
+    # the empty menu is never blocked; any small block tests it
+    block = max(1, core._BLOCK_CELLS // menu.size) if menu.size else 4
+    V = rng.integers(0, 5, size=(3 * block + 7, m)).astype(float)
+    V[::5] = 0.0  # every explicit entry has negative utility (or 0 at price 0) for these
+    for n in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+        idx = mf.choose_batch(menu, V[:n])
+        pay = mf.revenue_batch(menu, V[:n])
+        assert idx.shape == pay.shape == (n,)
+        assert idx.tolist() == [_loop_choice(menu, v) for v in V[:n]]
+        want = np.where(idx >= 0, menu.prices[idx], 0.0) if menu.size else np.zeros(n)
+        assert pay.tobytes() == want.tobytes()
+    if kind == "zero_entry":
+        assert np.all(mf.choose_batch(menu, V[::5]) == 57)
+
+
+def test_choice_kernel_memory_is_independent_of_buyers():
+    rng = np.random.default_rng(3)
+    n, k, m = 50_000, 200, 5
+    menu = mf.Menu(rng.dirichlet(np.ones(m), size=k) * 0.9, rng.random(k) * 4)
+    V = rng.random((n, m)) * 4
+    tracemalloc.start()
+    try:
+        mf.choose_batch(menu, V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x k utility matrix takes 80 MB; the blocked kernel needs about 2 MB
+    assert peak < n * k * 8 / 10

@@ -1,6 +1,7 @@
 """The optimal-menu LP against structure counts, known optima, and the
 grid-search oracle."""
 
+import io
 import json
 
 import numpy as np
@@ -316,17 +317,26 @@ def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):
     dist = tmp_path / "dist.json"
     d = _uniform_dist([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
     dist.write_text(json.dumps(mf.distribution_to_json(d)))
-    assert cli.main(["solve-lp", "--dist", str(dist), "--out", str(tmp_path / "menu.json")]) == 0
+    dump = tmp_path / "lp.txt"
+    argv = ["solve-lp", "--dist", str(dist), "--out", str(tmp_path / "menu.json"), "--dump-lp", str(dump)]
+    assert cli.main(argv) == 0
     words = capsys.readouterr().out.split()
     assert words[0] == "objective" and words[2] == "entries"
     assert words[4:6] == ["rounds", "1"]
     assert words[6:] == ["ic_rows_kept", "12", "ic_rows_purged", "0"]
+    assert dump.read_text() == _dump_text(mf.build_lp(d))
+
+
+def _dump_text(lp):
+    buf = io.StringIO()
+    mf.dump_lp(lp, buf)
+    return buf.getvalue()
 
 
 def test_dump_lp_parses_back_to_the_lp():
     rng = np.random.default_rng(6)
     lp = mf.build_lp(_uniform_dist(rng.integers(0, 4, (5, 3)).astype(float)))
-    lines = mf.dump_lp(lp).strip().splitlines()
+    lines = _dump_text(lp).strip().splitlines()
     objective = np.array([float(t) for t in lines[0].split()[1:]])
     rows, cols, data, rhs = [], [], [], []
     for r, line in enumerate(lines[1:-1]):
@@ -345,7 +355,7 @@ def test_dump_lp_parses_back_to_the_lp():
 def test_dump_lp_shape():
     d = _uniform_dist([[1.0], [2.0]])
     lp = mf.build_lp(d)
-    text = mf.dump_lp(lp)
+    text = _dump_text(lp)
     assert "A_ub" not in vars(lp)  # the dump builds its rows on demand
     lines = text.strip().splitlines()
     assert lines[0].startswith("maximize ")
