@@ -52,14 +52,11 @@ from .distributions import (
     Sampler,
     distribution_from_json,
     distribution_to_json,
-    equal_revenue_sampler,
     expected_max_value,
     explicit_from_samples,
     hitting_set_valuations,
     load_distribution,
     load_hitting_set,
-    monotone_sampler,
-    overfit_sampler,
     save_hitting_set,
     scalar_equal_revenue,
     sparse_subsample,
@@ -74,7 +71,6 @@ from .lp import (
     build_lp,
     dump_lp,
     extract_menu,
-    optimal_menu,
     solve_lp,
 )
 from .maxrev import (

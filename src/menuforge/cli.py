@@ -248,7 +248,7 @@ def _cmd_experiment_lowerbound(args) -> int:
     seeds = _parse_seeds(args.seeds)
 
     def run(seed: int):
-        r = lower_bound_experiment(args.m, args.H, args.K, seed, per_point=args.per_point)
+        r = lower_bound_experiment(args.m, args.H, args.K, seed)
         return [seed, r.lb_menu_revenue, r.item_baseline_revenue, r.ratio]
 
     rows = _map_seeds(run, seeds)
@@ -257,7 +257,6 @@ def _cmd_experiment_lowerbound(args) -> int:
         "m": args.m,
         "H": args.H,
         "K": args.K,
-        "per_point": args.per_point,
         "version": __version__,
     }
     cols = ["seed", "lb_menu_revenue", "item_baseline_revenue", "ratio"]
@@ -296,26 +295,24 @@ def _cmd_experiment_baseline(args) -> int:
 
 def _cmd_experiment_greedy(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    rows = []
-    if args.hitting_set:
-        inst = load_hitting_set(args.hitting_set, H=args.H)
+
+    def row(instance: int, inst: HittingSetInstance) -> list:
         problem = reduce_hitting_set(inst, args.k)
         _, greedy_rev = greedy_k_item_menu(problem)
         _, opt_rev = brute_force_k_menu(problem)
-        rows.append([0, greedy_rev, opt_rev, greedy_rev / opt_rev if opt_rev else float("inf")])
-    else:
-        def run(seed: int):
-            rng = np.random.default_rng(seed)
-            sets = []
-            for _ in range(args.n_sets):
-                size = int(rng.integers(1, args.m + 1))
-                sets.append(tuple(np.sort(rng.choice(args.m, size=size, replace=False)).tolist()))
-            inst = HittingSetInstance(tuple(sets), m=args.m, H=args.H)
-            problem = reduce_hitting_set(inst, args.k)
-            _, greedy_rev = greedy_k_item_menu(problem)
-            _, opt_rev = brute_force_k_menu(problem)
-            return [seed, greedy_rev, opt_rev, greedy_rev / opt_rev if opt_rev else float("inf")]
+        return [instance, greedy_rev, opt_rev, greedy_rev / opt_rev if opt_rev else float("inf")]
 
+    def run(seed: int) -> list:
+        rng = np.random.default_rng(seed)
+        sets = []
+        for _ in range(args.n_sets):
+            size = int(rng.integers(1, args.m + 1))
+            sets.append(tuple(np.sort(rng.choice(args.m, size=size, replace=False)).tolist()))
+        return row(seed, HittingSetInstance(tuple(sets), m=args.m, H=args.H))
+
+    if args.hitting_set:
+        rows = [row(0, load_hitting_set(args.hitting_set, H=args.H))]
+    else:
         rows = _map_seeds(run, seeds)
     config = {
         "experiment": "greedy-vs-opt",
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--H", type=float, default=8.0)
     lb.add_argument("--K", type=int, default=20)
     lb.add_argument("--seeds", default="0:10")
-    lb.add_argument("--per-point", action="store_true")
+    lb.add_argument("--per-point", action="store_true", help="no effect; kept so older command lines parse")
     lb.add_argument("--out", required=True)
     lb.set_defaults(func=_cmd_experiment_lowerbound)
 

@@ -178,7 +178,8 @@ class Menu:
     """An ordered list of menu entries, stored as arrays for fast evaluation.
 
     The implicit zero entry is never stored; choice routines inject it.
-    ``size`` is the menu complexity (number of explicit entries).
+    ``size`` is the menu complexity (number of explicit entries).  Prices
+    are nonnegative: the constructor rejects a negative one.
     """
 
     __slots__ = ("lotteries", "prices")
@@ -190,6 +191,8 @@ class Menu:
             L = L.reshape(len(P), -1)
         if L.shape[0] != P.shape[0]:
             raise ValidationError("lottery rows and prices disagree in length")
+        if np.any(P < 0):
+            raise ValidationError("negative price")
         L.setflags(write=False)
         P.setflags(write=False)
         self.lotteries = L
@@ -299,10 +302,11 @@ def _choose(menu: Menu, V, tie_tol: float) -> np.ndarray:
     sort, so among a row's candidates (the entries within ``tie_tol`` of
     its best utility, the zero entry counting with utility 0) the first
     in sorted order has the highest price and, among equal prices, the
-    earliest index.  A row takes the zero entry when it has no candidate
-    or that candidate's price is negative.  Rows are evaluated in blocks
-    of ``max(1, _BLOCK_CELLS // K)`` for K entries, so the working memory
-    is O(block * K), independent of the number of rows n.
+    earliest index.  A row takes the zero entry when no explicit entry
+    is a candidate; prices are never negative, so an explicit candidate
+    always wins the price tie-break against it.  Rows are evaluated in
+    blocks of ``max(1, _BLOCK_CELLS // K)`` for K entries, so the working
+    memory is O(block * K), independent of the number of rows n.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     idx = np.full(V.shape[0], -1, dtype=int)
@@ -319,8 +323,7 @@ def _choose(menu: Menu, V, tie_tol: float) -> np.ndarray:
         top = U.max(axis=1)
         best = np.maximum(top, 0.0) - tie_tol
         first = (U >= best[:, None]).argmax(axis=1)
-        take = (top >= best) & (P[first] >= 0.0)
-        idx[s : s + rows] = np.where(take, order[first], -1)
+        idx[s : s + rows] = np.where(top >= best, order[first], -1)
     return idx
 
 

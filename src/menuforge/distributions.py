@@ -16,8 +16,9 @@ The parametric families:
   k = m/3 items and 1 elsewhere, with z following the truncated
   equal-revenue law Pr[z = x] = 2^-x for x = 1..log2(H) and the residual
   2^-log2(H) folded into the top scale.
-* ``sparse_subsample``: a uniform subsample of the spread family whose
-  per-point sets are required to be pairwise sparse; the lower-bound menu
+* ``sparse_subsample``: K points of the spread family whose sets
+  pairwise meet in fewer than m/6 items, each set drawn uniformly among
+  those compatible with the sets before it; the lower-bound menu
   construction needs that sparsity.
 * hitting-set valuations: value H on a given set, 1 elsewhere, one
   valuation per set; the MAXREV reduction instances.
@@ -38,7 +39,7 @@ from .core import ValidationError, Valuation
 
 class IntersectionPropertyError(RuntimeError):
     """The pairwise set-sparsity required by the lower-bound construction
-    could not be achieved within the retry budget."""
+    could not be achieved within the candidate cap."""
 
 
 @dataclass(frozen=True)
@@ -227,10 +228,6 @@ class OverfitProductSampler(Sampler):
         return V
 
 
-def overfit_sampler(params: OverfitProductParams, seed: int) -> OverfitProductSampler:
-    return OverfitProductSampler(params, seed)
-
-
 @dataclass(frozen=True)
 class EqualRevenueSpreadParams:
     """Parameters of the spread equal-revenue family: k = m/3 items get
@@ -297,89 +294,55 @@ class EqualRevenueSpreadSampler(Sampler):
         return V, sets, z
 
 
-def equal_revenue_sampler(params: EqualRevenueSpreadParams, seed: int) -> EqualRevenueSpreadSampler:
-    return EqualRevenueSpreadSampler(params, seed)
+_CANDIDATE_BLOCK = 64      # most candidate sets drawn at once for one point
+_CANDIDATE_CAP = 10_000    # candidates a point may try before the construction fails
 
 
-def _pairwise_sparse(sets: np.ndarray, threshold: float) -> bool:
-    n = sets.shape[0]
-    ind = np.zeros((n, sets.max() + 1 if sets.size else 1), dtype=np.int32)
-    for i in range(n):
-        ind[i, sets[i]] = 1
-    G = ind @ ind.T
-    np.fill_diagonal(G, 0)
-    return bool(G.max() < threshold)
+def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> ExplicitDistribution:
+    """K points of the spread family whose sets pairwise meet in fewer
+    than m/6 items.
 
+    That is the half-overlap condition the lower-bound menu needs.  The
+    K scales z come first from the stream seeded with ``seed``.  Then
+    point i's set is drawn uniformly among the k-sets that meet every
+    accepted set in fewer than m/6 items: uniform candidate k-sets are
+    drawn in blocks, their overlaps with the accepted sets are counted
+    in one product, and the first compatible candidate is kept.  A
+    point's first block holds one candidate and each further block
+    twice as many, up to ``_CANDIDATE_BLOCK``: when m is large next to K
+    nearly every first candidate is compatible, and the points follow
+    the family's i.i.d. law.
 
-def sparse_subsample(
-    params: EqualRevenueSpreadParams,
-    K: int,
-    seed: int,
-    max_retries: int = 100,
-    per_point: bool = False,
-    tries_per_point: int = 10_000,
-) -> ExplicitDistribution:
-    """K draws from the spread family whose sets are pairwise sparse.
-
-    The sparsity requirement is |S_i intersect S_j| < m/6 for all pairs,
-    which is exactly the half-overlap condition the lower-bound menu
-    needs.  The default policy draws the whole batch i.i.d. and resamples
-    it up to ``max_retries`` times.  With ``per_point=True`` each point is
-    instead drawn uniformly conditioned on compatibility with the points
-    accepted so far, which reaches noticeably larger K at small m.  At
-    paper scale the property holds with high probability and both
-    policies coincide with plain i.i.d. sampling.
-
-    Raises :class:`IntersectionPropertyError` when the budget runs out.
+    Raises :class:`IntersectionPropertyError` when some point finds no
+    compatible candidate among ``_CANDIDATE_CAP``.
     """
     if K < 1:
         raise ValidationError("K must be at least 1")
-    sampler = EqualRevenueSpreadSampler(params, seed)
-    threshold = params.m / 6.0
-    rng = sampler._rng
-    best_violations = None
-
-    if per_point:
-        V = np.ones((K, params.m))
-        sets = np.empty((K, params.k), dtype=int)
-        z = _draw_scales(rng, params.levels, K)
-        masks: list[np.ndarray] = []
-        for i in range(K):
-            for _ in range(tries_per_point):
-                s = floyd_subset(rng, params.m, params.k)
-                ind = np.zeros(params.m, dtype=bool)
-                ind[s] = True
-                if all(int((ind & q).sum()) < threshold for q in masks):
-                    masks.append(ind)
-                    sets[i] = s
-                    V[i, s] = 2.0 ** z[i]
-                    break
-            else:
-                raise IntersectionPropertyError(
-                    f"accepted only {i} of {K} points after {tries_per_point} tries each "
-                    f"(m={params.m}, k={params.k}, threshold {threshold})"
-                )
-        return _subsample_dist(V, sets, z, params)
-
-    for _ in range(max_retries):
-        V, sets, z = sampler.draw_with_meta(K)
-        if _pairwise_sparse(sets, threshold):
-            return _subsample_dist(V, sets, z, params)
-        ind = np.zeros((K, params.m), dtype=np.int32)
-        for i in range(K):
-            ind[i, sets[i]] = 1
-        G = ind @ ind.T
-        np.fill_diagonal(G, 0)
-        viol = int((G >= threshold).sum() // 2)
-        best_violations = viol if best_violations is None else min(best_violations, viol)
-    raise IntersectionPropertyError(
-        f"no batch of K={K} draws satisfied pairwise |S_i * S_j| < {threshold} "
-        f"after {max_retries} retries (best attempt had {best_violations} violating pairs)"
-    )
-
-
-def _subsample_dist(V, sets, z, params) -> ExplicitDistribution:
-    K = V.shape[0]
+    m, k = params.m, params.k
+    threshold = m / 6.0
+    rng = np.random.default_rng(seed)
+    z = _draw_scales(rng, params.levels, K)
+    sets = np.empty((K, k), dtype=int)
+    accepted = np.zeros((K, m))  # indicator rows of the accepted sets
+    for i in range(K):
+        tried, b = 0, 1
+        while tried < _CANDIDATE_CAP:
+            b = min(b, _CANDIDATE_CAP - tried)
+            cand = np.sort(rng.random((b, m)).argsort(axis=1)[:, :k], axis=1)
+            ind = np.zeros((b, m))
+            ind[np.arange(b)[:, None], cand] = 1.0
+            ok = np.flatnonzero((ind @ accepted[:i].T < threshold).all(axis=1))
+            if ok.size:
+                sets[i], accepted[i] = cand[ok[0]], ind[ok[0]]
+                break
+            tried += b
+            b = min(2 * b, _CANDIDATE_BLOCK)
+        else:
+            raise IntersectionPropertyError(
+                f"accepted only {i} of {K} points after {_CANDIDATE_CAP} candidates each "
+                f"(m={m}, k={k}, threshold {threshold})"
+            )
+    V = np.where(accepted > 0, 2.0 ** z[:, None], 1.0)
     return ExplicitDistribution(
         V,
         np.full(K, 1.0 / K),
@@ -467,10 +430,6 @@ class MonotoneUniformSampler(Sampler):
         return V
 
 
-def monotone_sampler(m: int, H: float, seed: int) -> MonotoneUniformSampler:
-    return MonotoneUniformSampler(m, H, seed)
-
-
 def distribution_to_json(obj) -> dict:
     if isinstance(obj, ExplicitDistribution):
         return obj.to_json_dict()
@@ -501,21 +460,18 @@ def distribution_from_json(d: dict):
             H=float(params.get("H", "inf")),
         )
     if kind == "overfit":
-        return overfit_sampler(OverfitProductParams(int(params["m"]), float(params["delta"])), seed)
+        return OverfitProductSampler(OverfitProductParams(int(params["m"]), float(params["delta"])), seed)
     if kind == "equal_revenue":
-        return equal_revenue_sampler(EqualRevenueSpreadParams(int(params["m"]), float(params["H"])), seed)
+        return EqualRevenueSpreadSampler(EqualRevenueSpreadParams(int(params["m"]), float(params["H"])), seed)
     if kind == "sparse_subsample":
         return sparse_subsample(
-            EqualRevenueSpreadParams(int(params["m"]), float(params["H"])),
-            int(params["K"]),
-            seed,
-            per_point=bool(params.get("per_point", False)),
+            EqualRevenueSpreadParams(int(params["m"]), float(params["H"])), int(params["K"]), seed
         )
     if kind == "hitting_set":
         inst = HittingSetInstance(tuple(tuple(s) for s in params["sets"]), int(params["m"]), float(params["H"]))
         return hitting_set_valuations(inst)
     if kind == "monotone_uniform":
-        return monotone_sampler(int(params["m"]), float(params["H"]), seed)
+        return MonotoneUniformSampler(int(params["m"]), float(params["H"]), seed)
     raise ValidationError(f"unknown distribution type {kind!r}")
 
 

@@ -114,9 +114,6 @@ class MenuLP:
     def num_ir_rows(self) -> int:
         return self.n
 
-    def payment_index(self, i: int) -> int:
-        return i * (self.m + 1) + self.m
-
     def ic_rows(self, ids) -> sp.csr_matrix:
         """The IC rows with the given ids, in that order; each has
         right-hand side 0.
@@ -433,12 +430,6 @@ def extract_menu(sol: LPSolution, dedup_tol: float = 1e-7) -> Menu:
     if not entries:
         return Menu.empty(sol.lotteries.shape[1])
     return Menu(np.array([e[0] for e in entries]), np.array([e[1] for e in entries]))
-
-
-def optimal_menu(dist: ExplicitDistribution, tol: float = 1e-7) -> tuple[Menu, float]:
-    """Convenience wrapper: build, solve, extract."""
-    sol = solve_lp(build_lp(dist), tol=tol)
-    return extract_menu(sol), sol.objective
 
 
 def dump_lp(lp: MenuLP, out: TextIO) -> None:

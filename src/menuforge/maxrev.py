@@ -123,21 +123,31 @@ def brute_force_k_menu(problem: KMenuProblem, budget: int = 1_000_000) -> tuple[
     For {0,1} valuations this is the true optimum over all k-entry lottery
     menus (an optimal k-menu may be taken deterministic); for {1,H} it is
     the coverage comparator the greedy guarantee is stated against.
-    Ties resolve to the lexicographically smallest item set.
+    Ties resolve to the lexicographically smallest item set: in that
+    order, a set replaces the best so far only if it hits more than 1e-15
+    more weight.
     """
     S = problem.sets
     w = problem.dist.weights
-    m = problem.m
+    n, m = S.shape
     k = min(problem.k, m)
     if math.comb(m, k) > budget:
         raise BudgetExceededError(f"C({m},{k}) exceeds budget {budget}")
+    combos = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    # hit fractions of all sets, scored in blocks of about 4 MB of (n, k) hits
+    step = max(1, (1 << 22) // max(1, n * k))
+    fracs = np.concatenate([
+        S[:, combos[s : s + step]].any(axis=2).T @ w for s in range(0, len(combos), step)
+    ])
+    # Only a set within 1e-9 of the top can end the scan as the best, and
+    # those are rescored one at a time so the kept score is the per-set sum.
     best_frac = -1.0
     best: tuple[int, ...] = ()
-    for combo in itertools.combinations(range(m), k):
+    for combo in combos[fracs >= fracs.max() - 1e-9]:
         frac = float(w @ S[:, combo].any(axis=1))
         if frac > best_frac + 1e-15:
             best_frac = frac
-            best = combo
+            best = tuple(int(j) for j in combo)
     return best, _score(problem, best_frac)
 
 

@@ -18,7 +18,10 @@ Baselines and experiments:
 * lower-bound experiment: the spread equal-revenue family, where a menu
   with one entry per support point (uniform lottery on the point's set at
   price 2^(z-1)) extracts about half the expected maximum value once the
-  sets are pairwise sparse, beating every small item-pricing menu.
+  sets are pairwise sparse; in the paper's asymptotic regime that beats
+  every small item-pricing menu.  At desk scale it does not: at the CLI
+  defaults (m=30, H=8, K=20, seeds 0:200) it earns 0.64 to 1.00 times the
+  doubling item-pricing baseline, 0.85 on average.
 """
 
 from __future__ import annotations
@@ -140,15 +143,8 @@ def item_pricing_from_samples(sampler: Sampler, H: float, n: int, seed: int) -> 
     """Empirical winner among the doubling menus on n fresh draws."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    V = sampler.draw(n, rng)
-    best_menu, best_rev = None, -1.0
-    for p in doubling_prices(H):
-        menu = uniform_price_menu(sampler.m, p)
-        rev = float(revenue_batch(menu, V).mean())
-        if rev > best_rev + 1e-15:
-            best_menu, best_rev = menu, rev
-    return best_menu
+    V = sampler.draw(n, np.random.default_rng(seed))
+    return item_pricing_baseline(explicit_from_samples(V), H)[0]
 
 
 def naive_overfit_menu(samples) -> Menu:
@@ -255,14 +251,7 @@ class LowerBoundReport:
     H: float
 
 
-def lower_bound_experiment(
-    m: int,
-    H: float,
-    K: int,
-    seed: int,
-    per_point: bool = False,
-    max_retries: int = 100,
-) -> LowerBoundReport:
+def lower_bound_experiment(m: int, H: float, K: int, seed: int) -> LowerBoundReport:
     """Exact revenues of the lower-bound menu versus the doubling baseline
     on a sparsity-checked subsample of the spread family.
 
@@ -271,7 +260,7 @@ def lower_bound_experiment(
     (see :func:`menuforge.distributions.sparse_subsample`).
     """
     params = EqualRevenueSpreadParams(m=m, H=H)
-    dist = sparse_subsample(params, K, seed, per_point=per_point, max_retries=max_retries)
+    dist = sparse_subsample(params, K, seed)
     lb = expected_revenue(lower_bound_menu(dist), dist)
     _, base = item_pricing_baseline(dist, H=H)
     return LowerBoundReport(

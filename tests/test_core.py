@@ -59,6 +59,13 @@ def test_zero_entry_wins_when_everything_is_negative():
     assert mf.revenue(menu, [0.5, 0.0]) == 0.0
 
 
+def test_menu_rejects_negative_prices():
+    with pytest.raises(mf.ValidationError, match="negative price"):
+        mf.Menu([[1.0]], [-1.0])
+    with pytest.raises(mf.ValidationError, match="negative price"):
+        mf.Menu.from_entries([([1.0, 0.0], 2.0), ([0.0, 1.0], -1e-12)])
+
+
 def test_revenue_examples():
     menu = mf.Menu.from_entries([([1.0, 0.0], 1.0)])
     assert mf.revenue(menu, [2.0, 0.0]) == pytest.approx(1.0)
@@ -120,7 +127,7 @@ def test_estimate_revenue_constant_sampler():
 
 
 def test_estimate_revenue_seeded_determinism():
-    sampler = mf.monotone_sampler(4, 4.0, seed=11)
+    sampler = mf.MonotoneUniformSampler(4, 4.0, seed=11)
     menu = mf.uniform_price_menu(4, 2.0)
     a = mf.estimate_revenue(menu, sampler, 500, seed=5)
     b = mf.estimate_revenue(menu, sampler, 500, seed=5)

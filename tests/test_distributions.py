@@ -16,7 +16,7 @@ def test_explicit_from_samples_keeps_duplicates():
 
 
 def test_explicit_from_samples_matches_per_sample_mean():
-    sampler = mf.overfit_sampler(mf.OverfitProductParams(16, 0.2), seed=3)
+    sampler = mf.OverfitProductSampler(mf.OverfitProductParams(16, 0.2), seed=3)
     V = sampler.draw(200)
     d = mf.explicit_from_samples(V)
     assert d.n == 200
@@ -36,9 +36,9 @@ def test_consolidated_merges_exact_duplicates():
 
 def test_sampler_determinism_per_family():
     makers = [
-        lambda s: mf.overfit_sampler(mf.OverfitProductParams(8, 0.2), s),
-        lambda s: mf.equal_revenue_sampler(mf.EqualRevenueSpreadParams(9, 8.0), s),
-        lambda s: mf.monotone_sampler(5, 4.0, s),
+        lambda s: mf.OverfitProductSampler(mf.OverfitProductParams(8, 0.2), s),
+        lambda s: mf.EqualRevenueSpreadSampler(mf.EqualRevenueSpreadParams(9, 8.0), s),
+        lambda s: mf.MonotoneUniformSampler(5, 4.0, s),
         lambda s: mf.ExplicitSampler(mf.scalar_equal_revenue(8.0), s),
     ]
     for make in makers:
@@ -56,7 +56,7 @@ def test_overfit_params_validation():
 
 def test_overfit_sampler_law():
     m, delta, n = 16, 0.1, 100_000
-    V = mf.overfit_sampler(mf.OverfitProductParams(m, delta), seed=5).draw(n)
+    V = mf.OverfitProductSampler(mf.OverfitProductParams(m, delta), seed=5).draw(n)
     assert set(np.unique(V)) <= {0.0, 1.0, 2.0}
     ones = (V == 1.0).mean(axis=0)
     # per-coordinate frequency of value 1 within 4 sigma of delta
@@ -69,14 +69,14 @@ def test_overfit_sampler_law():
 
 def test_equal_revenue_sampler_degenerate_h2():
     params = mf.EqualRevenueSpreadParams(9, 2.0)
-    V = mf.equal_revenue_sampler(params, 1).draw(500)
+    V = mf.EqualRevenueSpreadSampler(params, 1).draw(500)
     assert set(np.unique(V)) == {1.0, 2.0}
     assert np.all((V == 2.0).sum(axis=1) == 3)
 
 
 def test_equal_revenue_scale_law():
     params = mf.EqualRevenueSpreadParams(9, 8.0)
-    sampler = mf.equal_revenue_sampler(params, 7)
+    sampler = mf.EqualRevenueSpreadSampler(params, 7)
     _, _, z = sampler.draw_with_meta(100_000)
     freq1 = (z == 1).mean()
     assert abs(freq1 - 0.5) < 0.01
@@ -86,7 +86,7 @@ def test_equal_revenue_scale_law():
 
 def test_equal_revenue_off_set_values_are_one():
     params = mf.EqualRevenueSpreadParams(12, 4.0)
-    sampler = mf.equal_revenue_sampler(params, 3)
+    sampler = mf.EqualRevenueSpreadSampler(params, 3)
     V, sets, z = sampler.draw_with_meta(200)
     for i in range(200):
         on = np.zeros(12, dtype=bool)
@@ -120,27 +120,39 @@ def test_sparse_subsample_single_point():
 
 def test_sparse_subsample_property_holds_when_it_returns():
     params = mf.EqualRevenueSpreadParams(30, 8.0)
-    d = mf.sparse_subsample(params, 6, seed=1, max_retries=100)
-    sets = d.meta["sets"]
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            inter = len(set(sets[i].tolist()) & set(sets[j].tolist()))
-            assert inter < 30 / 6
+    for seed in range(5):
+        d = mf.sparse_subsample(params, 20, seed=seed)
+        sets = d.meta["sets"]
+        assert d.n == 20 and sets.shape == (20, 10)
+        for i in range(d.n):
+            on = np.zeros(30, dtype=bool)
+            on[sets[i]] = True
+            assert np.all(d.values[i, on] == 2.0 ** d.meta["z"][i]) and np.all(d.values[i, ~on] == 1.0)
+            for j in range(i + 1, d.n):
+                assert len(set(sets[i].tolist()) & set(sets[j].tolist())) < 30 / 6
 
 
 def test_sparse_subsample_per_point_reaches_larger_k():
+    # at m=6 the threshold 1 asks for pairwise-disjoint 2-sets, and at most 3 exist
+    params = mf.EqualRevenueSpreadParams(6, 8.0)
+    d = mf.sparse_subsample(params, 3, seed=0)
+    assert sorted(d.meta["sets"].ravel().tolist()) == list(range(6))
+    with pytest.raises(mf.IntersectionPropertyError):
+        mf.sparse_subsample(params, 4, seed=0)
+
+
+def test_sparse_subsample_is_deterministic_per_seed():
     params = mf.EqualRevenueSpreadParams(30, 8.0)
-    d = mf.sparse_subsample(params, 20, seed=0, per_point=True)
-    sets = d.meta["sets"]
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            assert len(set(sets[i].tolist()) & set(sets[j].tolist())) < 5
+    a, b = mf.sparse_subsample(params, 20, seed=7), mf.sparse_subsample(params, 20, seed=7)
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.meta["sets"], b.meta["sets"])
+    np.testing.assert_array_equal(a.meta["z"], b.meta["z"])
 
 
 def test_sparse_subsample_reports_infeasibility():
     params = mf.EqualRevenueSpreadParams(30, 8.0)
     with pytest.raises(mf.IntersectionPropertyError):
-        mf.sparse_subsample(params, 60, seed=0, max_retries=3)
+        mf.sparse_subsample(params, 60, seed=0)
 
 
 def test_expected_max_value():
@@ -176,28 +188,28 @@ def test_hitting_set_text_round_trip(tmp_path):
 
 
 def test_monotone_sampler_invariants():
-    sampler = mf.monotone_sampler(6, 4.0, seed=2)
+    sampler = mf.MonotoneUniformSampler(6, 4.0, seed=2)
     V = sampler.draw(10_000)
     assert np.all(np.diff(V, axis=1) >= 0)
     assert V.min() >= 1.0 and V.max() <= 4.0
     # max of m uniforms on [1, H]: mean 1 + (H-1) m/(m+1)
     expected_top = 1 + 3.0 * 6 / 7
     assert abs(V[:, -1].mean() - expected_top) < 0.03
-    ones = mf.monotone_sampler(5, 1.0, seed=0).draw(10)
+    ones = mf.MonotoneUniformSampler(5, 1.0, seed=0).draw(10)
     np.testing.assert_allclose(ones, 1.0)
 
 
 def test_family_invariants_fuzz():
     # every family emits class-valid draws, checked over 10^4 draws each
     n = 10_000
-    V = mf.overfit_sampler(mf.OverfitProductParams(10, 0.3), 0).draw(n)
+    V = mf.OverfitProductSampler(mf.OverfitProductParams(10, 0.3), 0).draw(n)
     assert np.all((V == 0) | (V == 1) | (V == 2))
     params = mf.EqualRevenueSpreadParams(9, 8.0)
-    V2, sets, z = mf.equal_revenue_sampler(params, 0).draw_with_meta(n)
+    V2, sets, z = mf.EqualRevenueSpreadSampler(params, 0).draw_with_meta(n)
     assert np.all(V2 >= 1.0) and np.all(V2 <= 8.0)
     assert np.all((z >= 1) & (z <= 3))
     assert sets.shape == (n, 3)
-    V3 = mf.monotone_sampler(4, 8.0, 0).draw(n)
+    V3 = mf.MonotoneUniformSampler(4, 8.0, 0).draw(n)
     assert np.all(np.diff(V3, axis=1) >= 0) and V3.min() >= 1.0 and V3.max() <= 8.0
 
 
@@ -207,7 +219,7 @@ def test_distribution_json_round_trips():
     np.testing.assert_array_equal(back.values, d.values)
     np.testing.assert_array_equal(back.weights, d.weights)
 
-    samp = mf.overfit_sampler(mf.OverfitProductParams(6, 0.2), seed=9)
+    samp = mf.OverfitProductSampler(mf.OverfitProductParams(6, 0.2), seed=9)
     spec = mf.distribution_to_json(samp)
     samp2 = mf.distribution_from_json(spec)
     np.testing.assert_array_equal(samp.draw(20), samp2.draw(20))

@@ -78,6 +78,26 @@ def test_brute_force_k_menu_corners():
     assert items1 == (0,) and value1 == pytest.approx(1.0 + 3.0 * (2.0 / 3.0))
 
 
+def _scan_one_set_at_a_time(problem):
+    S, w = problem.sets, problem.dist.weights
+    best_frac, best = -1.0, ()
+    for combo in itertools.combinations(range(problem.m), min(problem.k, problem.m)):
+        frac = float(w @ S[:, combo].any(axis=1))
+        if frac > best_frac + 1e-15:
+            best_frac, best = frac, combo
+    return best, problem.low + (problem.high - problem.low) * best_frac
+
+
+def test_brute_force_k_menu_matches_the_sequential_scan():
+    # many tied optima, and 120 sets at m=24, k=4 score the item sets in
+    # more than one block; set and score must match bit for bit
+    rng = np.random.default_rng(3)
+    for m, n_sets, k in ((6, 5, 2), (10, 30, 3), (24, 40, 4), (24, 120, 4)):
+        for _ in range(2):
+            problem = mf.reduce_hitting_set(_random_instance(rng, m, n_sets, 4.0), k=k)
+            assert mf.brute_force_k_menu(problem) == _scan_one_set_at_a_time(problem)
+
+
 def test_brute_force_budget_guard():
     rng = np.random.default_rng(0)
     inst = _random_instance(rng, 30, 4, 2.0)

@@ -49,3 +49,15 @@ def test_overfit_lp_fits_the_whole_sample(monkeypatch):
     (dist,) = seen
     assert np.array_equal(dist.values, whole.values)
     assert np.array_equal(dist.weights, whole.weights)
+
+
+def test_item_pricing_from_samples_picks_the_baseline_menu_on_its_draws():
+    for seed in range(3):
+        sampler = mf.MonotoneUniformSampler(4, 8.0, seed=0)
+        menu = mf.item_pricing_from_samples(sampler, 8.0, 500, seed)
+        V = sampler.draw(500, np.random.default_rng(seed))
+        want, _ = mf.item_pricing_baseline(mf.explicit_from_samples(V), H=8.0)
+        assert menu == want
+        prices = mf.doubling_prices(8.0)
+        means = [mf.revenue_batch(mf.uniform_price_menu(4, p), V).mean() for p in prices]
+        assert menu == mf.uniform_price_menu(4, prices[int(np.argmax(means))])
