@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import ValidationError, expected_revenue, load_menu, save_menu
+from .core import ValidationError, expected_revenue, json_field, load_menu, save_menu
 from .covers import CoverSpec, enumerate_cover, round_lottery
 from .distributions import (
     ExplicitDistribution,
@@ -85,7 +85,10 @@ def _parse_seeds(spec: str) -> list[int]:
         if hi <= lo:
             raise ValidationError(f"empty seed range {spec!r}")
         return list(range(lo, hi))
-    return [int(tok) for tok in spec.split(",") if tok]
+    seeds = [int(tok) for tok in spec.split(",") if tok]
+    if not seeds:
+        raise ValidationError(f"no seeds in {spec!r}")
+    return seeds
 
 
 def _write_json(path: str, obj) -> None:
@@ -101,6 +104,14 @@ def _write_csv(path: str, config: dict, columns: list[str], rows: list[list]) ->
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_experiment(args, name: str, config: dict, columns: list[str], rows: list[list]) -> int:
+    """Write an experiment's CSV to ``args.out``, echoing ``config`` plus the
+    experiment name and the package version."""
+    _write_csv(args.out, {**config, "experiment": name, "version": __version__}, columns, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return EXIT_OK
 
 
 def _load_dist_arg(path: str) -> ExplicitDistribution:
@@ -179,6 +190,8 @@ def _cmd_cover_round(args) -> int:
 def _cmd_pipeline(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValidationError(f"pipeline config {args.config} must be a JSON object")
     dist_spec = raw.get("dist")
     if args.dist:
         dist_spec = args.dist
@@ -189,25 +202,24 @@ def _cmd_pipeline(args) -> int:
     else:
         source = distribution_from_json(dist_spec)
 
+    def setting(key: str, convert, default=None):
+        """The command-line value, else the config's, else ``default``."""
+        if getattr(args, key) is not None:
+            return getattr(args, key)
+        return json_field(raw, key, f"pipeline config {args.config}", convert) if key in raw else default
+
     fields = {
-        "t": args.t if args.t is not None else raw.get("t"),
-        "epsilon": args.epsilon if args.epsilon is not None else raw.get("epsilon"),
-        "H": args.H if args.H is not None else raw.get("H"),
-        "cover_kind": args.cover_kind or raw.get("cover_kind", "multiplicative"),
-        "seed": args.seed if args.seed is not None else raw.get("seed", 0),
-        "mode": args.mode or raw.get("mode", "sample_and_round"),
+        "t": setting("t", int),
+        "epsilon": setting("epsilon", float),
+        "H": setting("H", float),
+        "cover_kind": setting("cover_kind", str, "multiplicative"),
+        "seed": setting("seed", int, 0),
+        "mode": setting("mode", str, "sample_and_round"),
     }
     missing = [k for k in ("t", "epsilon", "H") if fields[k] is None]
     if missing:
         raise ValidationError(f"pipeline config lacks {missing}")
-    cfg = PipelineConfig(
-        t=int(fields["t"]),
-        epsilon=float(fields["epsilon"]),
-        H=float(fields["H"]),
-        cover_kind=str(fields["cover_kind"]),
-        seed=int(fields["seed"]),
-        mode=str(fields["mode"]),
-    )
+    cfg = PipelineConfig(**fields)
     sampler = source if isinstance(source, Sampler) else ExplicitSampler(source, cfg.seed)
     menu = sample_and_round(sampler, cfg)
     save_menu(menu, args.out)
@@ -228,20 +240,15 @@ def _cmd_experiment_overfit(args) -> int:
         )
         return [seed, r.naive_on_sample, r.naive_on_fresh, r.price1_on_fresh, r.lp_on_sample]
 
-    rows = _map_seeds(run, seeds)
     config = {
-        "experiment": "overfit",
         "m": args.m,
         "delta": args.delta,
         "sample_n": args.sample_n,
         "eval_n": args.eval_n,
         "include_lp": not args.no_lp,
-        "version": __version__,
     }
     cols = ["seed", "naive_on_sample", "naive_on_fresh", "price1_on_fresh", "lp_on_sample"]
-    _write_csv(args.out, config, cols, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    return _write_experiment(args, "overfit", config, cols, _map_seeds(run, seeds))
 
 
 def _cmd_experiment_lowerbound(args) -> int:
@@ -251,18 +258,9 @@ def _cmd_experiment_lowerbound(args) -> int:
         r = lower_bound_experiment(args.m, args.H, args.K, seed)
         return [seed, r.lb_menu_revenue, r.item_baseline_revenue, r.ratio]
 
-    rows = _map_seeds(run, seeds)
-    config = {
-        "experiment": "lowerbound",
-        "m": args.m,
-        "H": args.H,
-        "K": args.K,
-        "version": __version__,
-    }
+    config = {"m": args.m, "H": args.H, "K": args.K}
     cols = ["seed", "lb_menu_revenue", "item_baseline_revenue", "ratio"]
-    _write_csv(args.out, config, cols, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    return _write_experiment(args, "lowerbound", config, cols, _map_seeds(run, seeds))
 
 
 def _cmd_experiment_baseline(args) -> int:
@@ -281,16 +279,9 @@ def _cmd_experiment_baseline(args) -> int:
         bound = emax / (2.0 * max(1, math.ceil(math.log2(max(H, 2.0)))))
         return [seed, rev, emax, bound]
 
-    rows = _map_seeds(run, seeds)
-    config = {
-        "experiment": "baseline",
-        "dist": args.dist,
-        "n": args.n,
-        "version": __version__,
-    }
-    _write_csv(args.out, config, ["seed", "baseline_revenue", "expected_max_value", "guarantee"], rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    config = {"dist": args.dist, "n": args.n}
+    cols = ["seed", "baseline_revenue", "expected_max_value", "guarantee"]
+    return _write_experiment(args, "baseline", config, cols, _map_seeds(run, seeds))
 
 
 def _cmd_experiment_greedy(args) -> int:
@@ -314,18 +305,9 @@ def _cmd_experiment_greedy(args) -> int:
         rows = [row(0, load_hitting_set(args.hitting_set, H=args.H))]
     else:
         rows = _map_seeds(run, seeds)
-    config = {
-        "experiment": "greedy-vs-opt",
-        "m": args.m,
-        "n_sets": args.n_sets,
-        "k": args.k,
-        "H": args.H,
-        "hitting_set": args.hitting_set or "",
-        "version": __version__,
-    }
-    _write_csv(args.out, config, ["instance", "greedy_revenue", "oracle_revenue", "ratio"], rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    config = {"m": args.m, "n_sets": args.n_sets, "k": args.k, "H": args.H, "hitting_set": args.hitting_set or ""}
+    cols = ["instance", "greedy_revenue", "oracle_revenue", "ratio"]
+    return _write_experiment(args, "greedy-vs-opt", config, cols, rows)
 
 
 def _cmd_reduce_hitting_set(args) -> int:

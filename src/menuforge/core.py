@@ -50,6 +50,22 @@ def _as_vector(values, name: str) -> np.ndarray:
     return a
 
 
+def json_field(d, key: str, where: str, convert):
+    """``convert(d[key])`` for a field of parsed JSON input.
+
+    Raises :class:`ValidationError` naming the field when ``d`` is not a
+    JSON object, lacks ``key``, or holds a value ``convert`` rejects.
+    """
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    if key not in d:
+        raise ValidationError(f'{where} lacks the field "{key}"')
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f'{where} field "{key}": {exc}') from None
+
+
 def _check_dims(m_a: int, m_b: int) -> None:
     if m_a != m_b:
         raise DimensionMismatchError(f"item counts differ: {m_a} vs {m_b}")
@@ -94,13 +110,6 @@ class Valuation:
         if self.tag == "monotone" and np.any(np.diff(v) < 0):
             raise ValidationError("monotone valuation decreases")
         return self
-
-    def to_json_dict(self) -> dict:
-        return {"values": [float(x) for x in self.values]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict, tag: str = "nonneg", H: float = float("inf")) -> "Valuation":
-        return cls(_as_vector(d["values"], "values"), tag=tag, H=H).validate()
 
 
 @dataclass(frozen=True)
@@ -249,16 +258,18 @@ class Menu:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Menu":
-        m = int(d["m"])
+        m = json_field(d, "m", "menu", int)
         ents = d.get("entries", [])
+        if not isinstance(ents, list):
+            raise ValidationError('menu field "entries" must be a list')
         L = np.zeros((len(ents), m))
         P = np.zeros(len(ents))
         for i, e in enumerate(ents):
-            x = _as_vector(e["lottery"], "lottery")
+            x = json_field(e, "lottery", f"menu entry {i}", lambda v: _as_vector(v, "lottery"))
             if x.size != m:
                 raise DimensionMismatchError(f"entry {i} has {x.size} coordinates, menu declares m={m}")
             L[i] = x
-            P[i] = float(e["price"])
+            P[i] = json_field(e, "price", f"menu entry {i}", float)
         menu = cls(L, P)
         menu.validate()
         return menu
@@ -295,11 +306,11 @@ def utility(v, entry) -> float:
     return float(values @ x - p)
 
 
-def _choose(menu: Menu, V, tie_tol: float) -> np.ndarray:
+def _choose(menu: Menu, V) -> np.ndarray:
     """The one choice kernel: chosen entry index per valuation row, -1 for the zero entry.
 
     The entries are sorted once by price, highest first, with a stable
-    sort, so among a row's candidates (the entries within ``tie_tol`` of
+    sort, so among a row's candidates (the entries within ``TIE_TOL`` of
     its best utility, the zero entry counting with utility 0) the first
     in sorted order has the highest price and, among equal prices, the
     earliest index.  A row takes the zero entry when no explicit entry
@@ -321,27 +332,27 @@ def _choose(menu: Menu, V, tie_tol: float) -> np.ndarray:
         U = V[s : s + rows] @ L.T
         U -= P
         top = U.max(axis=1)
-        best = np.maximum(top, 0.0) - tie_tol
+        best = np.maximum(top, 0.0) - TIE_TOL
         first = (U >= best[:, None]).argmax(axis=1)
         idx[s : s + rows] = np.where(top >= best, order[first], -1)
     return idx
 
 
-def choose_batch(menu: Menu, V, tie_tol: float = TIE_TOL) -> np.ndarray:
+def choose_batch(menu: Menu, V) -> np.ndarray:
     """Chosen entry index per valuation row; -1 means the implicit zero entry.
 
-    Among entries within ``tie_tol`` of the maximum utility (the zero
+    Among entries within ``TIE_TOL`` of the maximum utility (the zero
     entry counts with utility 0), the highest-priced one wins; among
     equal prices the earliest wins, with the implicit zero entry placed
     after all explicit entries.
     """
-    return _choose(menu, V, tie_tol)
+    return _choose(menu, V)
 
 
-def choose(menu: Menu, v, tie_tol: float = TIE_TOL) -> Choice:
+def choose(menu: Menu, v) -> Choice:
     """The utility-maximizing entry for one valuation (taxation principle)."""
     values = v.values if isinstance(v, Valuation) else np.asarray(v, dtype=float)
-    i = int(choose_batch(menu, values[None, :], tie_tol)[0])
+    i = int(choose_batch(menu, values[None, :])[0])
     if i < 0:
         return Choice(-1, np.zeros(menu.m), 0.0, 0.0)
     x = menu.lotteries[i]
@@ -349,26 +360,27 @@ def choose(menu: Menu, v, tie_tol: float = TIE_TOL) -> Choice:
     return Choice(i, x, p, float(values @ x - p))
 
 
-def revenue_batch(menu: Menu, V, tie_tol: float = TIE_TOL) -> np.ndarray:
-    """Per-valuation payment: the price of the chosen entry, 0 for the zero entry."""
+def revenue_batch(menu: Menu, V) -> np.ndarray:
+    """Per-valuation payment: the price of the entry :func:`choose_batch`
+    picks under ``TIE_TOL``, 0 for the zero entry."""
     # index -1, the zero entry, reads the appended price 0
-    return np.append(menu.prices, 0.0)[_choose(menu, V, tie_tol)]
+    return np.append(menu.prices, 0.0)[_choose(menu, V)]
 
 
-def revenue(menu: Menu, v, tie_tol: float = TIE_TOL) -> float:
+def revenue(menu: Menu, v) -> float:
     values = v.values if isinstance(v, Valuation) else np.asarray(v, dtype=float)
-    return float(revenue_batch(menu, values[None, :], tie_tol)[0])
+    return float(revenue_batch(menu, values[None, :])[0])
 
 
-def expected_revenue(menu: Menu, dist, tie_tol: float = TIE_TOL) -> float:
+def expected_revenue(menu: Menu, dist) -> float:
     """Exact expected revenue over an explicit distribution."""
     w = np.asarray(dist.weights, dtype=float)
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValidationError(f"weights sum to {w.sum()}, expected 1")
-    return float(w @ revenue_batch(menu, dist.values, tie_tol))
+    return float(w @ revenue_batch(menu, dist.values))
 
 
-def estimate_revenue(menu: Menu, sampler, n: int, seed: int, tie_tol: float = TIE_TOL) -> tuple[float, float]:
+def estimate_revenue(menu: Menu, sampler, n: int, seed: int) -> tuple[float, float]:
     """Monte Carlo revenue over n i.i.d. draws: (mean, standard error).
 
     Deterministic for a fixed seed; the sampler's own stream is untouched.
@@ -378,7 +390,7 @@ def estimate_revenue(menu: Menu, sampler, n: int, seed: int, tie_tol: float = TI
         raise ValidationError("n must be at least 1")
     rng = np.random.default_rng(seed)
     V = sampler.draw(n, rng)
-    r = revenue_batch(menu, V, tie_tol)
+    r = revenue_batch(menu, V)
     mean = float(r.mean())
     stderr = 0.0 if n == 1 else float(r.std(ddof=1) / np.sqrt(n))
     return mean, stderr

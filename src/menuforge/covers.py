@@ -47,13 +47,6 @@ class CoverSpec:
         if self.H < 1.0:
             raise ValidationError("H must be at least 1")
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "epsilon": self.epsilon, "m": self.m, "H": self.H}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CoverSpec":
-        return cls(str(d["kind"]), float(d["epsilon"]), int(d["m"]), float(d.get("H", 1.0)))
-
 
 def _geometric_floor(spec: CoverSpec) -> float:
     if spec.kind == "multiplicative":

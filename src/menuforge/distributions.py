@@ -15,11 +15,13 @@ The parametric families:
 * ``EqualRevenueSpreadSampler``: value 2^z on a uniformly random set S of
   k = m/3 items and 1 elsewhere, with z following the truncated
   equal-revenue law Pr[z = x] = 2^-x for x = 1..log2(H) and the residual
-  2^-log2(H) folded into the top scale.
+  2^-log2(H) folded into the top scale.  A batch draws all its z first,
+  then all its sets in one call of the k-set draw ``_uniform_k_sets``.
 * ``sparse_subsample``: K points of the spread family whose sets
   pairwise meet in fewer than m/6 items, each set drawn uniformly among
   those compatible with the sets before it; the lower-bound menu
-  construction needs that sparsity.
+  construction needs that sparsity.  Its candidate sets come from the
+  same k-set draw as the spread sampler's.
 * hitting-set valuations: value H on a given set, 1 elsewhere, one
   valuation per set; the MAXREV reduction instances.
 * ``MonotoneUniformSampler``: sorted i.i.d. uniforms on [1, H], a
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, Valuation
+from .core import ValidationError, Valuation, json_field
 
 
 class IntersectionPropertyError(RuntimeError):
@@ -250,13 +252,13 @@ class EqualRevenueSpreadParams:
         return _integral_log2(self.H)
 
 
-def floyd_subset(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-    """Floyd's algorithm: a uniform size-k subset of range(m), sorted."""
-    chosen: set[int] = set()
-    for j in range(m - k, m):
-        t = int(rng.integers(0, j + 1))
-        chosen.add(j if t in chosen else t)
-    return np.array(sorted(chosen), dtype=int)
+def _uniform_k_sets(rng: np.random.Generator, n: int, m: int, k: int) -> np.ndarray:
+    """n independent uniform k-subsets of range(m), one sorted row each.
+
+    Each row takes the first k positions of a uniformly random
+    permutation (the argsort of m i.i.d. uniforms).
+    """
+    return np.sort(rng.random((n, m)).argsort(axis=1)[:, :k], axis=1)
 
 
 def _draw_scales(rng: np.random.Generator, levels: int, n: int) -> np.ndarray:
@@ -285,12 +287,9 @@ class EqualRevenueSpreadSampler(Sampler):
         rng = self._rng if rng is None else rng
         p = self.params
         z = _draw_scales(rng, p.levels, n)
-        sets = np.empty((n, p.k), dtype=int)
+        sets = _uniform_k_sets(rng, n, self.m, p.k)
         V = np.ones((n, self.m))
-        for i in range(n):
-            s = floyd_subset(rng, self.m, p.k)
-            sets[i] = s
-            V[i, s] = 2.0 ** z[i]
+        V[np.arange(n)[:, None], sets] = 2.0 ** z[:, None]
         return V, sets, z
 
 
@@ -328,7 +327,7 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
         tried, b = 0, 1
         while tried < _CANDIDATE_CAP:
             b = min(b, _CANDIDATE_CAP - tried)
-            cand = np.sort(rng.random((b, m)).argsort(axis=1)[:, :k], axis=1)
+            cand = _uniform_k_sets(rng, b, m, k)
             ind = np.zeros((b, m))
             ind[np.arange(b)[:, None], cand] = 1.0
             ok = np.flatnonzero((ind @ accepted[:i].T < threshold).all(axis=1))
@@ -449,29 +448,31 @@ def distribution_from_json(d: dict):
     parametric type comes back as a seeded sampler.  ``sparse_subsample``
     descriptions are materialized into their explicit distribution.
     """
-    kind = d.get("type")
+    kind = json_field(d, "type", "distribution", str)
     params = d.get("params", {})
-    seed = int(d.get("seed", 0))
+    seed = json_field(d, "seed", "distribution", int) if "seed" in d else 0
+
+    def field(key: str, convert):
+        return json_field(params, key, f"{kind} distribution params", convert)
+
     if kind == "explicit":
         return ExplicitDistribution(
-            np.asarray(params["support"], dtype=float),
-            np.asarray(params["weights"], dtype=float),
+            field("support", lambda v: np.asarray(v, dtype=float)),
+            field("weights", lambda v: np.asarray(v, dtype=float)),
             tag=params.get("tag", "nonneg"),
-            H=float(params.get("H", "inf")),
+            H=field("H", float) if "H" in params else float("inf"),
         )
     if kind == "overfit":
-        return OverfitProductSampler(OverfitProductParams(int(params["m"]), float(params["delta"])), seed)
+        return OverfitProductSampler(OverfitProductParams(field("m", int), field("delta", float)), seed)
     if kind == "equal_revenue":
-        return EqualRevenueSpreadSampler(EqualRevenueSpreadParams(int(params["m"]), float(params["H"])), seed)
+        return EqualRevenueSpreadSampler(EqualRevenueSpreadParams(field("m", int), field("H", float)), seed)
     if kind == "sparse_subsample":
-        return sparse_subsample(
-            EqualRevenueSpreadParams(int(params["m"]), float(params["H"])), int(params["K"]), seed
-        )
+        return sparse_subsample(EqualRevenueSpreadParams(field("m", int), field("H", float)), field("K", int), seed)
     if kind == "hitting_set":
-        inst = HittingSetInstance(tuple(tuple(s) for s in params["sets"]), int(params["m"]), float(params["H"]))
-        return hitting_set_valuations(inst)
+        sets = field("sets", lambda v: tuple(tuple(s) for s in v))
+        return hitting_set_valuations(HittingSetInstance(sets, field("m", int), field("H", float)))
     if kind == "monotone_uniform":
-        return MonotoneUniformSampler(int(params["m"]), float(params["H"]), seed)
+        return MonotoneUniformSampler(field("m", int), field("H", float), seed)
     raise ValidationError(f"unknown distribution type {kind!r}")
 
 

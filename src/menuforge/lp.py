@@ -61,6 +61,11 @@ ROWS_PER_TYPE = 5
 # leaves the relaxation
 PURGE_SLACK = 1e-6
 PURGE_ROUNDS = 2
+# per-type pairs closer than this (max over coordinates and price) are one
+# menu entry in extract_menu
+DEDUP_TOL = 1e-7
+# candidate menus scored per block in brute_force_optimal
+_GRID_CHUNK = 200_000
 
 
 class LPError(RuntimeError):
@@ -195,7 +200,6 @@ class LPSolution:
     lotteries: np.ndarray     # (n, m) optimal allocation per support point
     payments: np.ndarray      # (n,)
     objective: float
-    status: str
     rounds: int               # relaxations solved by the row-generation loop
     ic_rows_kept: int         # IC rows in the final relaxation
     ic_rows_purged: int       # IC row deletions over the loop; a row can go twice
@@ -403,17 +407,16 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
         lotteries=sol[:, : lp.m].copy(),
         payments=sol[:, lp.m].copy(),
         objective=float(lp.objective @ x),
-        status="optimal",
         rounds=rounds,
         ic_rows_kept=int(model.size),
         ic_rows_purged=purged,
     )
 
 
-def extract_menu(sol: LPSolution, dedup_tol: float = 1e-7) -> Menu:
+def extract_menu(sol: LPSolution) -> Menu:
     """Deduplicate the per-type pairs of an optimal solution into a menu.
 
-    Pairs equal within ``dedup_tol`` (max over coordinates and price)
+    Pairs equal within ``DEDUP_TOL`` (max over coordinates and price)
     collapse to one entry; the all-zero pair is dropped since the implicit
     zero entry covers it.  Tiny solver negatives are clipped to keep the
     menu valid.
@@ -422,9 +425,9 @@ def extract_menu(sol: LPSolution, dedup_tol: float = 1e-7) -> Menu:
     for x, p in zip(sol.lotteries, sol.payments):
         x = np.clip(x, 0.0, None)
         p = max(float(p), 0.0)
-        if p <= dedup_tol and np.all(x <= dedup_tol):
+        if p <= DEDUP_TOL and np.all(x <= DEDUP_TOL):
             continue
-        if any(abs(p - q) <= dedup_tol and np.max(np.abs(x - y)) <= dedup_tol for y, q in entries):
+        if any(abs(p - q) <= DEDUP_TOL and np.max(np.abs(x - y)) <= DEDUP_TOL for y, q in entries):
             continue
         entries.append((x, p))
     if not entries:
@@ -473,9 +476,7 @@ def brute_force_optimal(
     dist: ExplicitDistribution,
     price_grid,
     lottery_grid,
-    max_menu_size: int | None = None,
     budget: int = 5_000_000,
-    chunk: int = 200_000,
 ) -> tuple[Menu, float]:
     """Best grid-restricted menu of at most n entries, by exhaustive search.
 
@@ -486,20 +487,19 @@ def brute_force_optimal(
     """
     V, w = dist.values, dist.weights
     n, m = V.shape
-    size_cap = n if max_menu_size is None else min(max_menu_size, n)
     L, P = _grid_pairs(m, price_grid, lottery_grid)
     npairs = len(P)
-    total = sum(math.comb(npairs, s) for s in range(1, size_cap + 1))
+    total = sum(math.comb(npairs, s) for s in range(1, n + 1))
     if total > budget:
         raise BudgetExceededError(f"{total} candidate menus exceed budget {budget}")
 
     U = V @ L.T - P          # (n, npairs) utility of each pair for each type
     best_rev = 0.0
     best_idx: tuple[int, ...] = ()
-    for s in range(1, size_cap + 1):
+    for s in range(1, n + 1):
         it = itertools.combinations(range(npairs), s)
         while True:
-            block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, chunk)), dtype=np.int64)
+            block = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, _GRID_CHUNK)), dtype=np.int64)
             if block.size == 0:
                 break
             idx = block.reshape(-1, s)                   # (B, s)

@@ -119,7 +119,7 @@ def uniform_price_menu(m: int, price: float) -> Menu:
     return Menu(np.eye(m), np.full(m, float(price)))
 
 
-def item_pricing_baseline(dist: ExplicitDistribution, H: float | None = None) -> tuple[Menu, float]:
+def item_pricing_baseline(dist: ExplicitDistribution, H: float) -> tuple[Menu, float]:
     """Exact best of the doubling uniform-price menus on an explicit
     distribution.
 
@@ -128,8 +128,6 @@ def item_pricing_baseline(dist: ExplicitDistribution, H: float | None = None) ->
     into ceil(log2 H) bands and the band menus' revenues add up to at
     least half the expected maximum value.
     """
-    if H is None:
-        H = float(dist.values.max())
     best_menu, best_rev = None, -1.0
     for p in doubling_prices(H):
         menu = uniform_price_menu(dist.m, p)

@@ -40,15 +40,15 @@ class RoundingParams:
     """Knobs of the level construction.
 
     delta defaults to sqrt(epsilon), the balance point between the
-    multiplicative level loss and the number of levels.  The cover
-    defaults to the multiplicative grid at the same epsilon; pass a
-    monotone_tail cover when every valuation to be served is monotone.
+    multiplicative level loss and the number of levels.  The cover is the
+    ``cover_kind`` grid at the same epsilon and H: the multiplicative grid
+    by default, or monotone_tail when every valuation to be served is
+    monotone.
     """
 
     epsilon: float
     H: float
     delta: float | None = None
-    cover: CoverSpec | None = None
     cover_kind: str = "multiplicative"
 
     def __post_init__(self):
@@ -90,8 +90,6 @@ class RoundingParams:
         return min(K, max(1, math.ceil(math.log(price) / math.log1p(self.resolved_delta) - 1e-12)))
 
     def cover_spec(self, m: int) -> CoverSpec:
-        if self.cover is not None:
-            return self.cover
         return CoverSpec(self.cover_kind, self.epsilon, m, self.H)
 
 
@@ -149,9 +147,12 @@ def sample_size_for_cover(cover_count_log: float, H: float, epsilon: float, fail
 
         t = ceil( H^2 / (2 eps^2) * (log|N| + ln(2 / failure_prob)) )
 
-    with ``cover_count_log`` = log|N| (natural log).
+    with ``cover_count_log`` = log|N| (natural log) and ``failure_prob``
+    in (0, 1).
     """
-    if cover_count_log < 0 or epsilon <= 0 or H <= 0 or not (0 < failure_prob):
+    if cover_count_log < 0 or epsilon <= 0 or H <= 0:
         raise ValidationError("inputs must be positive (cover_count_log >= 0)")
+    if not (0 < failure_prob < 1):
+        raise ValidationError("failure_prob must lie in (0, 1)")
     raw = (H * H) / (2.0 * epsilon * epsilon) * (cover_count_log + math.log(2.0 / failure_prob))
     return int(math.ceil(raw - 1e-12))

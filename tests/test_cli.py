@@ -4,6 +4,7 @@ and exit codes."""
 import json
 
 import numpy as np
+import pytest
 
 import menuforge as mf
 from menuforge import cli
@@ -77,3 +78,125 @@ def test_lowerbound_without_enough_sparse_sets_exits_6(tmp_path, capsys):
     assert rc == cli.EXIT_INFEASIBLE == 6
     assert "accepted only 3 of 4 points" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _malformed(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_evaluate_malformed_menu_exits_3_naming_the_field(tmp_path, capsys):
+    _, _, argv = _evaluate_inputs(tmp_path)
+    menu_flag = argv.index("--menu") + 1
+    for text, field in (("{}", '"m"'), ('{"m": 2, "entries": [{"price": 1.0}]}', '"lottery"')):
+        argv[menu_flag] = _malformed(tmp_path, text)
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+
+
+def test_baseline_distribution_without_params_exits_3(tmp_path, capsys):
+    dist = _malformed(tmp_path, '{"type": "overfit", "params": {}}')
+    out = tmp_path / "b.csv"
+    assert cli.main(["experiment", "baseline", "--dist", dist, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert '"m"' in capsys.readouterr().err and not out.exists()
+
+
+def test_pipeline_config_of_the_wrong_shape_exits_3(tmp_path, capsys):
+    out = tmp_path / "menu.json"
+    good = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 5, "epsilon": 0.1, "H": 4.0}
+    for text, named in (("[1, 2]", "JSON object"), (json.dumps({**good, "t": [5]}), '"t"')):
+        config = _malformed(tmp_path, text)
+        assert cli.main(["pipeline", "--config", config, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_seed_list_exits_3(tmp_path):
+    out = tmp_path / "lb.csv"
+    assert cli.main(["experiment", "lowerbound", "--seeds", ",", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert not out.exists()
+
+
+def _subcommand_inputs(tmp_path):
+    """Tiny input files for the subcommand cases, keyed by placeholder."""
+    paths = {name: tmp_path / name for name in ("menu.json", "dist.json", "mono.json", "config.json", "hs.txt")}
+    mf.save_menu(mf.Menu.from_entries([([0.5, 0.5], 1.25), ([1.0, 0.0], 2.0), ([0.3, 0.6], 3.7)]), paths["menu.json"])
+    dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]]), np.full(3, 1 / 3))
+    paths["dist.json"].write_text(json.dumps(mf.distribution_to_json(dist)))
+    mono = {"type": "monotone_uniform", "params": {"m": 3, "H": 8.0}, "seed": 3}
+    paths["mono.json"].write_text(json.dumps(mono))
+    paths["config.json"].write_text(json.dumps(
+        {"dist": mono, "t": 12, "epsilon": 0.1, "H": 8.0, "cover_kind": "monotone_tail", "seed": 2}))
+    paths["hs.txt"].write_text("6 4\n1 2\n2 3 4\n5\n1 6\n")
+    return {"{" + name + "}": str(path) for name, path in paths.items()}
+
+
+SUBCOMMANDS = {
+    "round-menu": (["round-menu", "--menu", "{menu.json}", "--epsilon", "0.1", "--H", "4"], ["--out"]),
+    "cover-enumerate": (["cover", "enumerate", "--kind", "monotone_tail", "--epsilon", "0.3", "--m", "3",
+                         "--H", "2"], ["--out"]),
+    "cover-round": (["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "3", "--H", "4",
+                     "--lottery", "0.2,0.3,0.4"], ["--out"]),
+    "reduce-hitting-set": (["reduce-hitting-set", "--in", "{hs.txt}", "--H", "4", "--k", "2"], ["--out"]),
+    "pipeline-sample-and-round": (["pipeline", "--config", "{config.json}"], ["--out", "--report"]),
+    "pipeline-naive": (["pipeline", "--config", "{config.json}", "--mode", "naive"], ["--out", "--report"]),
+    "overfit-no-lp": (["experiment", "overfit", "--no-lp", "--m", "8", "--sample-n", "30", "--eval-n", "200",
+                       "--seeds", "0:2"], ["--out"]),
+    "baseline": (["experiment", "baseline", "--dist", "{mono.json}", "--n", "200", "--seeds", "0:2"], ["--out"]),
+    "greedy-vs-opt-random": (["experiment", "greedy-vs-opt", "--seeds", "0:2"], ["--out"]),
+    "greedy-vs-opt-file": (["experiment", "greedy-vs-opt", "--hitting-set", "{hs.txt}"], ["--out"]),
+    "solve-lp-dump-lp": (["solve-lp", "--dist", "{dist.json}"], ["--out", "--dump-lp"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_subcommand_exits_0_and_reruns_byte_identically(tmp_path, name):
+    inputs = _subcommand_inputs(tmp_path)
+    template, flags = SUBCOMMANDS[name]
+    argv = [inputs.get(tok, tok) for tok in template]
+    written = []
+    for run in ("a", "b"):
+        files = [tmp_path / f"{run}{flag}" for flag in flags]
+        assert cli.main(argv + [x for flag, f in zip(flags, files) for x in (flag, str(f))]) == cli.EXIT_OK
+        written.append([f.read_bytes() for f in files])
+    assert all(written[0]) and written[1] == written[0]
+
+
+def test_pipeline_report_counts_the_written_menu(tmp_path):
+    inputs = _subcommand_inputs(tmp_path)
+    out, report = tmp_path / "menu.json", tmp_path / "report.csv"
+    argv = ["pipeline", "--config", inputs["{config.json}"], "--out", str(out), "--report", str(report)]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = [ln for ln in report.read_text().splitlines() if not ln.startswith("#")]
+    assert rows == ["seed,menu_entries", f"2,{mf.load_menu(out).size}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--config", "{missing}"],
+    ["reduce-hitting-set", "--in", "{missing}", "--H", "4", "--k", "2"],
+    ["round-menu", "--menu", "{missing}", "--epsilon", "0.1", "--H", "4"],
+])
+def test_missing_input_file_exits_4(tmp_path, argv):
+    argv = [str(tmp_path / "nope.json") if tok == "{missing}" else tok for tok in argv]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_IO == 4
+
+
+def test_unknown_cover_kind_is_a_usage_error(tmp_path):
+    inputs = _subcommand_inputs(tmp_path)
+    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0.1", "--H", "4",
+            "--cover-kind", "hexagonal", "--out", str(tmp_path / "r.json")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_solver_failure_exits_5(tmp_path, monkeypatch, capsys):
+    def fail(lp, tol=1e-7):
+        raise mf.LPError("LP solve failed: status=stub")
+
+    monkeypatch.setattr(cli, "solve_lp", fail)
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "m.json"
+    assert cli.main(["solve-lp", "--dist", inputs["{dist.json}"], "--out", str(out)]) == cli.EXIT_SOLVER == 5
+    assert "status=stub" in capsys.readouterr().err and not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import menuforge as mf
-from menuforge.distributions import _draw_scales, floyd_subset
+from menuforge.distributions import _draw_scales, _uniform_k_sets
 
 
 def test_explicit_from_samples_keeps_duplicates():
@@ -101,15 +101,24 @@ def test_draw_scales_residual_at_top():
     assert np.all(z == 1)
 
 
-def test_floyd_subset_is_uniformish_and_sized():
-    rng = np.random.default_rng(0)
-    counts = np.zeros(6)
-    for _ in range(6000):
-        s = floyd_subset(rng, 6, 2)
-        assert len(s) == 2 and len(set(s.tolist())) == 2
-        counts[s] += 1
-    # every element appears with frequency near 2/6
-    np.testing.assert_allclose(counts / 6000, np.full(6, 2 / 6), atol=0.03)
+def test_uniform_k_sets_are_sorted_distinct_and_uniform_over_pairs():
+    n = 15000
+    sets = _uniform_k_sets(np.random.default_rng(0), n, 6, 2)
+    assert sets.shape == (n, 2)
+    assert np.all(sets[:, 0] < sets[:, 1])  # sorted, hence distinct
+    assert sets.min() >= 0 and sets.max() < 6
+    freq = np.bincount(sets[:, 0] * 6 + sets[:, 1], minlength=36) / n
+    pairs = [a * 6 + b for a in range(6) for b in range(a + 1, 6)]
+    # each of the C(6, 2) = 15 pairs has frequency 1/15, within 4 sigma
+    p = 1 / 15
+    np.testing.assert_allclose(freq[pairs], p, atol=4 * np.sqrt(p * (1 - p) / n))
+
+
+def test_draw_with_meta_draws_z_first():
+    params = mf.EqualRevenueSpreadParams(12, 16.0)
+    V, sets, z = mf.EqualRevenueSpreadSampler(params, 0).draw_with_meta(500, np.random.default_rng(7))
+    np.testing.assert_array_equal(z, _draw_scales(np.random.default_rng(7), params.levels, 500))
+    assert V.shape == (500, 12) and sets.shape == (500, params.k)
 
 
 def test_sparse_subsample_single_point():

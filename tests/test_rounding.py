@@ -194,3 +194,7 @@ def test_sample_size_for_cover_examples():
     assert t2 == math.ceil(raw_h)
     t3 = mf.sample_size_for_cover(10.0, H=8.0, epsilon=0.5, failure_prob=0.01)
     assert t3 == math.ceil(4 * raw_h)
+    # a failure probability outside (0, 1) is no probability bound
+    for bad in (0.0, 1.0, 5.0):
+        with pytest.raises(mf.ValidationError):
+            mf.sample_size_for_cover(0.0, 1.0, 0.1, bad)
