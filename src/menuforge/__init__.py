@@ -9,24 +9,17 @@ reductions) at desk scale.
 
 from .core import (
     TIE_TOL,
-    Choice,
     DimensionMismatchError,
-    Lottery,
     Menu,
-    MenuEntry,
     ValidationError,
-    Valuation,
-    choose,
     choose_batch,
     estimate_revenue,
     expected_revenue,
     from_tail_form,
     load_menu,
-    revenue,
     revenue_batch,
     save_menu,
     to_tail_form,
-    utility,
 )
 from .covers import (
     CoverEnumeration,

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import ValidationError, expected_revenue, json_field, load_menu, save_menu
+from .core import ValidationError, expected_revenue, json_field, json_int, load_menu, save_menu
 from .covers import CoverSpec, enumerate_cover, round_lottery
 from .distributions import (
     ExplicitDistribution,
@@ -209,11 +209,11 @@ def _cmd_pipeline(args) -> int:
         return json_field(raw, key, f"pipeline config {args.config}", convert) if key in raw else default
 
     fields = {
-        "t": setting("t", int),
+        "t": setting("t", json_int),
         "epsilon": setting("epsilon", float),
         "H": setting("H", float),
         "cover_kind": setting("cover_kind", str, "multiplicative"),
-        "seed": setting("seed", int, 0),
+        "seed": setting("seed", json_int, 0),
         "mode": setting("mode", str, "sample_and_round"),
     }
     missing = [k for k in ("t", "epsilon", "H") if fields[k] is None]
@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--epsilon", type=float)
     pl.add_argument("--H", type=float)
     pl.add_argument("--cover-kind", choices=["multiplicative", "monotone_tail"])
-    pl.add_argument("--seed", type=int)
+    pl.add_argument("--seed", type=int,
+                    help="seed of the t draws, overriding the config's \"seed\"; a sampler's own \"seed\" has no effect")
     pl.add_argument("--mode", choices=["naive", "sample_and_round"])
     pl.set_defaults(func=_cmd_pipeline)
 
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.set_defaults(func=_cmd_experiment_lowerbound)
 
     ba = exsub.add_parser("baseline")
-    ba.add_argument("--dist", required=True)
+    ba.add_argument("--dist", required=True, help="a sampler's own \"seed\" has no effect; --seeds seeds the draws")
     ba.add_argument("--n", type=int, default=1000, help="draws per seed for sampler inputs")
     ba.add_argument("--H", type=float)
     ba.add_argument("--seeds", default="0:10")

@@ -1,15 +1,19 @@
-"""Menus, valuations, and buyer choice for single-buyer unit-demand pricing.
+"""Menus and buyer choice for single-buyer unit-demand pricing, as arrays.
 
 A mechanism for one unit-demand buyer over m items is a menu of
-(lottery, price) pairs.  The buyer picks the pair maximizing
-``v . x - p``; the seller's revenue is the price of the chosen pair.
-The empty outcome (zero lottery, zero price) is always available, so
-participation is individually rational by construction.
+(lottery, price) pairs, held as a (K, m) lottery matrix ``L`` and a (K,)
+price vector ``P`` in a :class:`Menu`.  Buyers are the rows of an (n, m)
+value matrix ``V``: buyer i's utility for entry j is ``(V @ L.T - P)[i, j]``,
+the buyer picks a utility-maximizing entry, and the seller's revenue is
+its price.  The empty outcome (zero lottery, zero price) is always
+available, so participation is individually rational by construction.
+There is no per-buyer or per-entry object; one buyer is a one-row ``V``.
 
 Conventions used throughout the package:
 
-* a lottery is a nonnegative vector with total mass at most 1
-  (partial lotteries model "no sale" residual probability);
+* a lottery is a nonnegative row with total mass at most 1 (partial
+  lotteries model "no sale" residual probability), and only the zero
+  lottery may carry a zero price; :meth:`Menu.validate` checks both;
 * utility ties within ``TIE_TOL`` are resolved in favor of the higher
   price, then in favor of the earlier menu entry, with the implicit
   zero entry losing ties against explicit entries of equal price;
@@ -21,16 +25,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 TIE_TOL = 1e-9
 LOTTERY_MASS_SLACK = 1e-9
 _BLOCK_CELLS = 2**17  # utilities per block of the choice kernel: about 1 MB of float64
-
-VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
 
 class ValidationError(ValueError):
@@ -39,15 +39,6 @@ class ValidationError(ValueError):
 
 class DimensionMismatchError(ValidationError):
     """Two objects that must share the item count m do not."""
-
-
-def _as_vector(values, name: str) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise ValidationError(f"{name} must be a 1-D vector with at least one entry")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return a
 
 
 def json_field(d, key: str, where: str, convert):
@@ -66,74 +57,17 @@ def json_field(d, key: str, where: str, convert):
         raise ValidationError(f'{where} field "{key}": {exc}') from None
 
 
-def _check_dims(m_a: int, m_b: int) -> None:
-    if m_a != m_b:
-        raise DimensionMismatchError(f"item counts differ: {m_a} vs {m_b}")
+def json_int(value) -> int:
+    """A count or seed read from JSON: an integral number, as an int.
 
-
-@dataclass(frozen=True)
-class Valuation:
-    """A buyer type: per-item values plus the assumed value-range class.
-
-    The tag records which class the valuation is supposed to live in
-    ("unit_interval" for [0,1]^m, "bounded" for [1,H]^m, "monotone" for
-    nondecreasing values in [1,H]^m, "nonneg" for anything nonnegative).
-    Range checks run in :meth:`validate`, not in the constructor, so
-    intermediate data (e.g. 0-valued coordinates of the overfitting
-    family) stays representable.
+    Booleans, strings and numbers with a fractional part are rejected, so
+    ``2.7`` is an error rather than 2; ``2.0`` reads as 2.
     """
-
-    values: np.ndarray
-    tag: str = "nonneg"
-    H: float = float("inf")
-
-    def __post_init__(self):
-        v = _as_vector(self.values, "values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    def validate(self) -> "Valuation":
-        if self.tag not in VALUE_RANGE_TAGS:
-            raise ValidationError(f"unknown value range tag {self.tag!r}")
-        v = self.values
-        if np.any(v < 0):
-            raise ValidationError("valuation has negative entries")
-        if self.tag == "unit_interval" and np.any(v > 1 + 1e-12):
-            raise ValidationError("unit_interval valuation exceeds 1")
-        if self.tag in ("bounded", "monotone"):
-            if np.any(v < 1 - 1e-12) or np.any(v > self.H * (1 + 1e-12)):
-                raise ValidationError(f"{self.tag} valuation leaves [1, H]")
-        if self.tag == "monotone" and np.any(np.diff(v) < 0):
-            raise ValidationError("monotone valuation decreases")
-        return self
-
-
-@dataclass(frozen=True)
-class Lottery:
-    """A partial probability vector over items: entries >= 0, sum <= 1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = _as_vector(self.probs, "probs")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def m(self) -> int:
-        return self.probs.size
-
-    def validate(self) -> "Lottery":
-        p = self.probs
-        if np.any(p < 0):
-            raise ValidationError("lottery has negative probabilities")
-        if p.sum() > 1.0 + LOTTERY_MASS_SLACK:
-            raise ValidationError(f"lottery mass {p.sum()} exceeds 1")
-        return self
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def to_tail_form(probs) -> np.ndarray:
@@ -153,67 +87,30 @@ def from_tail_form(tails) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MenuEntry:
-    """One menu line: a lottery and its price.
-
-    Invariant (checked by :meth:`validate`): a zero price is only allowed
-    on the all-zero lottery, so "free" allocations cannot occur.
-    """
-
-    lottery: np.ndarray
-    price: float
-
-    def __post_init__(self):
-        x = _as_vector(self.lottery, "lottery")
-        x.setflags(write=False)
-        object.__setattr__(self, "lottery", x)
-        object.__setattr__(self, "price", float(self.price))
-
-    @property
-    def m(self) -> int:
-        return self.lottery.size
-
-    def validate(self) -> "MenuEntry":
-        Lottery(self.lottery).validate()
-        if self.price < 0:
-            raise ValidationError("negative price")
-        if self.price == 0 and np.any(self.lottery != 0):
-            raise ValidationError("zero price on a non-zero lottery")
-        return self
-
-
 class Menu:
-    """An ordered list of menu entries, stored as arrays for fast evaluation.
+    """An ordered menu: a (K, m) lottery matrix and a (K,) price vector.
 
     The implicit zero entry is never stored; choice routines inject it.
-    ``size`` is the menu complexity (number of explicit entries).  Prices
-    are nonnegative: the constructor rejects a negative one.
+    ``size`` is the menu complexity (number of explicit entries).  The
+    constructor copies its inputs, freezes the copies and rejects a
+    negative price; :meth:`validate` checks the other entry invariants.
     """
 
     __slots__ = ("lotteries", "prices")
 
     def __init__(self, lotteries, prices):
-        L = np.asarray(lotteries, dtype=float)
-        P = np.asarray(prices, dtype=float)
-        if L.ndim != 2:
-            L = L.reshape(len(P), -1)
-        if L.shape[0] != P.shape[0]:
-            raise ValidationError("lottery rows and prices disagree in length")
+        L = np.array(lotteries, dtype=float)
+        P = np.array(prices, dtype=float)
+        if L.ndim != 2 or P.shape != (L.shape[0],):
+            raise ValidationError(
+                "a menu needs a (K, m) lottery array and K prices; use Menu.empty(m) for an empty menu"
+            )
         if np.any(P < 0):
             raise ValidationError("negative price")
         L.setflags(write=False)
         P.setflags(write=False)
         self.lotteries = L
         self.prices = P
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[MenuEntry | tuple]) -> "Menu":
-        ents = [e if isinstance(e, MenuEntry) else MenuEntry(e[0], e[1]) for e in entries]
-        if not ents:
-            # the item count cannot be read off no entries
-            raise ValidationError("no menu entries; use Menu.empty(m) for an empty menu")
-        return cls(np.array([e.lottery for e in ents]), np.array([e.price for e in ents]))
 
     @classmethod
     def empty(cls, m: int) -> "Menu":
@@ -227,13 +124,21 @@ class Menu:
     def size(self) -> int:
         return self.lotteries.shape[0]
 
-    @property
-    def entries(self) -> list[MenuEntry]:
-        return [MenuEntry(self.lotteries[i], self.prices[i]) for i in range(self.size)]
-
     def validate(self) -> "Menu":
-        for e in self.entries:
-            e.validate()
+        """Check every entry: finite lottery and price, no negative
+        probability, lottery mass at most 1 + ``LOTTERY_MASS_SLACK``, and a
+        zero price only on the zero lottery, so "free" allocations cannot
+        occur."""
+        L, P = self.lotteries, self.prices
+        if not (np.all(np.isfinite(L)) and np.all(np.isfinite(P))):
+            raise ValidationError("menu has a non-finite lottery or price")
+        if np.any(L < 0):
+            raise ValidationError("lottery has negative probabilities")
+        mass = L.sum(axis=1)
+        if np.any(mass > 1.0 + LOTTERY_MASS_SLACK):
+            raise ValidationError(f"lottery mass {mass.max()} exceeds 1")
+        if np.any((P == 0) & np.any(L != 0, axis=1)):
+            raise ValidationError("zero price on a non-zero lottery")
         return self
 
     def __eq__(self, other) -> bool:
@@ -258,21 +163,21 @@ class Menu:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Menu":
-        m = json_field(d, "m", "menu", int)
+        m = json_field(d, "m", "menu", json_int)
+        if m < 1:
+            raise ValidationError(f'menu field "m" is {m}; a menu needs at least one item')
         ents = d.get("entries", [])
         if not isinstance(ents, list):
             raise ValidationError('menu field "entries" must be a list')
         L = np.zeros((len(ents), m))
         P = np.zeros(len(ents))
         for i, e in enumerate(ents):
-            x = json_field(e, "lottery", f"menu entry {i}", lambda v: _as_vector(v, "lottery"))
-            if x.size != m:
-                raise DimensionMismatchError(f"entry {i} has {x.size} coordinates, menu declares m={m}")
+            x = json_field(e, "lottery", f"menu entry {i}", lambda v: np.asarray(v, dtype=float))
+            if x.shape != (m,):
+                raise DimensionMismatchError(f"entry {i} has a lottery of shape {x.shape}, menu declares m={m}")
             L[i] = x
             P[i] = json_field(e, "price", f"menu entry {i}", float)
-        menu = cls(L, P)
-        menu.validate()
-        return menu
+        return cls(L, P).validate()
 
 
 def save_menu(menu: Menu, path) -> None:
@@ -284,26 +189,6 @@ def save_menu(menu: Menu, path) -> None:
 def load_menu(path) -> Menu:
     with open(path, "r", encoding="utf-8") as fh:
         return Menu.from_json_dict(json.load(fh))
-
-
-class Choice(NamedTuple):
-    """Outcome of a buyer's choice. index is -1 for the implicit zero entry."""
-
-    index: int
-    lottery: np.ndarray
-    price: float
-    utility: float
-
-
-def utility(v, entry) -> float:
-    """Buyer utility ``v . x - p`` of a single entry."""
-    values = v.values if isinstance(v, Valuation) else np.asarray(v, dtype=float)
-    if isinstance(entry, MenuEntry):
-        x, p = entry.lottery, entry.price
-    else:
-        x, p = np.asarray(entry[0], dtype=float), float(entry[1])
-    _check_dims(values.size, x.size)
-    return float(values @ x - p)
 
 
 def _choose(menu: Menu, V) -> np.ndarray:
@@ -349,27 +234,11 @@ def choose_batch(menu: Menu, V) -> np.ndarray:
     return _choose(menu, V)
 
 
-def choose(menu: Menu, v) -> Choice:
-    """The utility-maximizing entry for one valuation (taxation principle)."""
-    values = v.values if isinstance(v, Valuation) else np.asarray(v, dtype=float)
-    i = int(choose_batch(menu, values[None, :])[0])
-    if i < 0:
-        return Choice(-1, np.zeros(menu.m), 0.0, 0.0)
-    x = menu.lotteries[i]
-    p = float(menu.prices[i])
-    return Choice(i, x, p, float(values @ x - p))
-
-
 def revenue_batch(menu: Menu, V) -> np.ndarray:
     """Per-valuation payment: the price of the entry :func:`choose_batch`
     picks under ``TIE_TOL``, 0 for the zero entry."""
     # index -1, the zero entry, reads the appended price 0
     return np.append(menu.prices, 0.0)[_choose(menu, V)]
-
-
-def revenue(menu: Menu, v) -> float:
-    values = v.values if isinstance(v, Valuation) else np.asarray(v, dtype=float)
-    return float(revenue_batch(menu, values[None, :])[0])
 
 
 def expected_revenue(menu: Menu, dist) -> float:

@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, Valuation, json_field
+from .core import ValidationError, json_field, json_int
+
+VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
 
 class IntersectionPropertyError(RuntimeError):
@@ -48,9 +50,13 @@ class IntersectionPropertyError(RuntimeError):
 class ExplicitDistribution:
     """Finite weighted support of valuations, stored row-per-type.
 
-    ``meta`` optionally carries per-point construction data (the set S
-    and scale z of the equal-revenue spread family) that the lower-bound
-    menu needs.
+    The tag names the value class the rows must lie in, and the
+    constructor checks it: "nonneg" for any finite nonnegative values,
+    "unit_interval" for [0, 1]^m, "bounded" for [1, H]^m and "monotone"
+    for nondecreasing rows in [1, H]^m (each bound within a relative
+    1e-12).  ``meta`` optionally carries per-point construction data (the
+    set S and scale z of the equal-revenue spread family) that the
+    lower-bound menu needs.
     """
 
     values: np.ndarray          # (n, m)
@@ -62,7 +68,7 @@ class ExplicitDistribution:
     def __post_init__(self):
         V = np.asarray(self.values, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if V.ndim != 2 or V.shape[0] < 1:
+        if V.ndim != 2 or V.size < 1:
             raise ValidationError("support must be a non-empty (n, m) array")
         if w.shape != (V.shape[0],):
             raise ValidationError("one weight per support point required")
@@ -70,6 +76,17 @@ class ExplicitDistribution:
             raise ValidationError("negative weight")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {w.sum()}, expected 1 within 1e-9")
+        if self.tag not in VALUE_RANGE_TAGS:
+            raise ValidationError(f"unknown value range tag {self.tag!r}")
+        lo, hi = V.min(), V.max()  # NaN if any value is NaN
+        if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0:
+            raise ValidationError("support values must be finite and nonnegative")
+        if self.tag == "unit_interval" and hi > 1 + 1e-12:
+            raise ValidationError("unit_interval support exceeds 1")
+        if self.tag in ("bounded", "monotone") and (lo < 1 - 1e-12 or hi > self.H * (1 + 1e-12)):
+            raise ValidationError(f"{self.tag} support leaves [1, H={self.H}]")
+        if self.tag == "monotone" and np.any(V[:, 1:] < V[:, :-1]):
+            raise ValidationError("monotone support has a decreasing row")
         V.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "values", V)
@@ -82,10 +99,6 @@ class ExplicitDistribution:
     @property
     def m(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def support(self) -> list[Valuation]:
-        return [Valuation(self.values[i], tag=self.tag, H=self.H) for i in range(self.n)]
 
     def consolidated(self) -> "ExplicitDistribution":
         """Merge exactly-identical support points, summing their weights.
@@ -446,11 +459,16 @@ def distribution_from_json(d: dict):
 
     Explicit supports come back as :class:`ExplicitDistribution`; every
     parametric type comes back as a seeded sampler.  ``sparse_subsample``
-    descriptions are materialized into their explicit distribution.
+    descriptions are materialized into their explicit distribution, and
+    their ``"seed"`` chooses its points.  A sampler's ``"seed"`` seeds only
+    its own stream, which no CLI command draws from: ``pipeline`` draws
+    from the config's ``seed`` and ``experiment baseline`` from each of
+    its ``--seeds``, so descriptions that differ only in that seed give
+    identical outputs.  Counts and seeds must be integral numbers.
     """
     kind = json_field(d, "type", "distribution", str)
     params = d.get("params", {})
-    seed = json_field(d, "seed", "distribution", int) if "seed" in d else 0
+    seed = json_field(d, "seed", "distribution", json_int) if "seed" in d else 0
 
     def field(key: str, convert):
         return json_field(params, key, f"{kind} distribution params", convert)
@@ -463,16 +481,17 @@ def distribution_from_json(d: dict):
             H=field("H", float) if "H" in params else float("inf"),
         )
     if kind == "overfit":
-        return OverfitProductSampler(OverfitProductParams(field("m", int), field("delta", float)), seed)
+        return OverfitProductSampler(OverfitProductParams(field("m", json_int), field("delta", float)), seed)
     if kind == "equal_revenue":
-        return EqualRevenueSpreadSampler(EqualRevenueSpreadParams(field("m", int), field("H", float)), seed)
+        return EqualRevenueSpreadSampler(EqualRevenueSpreadParams(field("m", json_int), field("H", float)), seed)
     if kind == "sparse_subsample":
-        return sparse_subsample(EqualRevenueSpreadParams(field("m", int), field("H", float)), field("K", int), seed)
+        spread = EqualRevenueSpreadParams(field("m", json_int), field("H", float))
+        return sparse_subsample(spread, field("K", json_int), seed)
     if kind == "hitting_set":
-        sets = field("sets", lambda v: tuple(tuple(s) for s in v))
-        return hitting_set_valuations(HittingSetInstance(sets, field("m", int), field("H", float)))
+        sets = field("sets", lambda v: tuple(tuple(json_int(e) for e in s) for s in v))
+        return hitting_set_valuations(HittingSetInstance(sets, field("m", json_int), field("H", float)))
     if kind == "monotone_uniform":
-        return MonotoneUniformSampler(field("m", int), field("H", float), seed)
+        return MonotoneUniformSampler(field("m", json_int), field("H", float), seed)
     raise ValidationError(f"unknown distribution type {kind!r}")
 
 

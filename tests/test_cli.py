@@ -12,7 +12,7 @@ from menuforge import cli
 
 def _evaluate_inputs(tmp_path, menu_m=2):
     dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]]), np.array([0.5, 0.25, 0.25]))
-    menu = mf.Menu.from_entries([(np.full(menu_m, 1.0 / menu_m), 1.25), (np.eye(menu_m)[0], 2.0)])
+    menu = mf.Menu([np.full(menu_m, 1.0 / menu_m), np.eye(menu_m)[0]], [1.25, 2.0])
     dist_path, menu_path = tmp_path / "dist.json", tmp_path / "menu.json"
     dist_path.write_text(json.dumps(mf.distribution_to_json(dist)))
     mf.save_menu(menu, menu_path)
@@ -112,6 +112,41 @@ def test_pipeline_config_of_the_wrong_shape_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_menu_with_a_non_finite_entry_exits_3(tmp_path, capsys):
+    # a NaN price would make a buyer of value 4 skip the (0.5, 1.0) entry and pay 0
+    dist = _malformed(tmp_path, json.dumps({"type": "explicit", "params": {"support": [[4.0]], "weights": [1.0]}}))
+    for bad in ('"price": NaN', '"price": Infinity', '"price": 1.0, "lottery": [NaN]'):
+        menu = tmp_path / "menu.json"
+        menu.write_text('{"m": 1, "entries": [{"lottery": [1.0], %s}, {"lottery": [0.5], "price": 1.0}]}' % bad)
+        assert cli.main(["evaluate", "--menu", str(menu), "--dist", dist]) == cli.EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_integral_json_counts_exit_3(tmp_path, capsys):
+    _, _, argv = _evaluate_inputs(tmp_path)
+    menu_flag = argv.index("--menu") + 1
+    argv[menu_flag] = _malformed(tmp_path, '{"m": 2.7, "entries": [{"lottery": [0.5, 0.5], "price": 1.0}]}')
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert '"m"' in capsys.readouterr().err
+    out = tmp_path / "out.json"
+    good = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 5, "epsilon": 0.1, "H": 4.0}
+    for field, value in (("t", 25.7), ("seed", 1.5), ("seed", True), ("t", "5")):
+        config = _malformed(tmp_path, json.dumps({**good, field: value}))
+        assert cli.main(["pipeline", "--config", config, "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert f'"{field}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_monotone_cover_on_a_decreasing_support_exits_3(tmp_path, capsys):
+    dist = {"type": "explicit", "params": {"support": [[3.0, 1.0], [2.0, 1.5]], "weights": [0.5, 0.5],
+                                           "tag": "monotone"}}
+    config = _malformed(tmp_path, json.dumps({"dist": dist, "t": 4, "epsilon": 0.1, "H": 4.0}))
+    out = tmp_path / "menu.json"
+    argv = ["pipeline", "--config", config, "--cover-kind", "monotone_tail", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "decreasing" in capsys.readouterr().err and not out.exists()
+
+
 def test_empty_seed_list_exits_3(tmp_path):
     out = tmp_path / "lb.csv"
     assert cli.main(["experiment", "lowerbound", "--seeds", ",", "--out", str(out)]) == cli.EXIT_VALIDATION
@@ -121,7 +156,7 @@ def test_empty_seed_list_exits_3(tmp_path):
 def _subcommand_inputs(tmp_path):
     """Tiny input files for the subcommand cases, keyed by placeholder."""
     paths = {name: tmp_path / name for name in ("menu.json", "dist.json", "mono.json", "config.json", "hs.txt")}
-    mf.save_menu(mf.Menu.from_entries([([0.5, 0.5], 1.25), ([1.0, 0.0], 2.0), ([0.3, 0.6], 3.7)]), paths["menu.json"])
+    mf.save_menu(mf.Menu([[0.5, 0.5], [1.0, 0.0], [0.3, 0.6]], [1.25, 2.0, 3.7]), paths["menu.json"])
     dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]]), np.full(3, 1 / 3))
     paths["dist.json"].write_text(json.dumps(mf.distribution_to_json(dist)))
     mono = {"type": "monotone_uniform", "params": {"m": 3, "H": 8.0}, "seed": 3}

@@ -12,63 +12,86 @@ import menuforge as mf
 from menuforge import core
 
 
+def _choice(menu, v):
+    """(index, price, utility) of the entry one buyer takes; index -1 is the zero entry."""
+    v = np.asarray(v, dtype=float)
+    i = int(mf.choose_batch(menu, v[None, :])[0])
+    if i < 0:
+        return -1, 0.0, 0.0
+    return i, float(menu.prices[i]), float(v @ menu.lotteries[i] - menu.prices[i])
+
+
 def test_utility_examples():
-    assert mf.utility([2.0, 0.0], ([1.0, 0.0], 1.0)) == pytest.approx(1.0)
-    assert mf.utility([1.0, 1.0], ([0.0, 0.0], 0.0)) == pytest.approx(0.0)
-    assert mf.utility([3.0, 5.0], ([0.5, 0.5], 2.0)) == pytest.approx(2.0)
+    # utilities are V @ L.T - P: one row per buyer, one column per entry
+    menu = mf.Menu([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]], [1.0, 0.0, 2.0])
+    V = np.array([[2.0, 0.0], [1.0, 1.0], [3.0, 5.0]])
+    U = V @ menu.lotteries.T - menu.prices
+    assert [U[0, 0], U[1, 1], U[2, 2]] == pytest.approx([1.0, 0.0, 2.0])
+    # buyer 1 ties entries 0, 1 and the zero entry, buyer 2 ties entries 0 and 2:
+    # the higher price wins each tie
+    assert mf.choose_batch(menu, V).tolist() == [0, 0, 2]
 
 
 def test_utility_dimension_mismatch():
+    menu = mf.Menu([[0.5, 0.5]], [1.0])
     with pytest.raises(mf.DimensionMismatchError):
-        mf.utility([1.0, 2.0, 3.0], ([0.5, 0.5], 1.0))
+        mf.choose_batch(menu, [[1.0, 2.0, 3.0]])
+    with pytest.raises(mf.DimensionMismatchError):
+        mf.revenue_batch(menu, [[1.0, 2.0, 3.0]])
 
 
 def test_choose_prefers_positive_utility():
-    menu = mf.Menu.from_entries([([1.0, 0.0], 1.0)])
-    c = mf.choose(menu, [2.0, 0.0])
-    assert c.index == 0 and c.price == 1.0
+    menu = mf.Menu([[1.0, 0.0]], [1.0])
+    index, price, _ = _choice(menu, [2.0, 0.0])
+    assert index == 0 and price == 1.0
 
 
 def test_choose_strict_argmax():
-    menu = mf.Menu.from_entries([([1.0, 0.0], 1.0), ([1.0, 0.0], 2.0)])
-    c = mf.choose(menu, [3.0, 0.0])
-    assert c.index == 0  # utility 2 beats utility 1
+    menu = mf.Menu([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
+    assert _choice(menu, [3.0, 0.0])[0] == 0  # utility 2 beats utility 1
 
 
 def test_choose_tie_break_favors_higher_price():
     # both entries give utility exactly 1 to v=(2,0)
-    menu = mf.Menu.from_entries([([0.5, 0.0], 0.0), ([1.0, 0.0], 1.0)])
-    c = mf.choose(menu, [2.0, 0.0])
-    assert c.index == 1 and c.price == 1.0
+    menu = mf.Menu([[0.5, 0.0], [1.0, 0.0]], [0.0, 1.0])
+    index, price, _ = _choice(menu, [2.0, 0.0])
+    assert index == 1 and price == 1.0
 
     # non-tied case from the same family: first entry wins on strict utility
-    menu2 = mf.Menu.from_entries([([1.0, 0.0], 1.0), ([0.5, 0.5], 1.5)])
-    assert mf.choose(menu2, [2.0, 1.0]).index == 0
+    menu2 = mf.Menu([[1.0, 0.0], [0.5, 0.5]], [1.0, 1.5])
+    assert _choice(menu2, [2.0, 1.0])[0] == 0
 
 
 def test_choose_equal_price_tie_takes_lowest_index():
-    menu = mf.Menu.from_entries([([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)])
-    c = mf.choose(menu, [1.0, 1.0])
-    assert c.index == 0
+    menu = mf.Menu([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    assert _choice(menu, [1.0, 1.0])[0] == 0
 
 
 def test_zero_entry_wins_when_everything_is_negative():
-    menu = mf.Menu.from_entries([([1.0, 0.0], 1.0)])
-    c = mf.choose(menu, [0.5, 0.0])
-    assert c.index == -1 and c.price == 0.0 and c.utility == 0.0
-    assert mf.revenue(menu, [0.5, 0.0]) == 0.0
+    menu = mf.Menu([[1.0, 0.0]], [1.0])
+    assert _choice(menu, [0.5, 0.0]) == (-1, 0.0, 0.0)
+    assert mf.revenue_batch(menu, [[0.5, 0.0]]).tolist() == [0.0]
 
 
 def test_menu_rejects_negative_prices():
     with pytest.raises(mf.ValidationError, match="negative price"):
         mf.Menu([[1.0]], [-1.0])
     with pytest.raises(mf.ValidationError, match="negative price"):
-        mf.Menu.from_entries([([1.0, 0.0], 2.0), ([0.0, 1.0], -1e-12)])
+        mf.Menu([[1.0, 0.0], [0.0, 1.0]], [2.0, -1e-12])
+
+
+def test_menu_copies_its_inputs():
+    L, P = np.array([[1.0, 0.0]]), np.array([2.0])
+    menu = mf.Menu(L, P)
+    L[0, 0], P[0] = 0.5, 3.0  # the caller's arrays stay writable
+    assert menu.lotteries.tolist() == [[1.0, 0.0]] and menu.prices.tolist() == [2.0]
+    with pytest.raises(ValueError):
+        menu.lotteries[0, 0] = 0.5  # the menu's own copies are frozen
 
 
 def test_revenue_examples():
-    menu = mf.Menu.from_entries([([1.0, 0.0], 1.0)])
-    assert mf.revenue(menu, [2.0, 0.0]) == pytest.approx(1.0)
+    menu = mf.Menu([[1.0, 0.0]], [1.0])
+    assert mf.revenue_batch(menu, [[2.0, 0.0]])[0] == pytest.approx(1.0)
 
 
 def test_overfit_lottery_tie_pays():
@@ -77,16 +100,16 @@ def test_overfit_lottery_tie_pays():
     S = np.array([0, 2, 3])
     x = np.zeros(m)
     x[S] = 1.0 / len(S)
-    menu = mf.Menu.from_entries([(x, 1.0)])
+    menu = mf.Menu(x[None, :], [1.0])
     v = np.zeros(m)
     v[S] = 1.0
-    assert mf.revenue(menu, v) == pytest.approx(1.0)
+    assert mf.revenue_batch(menu, v[None, :])[0] == pytest.approx(1.0)
 
 
 def test_expected_revenue_full_surplus_single_point():
     v = np.array([1.0, 3.0])
     d = mf.ExplicitDistribution(v[None, :], np.array([1.0]))
-    menu = mf.Menu.from_entries([([0.0, 1.0], 3.0)])
+    menu = mf.Menu([[0.0, 1.0]], [3.0])
     assert mf.expected_revenue(menu, d) == pytest.approx(3.0)
 
 
@@ -97,7 +120,7 @@ def test_expected_revenue_empty_menu_is_zero():
 
 def test_menu_from_no_entries_points_to_empty():
     with pytest.raises(mf.ValidationError, match=r"Menu\.empty\(m\)"):
-        mf.Menu.from_entries([])
+        mf.Menu([], [])
 
 
 def test_expected_revenue_rejects_unnormalized_weights():
@@ -110,7 +133,7 @@ def test_scalar_equal_revenue_single_price_curve():
     d = mf.scalar_equal_revenue(8.0)
     revs = {}
     for j in (1, 2, 3):
-        menu = mf.Menu.from_entries([([1.0], float(2 ** j))])
+        menu = mf.Menu([[1.0]], [float(2 ** j)])
         revs[j] = mf.expected_revenue(menu, d)
         assert revs[j] == pytest.approx(2.0 - 2.0 ** (j - 3), abs=1e-12)
     assert max(revs.values()) < 2.0
@@ -119,7 +142,7 @@ def test_scalar_equal_revenue_single_price_curve():
 def test_estimate_revenue_constant_sampler():
     d = mf.ExplicitDistribution(np.array([[2.0, 1.0]]), np.array([1.0]))
     sampler = mf.ExplicitSampler(d, seed=0)
-    menu = mf.Menu.from_entries([([1.0, 0.0], 2.0)])
+    menu = mf.Menu([[1.0, 0.0]], [2.0])
     mean, stderr = mf.estimate_revenue(menu, sampler, 100, seed=3)
     assert mean == pytest.approx(2.0) and stderr == 0.0
     mean1, stderr1 = mf.estimate_revenue(menu, sampler, 1, seed=3)
@@ -161,12 +184,12 @@ def test_choice_is_ic_and_ir(seed):
     k = int(rng.integers(1, 6))
     menu = mf.Menu(rng.dirichlet(np.ones(m), size=k) * rng.random((k, 1)), rng.random(k) * 3)
     v = rng.random(m) * 4
-    c = mf.choose(menu, v)
-    utilities = [mf.utility(v, e) for e in menu.entries] + [0.0]
-    assert c.utility >= max(utilities) - mf.TIE_TOL  # IC: nothing beats the choice
-    assert c.utility >= -mf.TIE_TOL and c.price >= 0.0  # IR
+    index, price, u = _choice(menu, v)
+    utilities = np.append(v @ menu.lotteries.T - menu.prices, 0.0)
+    assert u >= utilities.max() - mf.TIE_TOL  # IC: nothing beats the choice
+    assert u >= -mf.TIE_TOL and price >= 0.0  # IR
     # tie-break determinism: identical rerun picks the same index
-    assert mf.choose(menu, v).index == c.index
+    assert _choice(menu, v)[0] == index
 
 
 def test_removing_entry_never_raises_utility():
@@ -175,58 +198,66 @@ def test_removing_entry_never_raises_utility():
         m, k = 3, 4
         menu = mf.Menu(rng.dirichlet(np.ones(m), size=k) * 0.9, rng.random(k) * 2)
         v = rng.random(m) * 3
-        full = mf.choose(menu, v)
+        full = _choice(menu, v)
         sub = mf.Menu(menu.lotteries[1:], menu.prices[1:])
-        assert mf.choose(sub, v).utility <= full.utility + mf.TIE_TOL
+        assert _choice(sub, v)[2] <= full[2] + mf.TIE_TOL
 
 
 def test_explicit_zero_entry_changes_nothing():
-    menu = mf.Menu.from_entries([([0.6, 0.2], 1.0)])
-    with_zero = mf.Menu.from_entries([([0.6, 0.2], 1.0), ([0.0, 0.0], 0.0)])
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        v = rng.random(2) * 3
-        assert mf.revenue(menu, v) == mf.revenue(with_zero, v)
+    menu = mf.Menu([[0.6, 0.2]], [1.0])
+    with_zero = mf.Menu([[0.6, 0.2], [0.0, 0.0]], [1.0, 0.0])
+    V = np.random.default_rng(5).random((100, 2)) * 3
+    assert mf.revenue_batch(menu, V).tolist() == mf.revenue_batch(with_zero, V).tolist()
 
 
 def test_menu_entry_invariant_zero_price_needs_zero_lottery():
-    with pytest.raises(mf.ValidationError):
-        mf.MenuEntry([0.5, 0.0], 0.0).validate()
-    mf.MenuEntry([0.0, 0.0], 0.0).validate()
+    with pytest.raises(mf.ValidationError, match="zero price"):
+        mf.Menu([[1.0, 0.0], [0.5, 0.0]], [1.0, 0.0]).validate()
+    mf.Menu([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0]).validate()
 
 
 def test_lottery_invariants():
-    with pytest.raises(mf.ValidationError):
-        mf.Lottery([-0.1, 0.5]).validate()
-    with pytest.raises(mf.ValidationError):
-        mf.Lottery([0.7, 0.7]).validate()
-    mf.Lottery([0.5, 0.5]).validate()
+    for lotteries in ([[0.5, 0.5], [-0.1, 0.5]], [[0.7, 0.7]], [[0.5, np.nan]], [[np.inf, 0.0]]):
+        with pytest.raises(mf.ValidationError):
+            mf.Menu(lotteries, np.ones(len(lotteries))).validate()
+    with pytest.raises(mf.ValidationError, match="non-finite"):
+        mf.Menu([[1.0]], [np.nan]).validate()
+    mf.Menu([[0.5, 0.5 + 0.5 * core.LOTTERY_MASS_SLACK], [0.0, 0.25]], [1.0, 2.0]).validate()
+
+
+def _explicit(rows, tag, H=4.0):
+    V = np.array(rows, dtype=float)
+    return mf.ExplicitDistribution(V, np.full(len(V), 1.0 / len(V)), tag=tag, H=H)
 
 
 def test_valuation_range_tags():
-    mf.Valuation([0.2, 0.8], tag="unit_interval").validate()
-    with pytest.raises(mf.ValidationError):
-        mf.Valuation([0.2, 1.5], tag="unit_interval").validate()
-    mf.Valuation([1.0, 4.0], tag="bounded", H=4.0).validate()
-    with pytest.raises(mf.ValidationError):
-        mf.Valuation([0.5, 2.0], tag="bounded", H=4.0).validate()
-    mf.Valuation([1.0, 1.0, 4.0], tag="monotone", H=4.0).validate()
-    with pytest.raises(mf.ValidationError):
-        mf.Valuation([2.0, 1.5], tag="monotone", H=4.0).validate()
-    with pytest.raises(mf.ValidationError):
-        mf.Valuation([1.0, 5.0], tag="monotone", H=4.0).validate()
+    _explicit([[0.2, 0.8], [0.0, 1.0]], "unit_interval")
+    _explicit([[1.0, 4.0], [2.0, 1.0]], "bounded")
+    _explicit([[1.0, 1.0, 4.0]], "monotone")
+    _explicit([[0.0, 7.5]], "nonneg")
+    for rows, tag in (
+        ([[0.2, 0.8], [0.2, 1.5]], "unit_interval"),
+        ([[0.5, 2.0]], "bounded"),
+        ([[1.0, 4.0], [2.0, 1.5]], "monotone"),
+        ([[1.0, 5.0]], "monotone"),
+        ([[1.0, -0.5]], "nonneg"),
+        ([[1.0, np.nan]], "nonneg"),
+        ([[1.0, 2.0]], "integer"),
+    ):
+        with pytest.raises(mf.ValidationError):
+            _explicit(rows, tag)
 
 
 def test_monotone_sampler_support_validates():
     sampler = mf.MonotoneUniformSampler(5, 8.0, seed=0)
     V = sampler.draw(50, np.random.default_rng(0))
-    dist = mf.explicit_from_samples(V, tag=sampler.tag, H=sampler.H)
-    for valuation in dist.support:
-        valuation.validate()
+    assert mf.explicit_from_samples(V, tag=sampler.tag, H=sampler.H).tag == "monotone"
+    with pytest.raises(mf.ValidationError, match="decreasing"):
+        mf.explicit_from_samples(V[:, ::-1], tag=sampler.tag, H=sampler.H)
 
 
 def test_menu_json_round_trip(tmp_path):
-    menu = mf.Menu.from_entries([([0.25, 0.5], 1.125), ([1.0 / 3.0, 0.0], 0.7)])
+    menu = mf.Menu([[0.25, 0.5], [1.0 / 3.0, 0.0]], [1.125, 0.7])
     path = tmp_path / "menu.json"
     mf.save_menu(menu, path)
     back = mf.load_menu(path)
@@ -237,9 +268,12 @@ def test_menu_json_round_trip(tmp_path):
 
 def test_menu_json_rejects_bad_entries(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"m": 2, "entries": [{"lottery": [0.5, 0.0], "price": 0.0}]}))
-    with pytest.raises(mf.ValidationError):
-        mf.load_menu(path)
+    for bad in ({"m": 2, "entries": [{"lottery": [0.5, 0.0], "price": 0.0}]},
+                {"m": 0, "entries": [{"lottery": [], "price": 1.0}]},
+                {"m": 2, "entries": [{"lottery": [[0.5, 0.0]], "price": 1.0}]}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(mf.ValidationError):
+            mf.load_menu(path)
 
 
 def _loop_choice(menu, v):

@@ -64,8 +64,7 @@ def test_enumerate_monotone_small():
     enum = mf.enumerate_cover(CoverSpec("monotone_tail", 0.5, 2, H=2.0))
     # nonincreasing pairs over {1, .5, .25, 0}
     assert enum.count == math.comb(4 + 1, 2)
-    for row in enum.lotteries:
-        mf.Lottery(row).validate()
+    mf.Menu(enum.lotteries, np.ones(enum.count)).validate()
 
 
 def test_enumerate_count_only_past_budget():
@@ -114,8 +113,7 @@ def test_rounded_outputs_are_valid_lotteries():
     rng = np.random.default_rng(4)
     for kind in ("additive", "multiplicative", "monotone_tail"):
         spec = CoverSpec(kind, 0.05, 5, H=16.0)
-        for row in mf.round_lottery(_random_lotteries(rng, 300, 5), spec):
-            mf.Lottery(row).validate()
+        mf.Menu(mf.round_lottery(_random_lotteries(rng, 300, 5), spec), np.ones(300)).validate()
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])

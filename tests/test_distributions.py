@@ -1,5 +1,7 @@
 """Samplers and parametric families: determinism, laws, class invariants."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,27 @@ def test_distribution_json_round_trips():
     spec = mf.distribution_to_json(samp)
     samp2 = mf.distribution_from_json(spec)
     np.testing.assert_array_equal(samp.draw(20), samp2.draw(20))
+
+
+
+def _replaced(spec, path, value):
+    """A copy of a JSON description with the field at ``path`` set to ``value``."""
+    spec = json.loads(json.dumps(spec))
+    obj = spec
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"type": "monotone_uniform", "params": {"m": 3, "H": 4.0}}, ("params", "m")),
+    ({"type": "monotone_uniform", "params": {"m": 3, "H": 4.0}, "seed": 0}, ("seed",)),
+    ({"type": "sparse_subsample", "params": {"m": 6, "H": 4.0, "K": 1}}, ("params", "K")),
+    ({"type": "hitting_set", "params": {"m": 3, "H": 4.0, "sets": [[0, 1]]}}, ("params", "sets", 0, 1)),
+])
+def test_distribution_json_counts_must_be_integral(spec, path):
+    mf.distribution_from_json(_replaced(spec, path, 2.0))  # an integral number reads as an int
+    for bad in (2.5, True, "2"):
+        with pytest.raises(mf.ValidationError, match="not an integer"):
+            mf.distribution_from_json(_replaced(spec, path, bad))

@@ -97,8 +97,10 @@ def test_extracted_menu_realizes_ic_rows():
     d = mf.ExplicitDistribution(1 + 3 * rng.random((5, 3)), rng.dirichlet(np.ones(5)))
     sol = mf.solve_lp(mf.build_lp(d))
     menu = mf.extract_menu(sol)
+    idx = mf.choose_batch(menu, d.values)
+    U = d.values @ menu.lotteries.T - menu.prices
     for i in range(d.n):
-        got = mf.choose(menu, d.values[i]).utility
+        got = U[i, idx[i]] if idx[i] >= 0 else 0.0
         for j in range(d.n):
             alt = float(d.values[i] @ sol.lotteries[j] - sol.payments[j])
             assert got >= alt - 1e-6

@@ -72,7 +72,7 @@ def test_round_menu_top_level_formula():
     eps, H = 0.04, 16.0
     rp = RoundingParams(epsilon=eps, H=H, delta=0.2)
     K = rp.K
-    menu = mf.Menu.from_entries([([1.0, 0.0], H)])
+    menu = mf.Menu([[1.0, 0.0]], [H])
     out = mf.round_menu(menu, rp)
     expected_price = math.floor((1 - eps) ** K * H / eps) * eps - 2 * K * eps
     assert out.prices[0] == pytest.approx(expected_price, abs=1e-12)
@@ -84,7 +84,7 @@ def test_round_menu_top_level_formula():
 def test_round_menu_requires_positive_prices_within_h():
     rp = RoundingParams(epsilon=0.1, H=4.0)
     with pytest.raises(mf.ValidationError):
-        mf.round_menu(mf.Menu.from_entries([([1.0], 5.0)]), rp)
+        mf.round_menu(mf.Menu([[1.0]], [5.0]), rp)
 
 
 def test_round_menu_proof_bound_fuzz():
@@ -176,7 +176,7 @@ def test_dropped_entries_only_at_negligible_prices():
     eps, H = 0.04, 16.0
     rp = RoundingParams(epsilon=eps, H=H, delta=0.2)
     mult, add = mf.guarantee_bound(rp)
-    menu = mf.Menu.from_entries([([1.0], 0.05), ([1.0], 8.0)])
+    menu = mf.Menu([[1.0], [1.0]], [0.05, 8.0])
     out = mf.round_menu(menu, rp)
     assert out.size == 1  # the 0.05 entry dies, its price is inside the loss budget
     assert mult * 0.05 - add < 0
