@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import ValidationError, expected_revenue, json_field, json_int, load_menu, save_menu
+from .core import ValidationError, expected_revenue, json_field, json_float, json_int, load_menu, save_menu
 from .covers import CoverSpec, enumerate_cover, round_lottery
 from .distributions import (
     ExplicitDistribution,
@@ -210,8 +210,8 @@ def _cmd_pipeline(args) -> int:
 
     fields = {
         "t": setting("t", json_int),
-        "epsilon": setting("epsilon", float),
-        "H": setting("H", float),
+        "epsilon": setting("epsilon", json_float),
+        "H": setting("H", json_float),
         "cover_kind": setting("cover_kind", str, "multiplicative"),
         "seed": setting("seed", json_int, 0),
         "mode": setting("mode", str, "sample_and_round"),

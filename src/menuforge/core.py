@@ -17,14 +17,21 @@ Conventions used throughout the package:
 * utility ties within ``TIE_TOL`` are resolved in favor of the higher
   price, then in favor of the earlier menu entry, with the implicit
   zero entry losing ties against explicit entries of equal price;
-* that rule is written once, in the blocked choice kernel ``_choose``
-  behind :func:`choose_batch` and :func:`revenue_batch`;
+* that rule is written once, in the choice kernel ``_choose`` behind
+  :func:`choose_batch` and :func:`revenue_batch`.  The kernel scores
+  buyers in blocks, entry-major: a block's utilities are the (K, rows)
+  matrix ``L @ V_block.T - P``, and the first candidate in price order
+  is the one with the largest rank weight, so every reduction runs
+  across buyers.  Its working memory is O(block * K), whatever the
+  number of buyers;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -53,7 +60,7 @@ def json_field(d, key: str, where: str, convert):
         raise ValidationError(f'{where} lacks the field "{key}"')
     try:
         return convert(d[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f'{where} field "{key}": {exc}') from None
 
 
@@ -68,6 +75,36 @@ def json_int(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{value!r} is not an integer")
+
+
+def json_float(value) -> float:
+    """A real number read from JSON: a finite int or float, as a float.
+
+    Booleans and strings are rejected, so ``true`` is an error rather than
+    1.0 and ``"2.5"`` an error rather than 2.5; so are the non-finite
+    ``NaN`` and ``Infinity`` that Python's JSON reader accepts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is non-finite")
+    return float(value)
+
+
+def json_floats(value) -> np.ndarray:
+    """A list, or nested lists, of JSON numbers as a float array; every
+    element is checked as by :func:`json_float`, in one pass over their
+    types rather than one call per element."""
+    a = np.asarray(value, dtype=float)
+    items = [value]
+    for _ in range(a.ndim):
+        items = chain.from_iterable(items)
+    bad = set(map(type, items)) - {int, float}
+    if bad:
+        raise ValueError(f"a {bad.pop().__name__} is not a number")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("an element is non-finite")
+    return a
 
 
 def to_tail_form(probs) -> np.ndarray:
@@ -172,11 +209,11 @@ class Menu:
         L = np.zeros((len(ents), m))
         P = np.zeros(len(ents))
         for i, e in enumerate(ents):
-            x = json_field(e, "lottery", f"menu entry {i}", lambda v: np.asarray(v, dtype=float))
+            x = json_field(e, "lottery", f"menu entry {i}", json_floats)
             if x.shape != (m,):
                 raise DimensionMismatchError(f"entry {i} has a lottery of shape {x.shape}, menu declares m={m}")
             L[i] = x
-            P[i] = json_field(e, "price", f"menu entry {i}", float)
+            P[i] = json_field(e, "price", f"menu entry {i}", json_float)
         return cls(L, P).validate()
 
 
@@ -198,28 +235,34 @@ def _choose(menu: Menu, V) -> np.ndarray:
     sort, so among a row's candidates (the entries within ``TIE_TOL`` of
     its best utility, the zero entry counting with utility 0) the first
     in sorted order has the highest price and, among equal prices, the
-    earliest index.  A row takes the zero entry when no explicit entry
-    is a candidate; prices are never negative, so an explicit candidate
-    always wins the price tie-break against it.  Rows are evaluated in
-    blocks of ``max(1, _BLOCK_CELLS // K)`` for K entries, so the working
-    memory is O(block * K), independent of the number of rows n.
+    earliest index.  Rows are scored in blocks, entry-major: a block's
+    utilities are the (K, rows) matrix ``L @ V[block].T - P``, so every
+    reduction runs across buyers.  The sorted entries carry the rank
+    weights K, K-1, ..., 1, and each buyer's largest weight among its
+    candidates names the first candidate; weight 0, no explicit
+    candidate, names the zero entry.  Prices are never negative, so an
+    explicit candidate always wins the price tie-break against the zero
+    entry.  A block holds ``max(1, _BLOCK_CELLS // K)`` rows and reads
+    them in place, so the working memory is O(block * K), independent of
+    the number of rows n.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    idx = np.full(V.shape[0], -1, dtype=int)
-    if menu.size == 0:
+    n, K, m = V.shape[0], menu.size, menu.m
+    idx = np.full(n, -1, dtype=int)
+    if K == 0:
         return idx
-    if V.shape[1] != menu.m:
-        raise DimensionMismatchError(f"valuations have m={V.shape[1]}, menu has m={menu.m}")
+    if V.shape[1] != m:
+        raise DimensionMismatchError(f"valuations have m={V.shape[1]}, menu has m={m}")
     order = np.argsort(-menu.prices, kind="stable")
-    L, P = menu.lotteries[order], menu.prices[order]
-    rows = max(1, _BLOCK_CELLS // menu.size)
-    for s in range(0, V.shape[0], rows):
-        U = V[s : s + rows] @ L.T
+    L, P = menu.lotteries[order], menu.prices[order, None]
+    w = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None]
+    pick = np.concatenate(([-1], order[::-1]))  # pick[K - j] = order[j]
+    rows = max(1, _BLOCK_CELLS // K)
+    for s in range(0, n, rows):
+        U = L @ V[s : s + rows].T
         U -= P
-        top = U.max(axis=1)
-        best = np.maximum(top, 0.0) - TIE_TOL
-        first = (U >= best[:, None]).argmax(axis=1)
-        idx[s : s + rows] = np.where(top >= best, order[first], -1)
+        best = np.maximum(U.max(axis=0), 0.0) - TIE_TOL
+        idx[s : s + rows] = pick[((U >= best) * w).max(axis=0)]
     return idx
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, json_field, json_int
+from .core import ValidationError, json_field, json_float, json_floats, json_int
 
 VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
@@ -72,6 +72,8 @@ class ExplicitDistribution:
             raise ValidationError("support must be a non-empty (n, m) array")
         if w.shape != (V.shape[0],):
             raise ValidationError("one weight per support point required")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("non-finite weight")
         if np.any(w < 0):
             raise ValidationError("negative weight")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -464,7 +466,9 @@ def distribution_from_json(d: dict):
     its own stream, which no CLI command draws from: ``pipeline`` draws
     from the config's ``seed`` and ``experiment baseline`` from each of
     its ``--seeds``, so descriptions that differ only in that seed give
-    identical outputs.  Counts and seeds must be integral numbers.
+    identical outputs.  Counts and seeds must be integral numbers; every
+    other number, in a field or an array, must be a finite number, not a
+    boolean or a string.
     """
     kind = json_field(d, "type", "distribution", str)
     params = d.get("params", {})
@@ -475,23 +479,24 @@ def distribution_from_json(d: dict):
 
     if kind == "explicit":
         return ExplicitDistribution(
-            field("support", lambda v: np.asarray(v, dtype=float)),
-            field("weights", lambda v: np.asarray(v, dtype=float)),
+            field("support", json_floats),
+            field("weights", json_floats),
             tag=params.get("tag", "nonneg"),
-            H=field("H", float) if "H" in params else float("inf"),
+            H=field("H", json_float) if "H" in params else float("inf"),
         )
     if kind == "overfit":
-        return OverfitProductSampler(OverfitProductParams(field("m", json_int), field("delta", float)), seed)
+        return OverfitProductSampler(OverfitProductParams(field("m", json_int), field("delta", json_float)), seed)
     if kind == "equal_revenue":
-        return EqualRevenueSpreadSampler(EqualRevenueSpreadParams(field("m", json_int), field("H", float)), seed)
+        spread = EqualRevenueSpreadParams(field("m", json_int), field("H", json_float))
+        return EqualRevenueSpreadSampler(spread, seed)
     if kind == "sparse_subsample":
-        spread = EqualRevenueSpreadParams(field("m", json_int), field("H", float))
+        spread = EqualRevenueSpreadParams(field("m", json_int), field("H", json_float))
         return sparse_subsample(spread, field("K", json_int), seed)
     if kind == "hitting_set":
         sets = field("sets", lambda v: tuple(tuple(json_int(e) for e in s) for s in v))
-        return hitting_set_valuations(HittingSetInstance(sets, field("m", json_int), field("H", float)))
+        return hitting_set_valuations(HittingSetInstance(sets, field("m", json_int), field("H", json_float)))
     if kind == "monotone_uniform":
-        return MonotoneUniformSampler(field("m", json_int), field("H", float), seed)
+        return MonotoneUniformSampler(field("m", json_int), field("H", json_float), seed)
     raise ValidationError(f"unknown distribution type {kind!r}")
 
 

@@ -137,6 +137,66 @@ def test_non_integral_json_counts_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_with_a_nan_weight_exits_3(tmp_path, capsys):
+    # NaN fails every comparison, so a sum-to-one check written as "off by more than 1e-9" lets it through
+    _, _, argv = _evaluate_inputs(tmp_path)
+    dist = {"type": "explicit", "params": {"support": [[1.0, 2.0], [3.0, 0.5]], "weights": [0.5, float("nan")]}}
+    argv[argv.index("--dist") + 1] = _malformed(tmp_path, json.dumps(dist))
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert "nan" not in out and '"weights"' in err
+
+
+JSON_NUMBER_INPUTS = {
+    "menu": {"m": 2, "entries": [{"lottery": [0.5, 0.5], "price": 1.0}]},
+    "explicit": {"type": "explicit", "params": {"support": [[1.0, 2.0], [3.0, 0.5]], "weights": [0.5, 0.5],
+                                                "H": 4.0}},
+    "monotone": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}},
+    "overfit": {"type": "overfit", "params": {"m": 4, "delta": 0.1}},
+    "config": {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 5, "epsilon": 0.1,
+               "H": 4.0},
+}
+
+
+def _json_number_argv(tmp_path, source, path, value):
+    """The argv of a command that reads ``JSON_NUMBER_INPUTS[source]`` with the
+    number at ``path`` set to ``value``; None leaves the input as it is."""
+    obj = json.loads(json.dumps(JSON_NUMBER_INPUTS[source]))
+    if value is not None:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    text = _malformed(tmp_path, json.dumps(obj))
+    _, _, evaluate = _evaluate_inputs(tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    return {
+        "menu": evaluate[:2] + [text] + evaluate[3:],
+        "explicit": evaluate[:4] + [text],
+        "config": ["pipeline", "--config", text] + out,
+    }.get(source, ["experiment", "baseline", "--dist", text, "--n", "50", "--seeds", "0:1"] + out)
+
+
+@pytest.mark.parametrize("source, path", [
+    ("menu", ("entries", 0, "price")),
+    ("menu", ("entries", 0, "lottery", 1)),
+    ("explicit", ("params", "support", 1, 0)),
+    ("explicit", ("params", "weights", 0)),
+    ("explicit", ("params", "H")),
+    ("monotone", ("params", "H")),
+    ("overfit", ("params", "delta")),
+    ("config", ("epsilon",)),
+    ("config", ("H",)),
+])
+def test_json_numbers_that_are_not_finite_numbers_exit_3(tmp_path, capsys, source, path):
+    assert cli.main(_json_number_argv(tmp_path, source, path, None)) == cli.EXIT_OK
+    field = next(key for key in reversed(path) if isinstance(key, str))
+    for bad in (True, "0.5", float("nan"), float("inf"), 10**400):
+        capsys.readouterr()
+        assert cli.main(_json_number_argv(tmp_path, source, path, bad)) == cli.EXIT_VALIDATION, bad
+        assert f'"{field}"' in capsys.readouterr().err
+
+
 def test_pipeline_monotone_cover_on_a_decreasing_support_exits_3(tmp_path, capsys):
     dist = {"type": "explicit", "params": {"support": [[3.0, 1.0], [2.0, 1.5]], "weights": [0.5, 0.5],
                                            "tag": "monotone"}}

@@ -126,6 +126,8 @@ def test_menu_from_no_entries_points_to_empty():
 def test_expected_revenue_rejects_unnormalized_weights():
     with pytest.raises(mf.ValidationError):
         mf.ExplicitDistribution(np.array([[1.0]]), np.array([0.5]))
+    with pytest.raises(mf.ValidationError, match="non-finite"):
+        mf.ExplicitDistribution(np.array([[1.0], [2.0]]), np.array([0.5, np.nan]))
 
 
 def test_scalar_equal_revenue_single_price_curve():
@@ -326,6 +328,74 @@ def test_choice_kernel_matches_the_loop_across_blocks(kind):
         assert np.all(mf.choose_batch(menu, V[::5]) == 57)
 
 
+def _fuzz_case(family, rng):
+    """A seeded (menu, values) pair of one family; all but "continuous" have exact ties."""
+    m, k, n = int(rng.integers(1, 9)), int(rng.integers(1, 300)), int(rng.integers(1, 400))
+    if family == "continuous":
+        menu = mf.Menu(rng.dirichlet(np.ones(m), size=k) * rng.random((k, 1)), rng.random(k) * 4)
+        return menu, rng.random((n, m)) * 4
+    if family == "dyadic":
+        return _dyadic_menu(rng, k, m, np.arange(1, 25) / 8.0), rng.integers(0, 5, size=(n, m)).astype(float)
+    if family == "overfit":
+        # uniform lotteries on item sets priced 1 or 2, integer values: the overfit shape
+        S = rng.random((k, m)) < 0.5
+        S[~S.any(axis=1), 0] = True
+        menu = mf.Menu(S / S.sum(axis=1, keepdims=True), rng.choice([1.0, 2.0], size=k))
+        return menu, rng.integers(0, 3, size=(n, m)).astype(float)
+    # near ties: prices 3e-10 off a tie are inside TIE_TOL, prices 3e-9 off are outside
+    base = _dyadic_menu(rng, k, m, [0.5, 1.0, 2.0])
+    menu = mf.Menu(base.lotteries, base.prices - rng.choice([3e-10, 0.0, 3e-9], size=k))
+    return menu, rng.integers(0, 5, size=(n, m)).astype(float)
+
+
+@pytest.mark.parametrize("family", ["continuous", "dyadic", "overfit", "near_ties"])
+def test_choice_kernel_fuzz_matches_the_loop(family):
+    rng = np.random.default_rng(["continuous", "dyadic", "overfit", "near_ties"].index(family))
+    for _ in range(25):
+        menu, V = _fuzz_case(family, rng)
+        idx = mf.choose_batch(menu, V)
+        assert idx.tolist() == [_loop_choice(menu, v) for v in V]
+        assert mf.revenue_batch(menu, V).tobytes() == np.append(menu.prices, 0.0)[idx].tobytes()
+
+
+def _shape_case(kind, rng):
+    """(menu, top value) for one kernel shape.  Buyers get integer values in
+    [0, top], so every utility is exact and ties are exact."""
+    if kind == "K1_m1":  # buyers valued exactly at the price tie the zero entry
+        return mf.uniform_price_menu(1, 2.0), 3
+    if kind == "K5_m5":
+        return mf.uniform_price_menu(5, 2.0), 3
+    if kind == "K1_m64":  # a uniform lottery at price 1: buyers whose values sum to 64 tie
+        return mf.Menu(np.full((1, 64), 1 / 64), [1.0]), 2
+    # K = 255 and 256 sit on both sides of the uint8 -> uint16 rank-weight boundary
+    k, m = (5, 64) if kind == "K5_m64" else (int(kind[1:4]), 3)
+    base = _dyadic_menu(rng, k, m, np.arange(1, 25) / 8.0)
+    L, P = np.array(base.lotteries), np.array(base.prices)
+    L[0], P[0] = np.eye(m)[0], 4.0  # the top rank weight: the first entry in price order
+    return mf.Menu(L, P), 4
+
+
+@pytest.mark.parametrize("kind", ["K1_m1", "K5_m5", "K1_m64", "K5_m64", "K255_m3", "K256_m3"])
+def test_choice_kernel_matches_the_loop_at_block_and_weight_boundaries(kind, monkeypatch):
+    # smaller blocks keep the m=64 cases small; where a block ends does not depend on its size
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 2**13)
+    rng = np.random.default_rng(21)
+    menu, top = _shape_case(kind, rng)
+    block = max(1, core._BLOCK_CELLS // menu.size)
+    V = rng.integers(0, top + 1, size=(2 * block + 3, menu.m)).astype(float)
+    V[::7] = 0.0
+    V[1::11, 0] = 64.0  # these buyers take the first entry in price order
+    # the choice depends on the row alone, so the loop runs once per distinct row
+    rows, inverse = np.unique(V, axis=0, return_inverse=True)
+    want = np.array([_loop_choice(menu, v) for v in rows], dtype=int)[inverse.ravel()]
+    for n in (1, block - 1, block, block + 1, len(V)):
+        assert mf.choose_batch(menu, V[:n]).tolist() == want[:n].tolist()
+        assert mf.revenue_batch(menu, V[:n]).tobytes() == np.append(menu.prices, 0.0)[want[:n]].tobytes()
+    # the top rank weight, the zero entry and at least one other entry are all picked
+    assert np.any(want == np.argsort(-menu.prices, kind="stable")[0])
+    assert np.any(want == -1) and len(set(want.tolist())) > min(menu.size, 2)
+
+
 def test_choice_kernel_memory_is_independent_of_buyers():
     rng = np.random.default_rng(3)
     n, k, m = 50_000, 200, 5
@@ -339,3 +409,16 @@ def test_choice_kernel_memory_is_independent_of_buyers():
         tracemalloc.stop()
     # one n x k utility matrix takes 80 MB; the blocked kernel needs about 2 MB
     assert peak < n * k * 8 / 10
+
+    # one entry over many items: one block then holds all the buyers, and a copy
+    # of them would take 51 MB; the kernel reads the buyers in place
+    n, m = 100_000, 64
+    menu = mf.Menu(np.full((1, m), 1 / m), [1.0])
+    V = rng.integers(0, 3, size=(n, m)).astype(float)
+    tracemalloc.start()
+    try:
+        mf.choose_batch(menu, V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8 / 10

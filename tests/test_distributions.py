@@ -258,3 +258,20 @@ def test_distribution_json_counts_must_be_integral(spec, path):
     for bad in (2.5, True, "2"):
         with pytest.raises(mf.ValidationError, match="not an integer"):
             mf.distribution_from_json(_replaced(spec, path, bad))
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"type": "monotone_uniform", "params": {"m": 3, "H": 4.0}}, ("params", "H")),
+    ({"type": "overfit", "params": {"m": 3, "delta": 0.2}}, ("params", "delta")),
+    ({"type": "equal_revenue", "params": {"m": 6, "H": 4.0}}, ("params", "H")),
+    ({"type": "sparse_subsample", "params": {"m": 6, "H": 4.0, "K": 1}}, ("params", "H")),
+    ({"type": "hitting_set", "params": {"m": 3, "H": 4.0, "sets": [[0, 1]]}}, ("params", "H")),
+    ({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0], "H": 4.0}}, ("params", "H")),
+    ({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0]}}, ("params", "support", 0, 1)),
+    ({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0]}}, ("params", "weights", 0)),
+])
+def test_distribution_json_numbers_must_be_finite_numbers(spec, path):
+    mf.distribution_from_json(spec)
+    for bad in (True, "2.5", float("nan"), float("inf")):
+        with pytest.raises(mf.ValidationError, match="not a number|non-finite"):
+            mf.distribution_from_json(_replaced(spec, path, bad))
