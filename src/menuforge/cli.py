@@ -22,7 +22,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import ValidationError, expected_revenue, json_field, json_float, json_int, load_menu, save_menu
+from .core import (
+    ValidationError,
+    check_lotteries,
+    expected_revenue,
+    json_field,
+    json_float,
+    json_int,
+    load_menu,
+    save_menu,
+)
 from .covers import CoverSpec, enumerate_cover, round_lottery
 from .distributions import (
     ExplicitDistribution,
@@ -180,6 +189,7 @@ def _cmd_cover_round(args) -> int:
     spec = _cover_spec(args)
     if x.size != spec.m:
         raise ValidationError(f"lottery has {x.size} coordinates, spec says m={spec.m}")
+    check_lotteries(x)
     y = round_lottery(x, spec)
     if args.out:
         _write_json(args.out, {"lottery": [float(v) for v in y]})

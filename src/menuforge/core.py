@@ -77,6 +77,22 @@ def json_int(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def sample_count(n) -> int:
+    """A number of draws: an integral number of at least 1, as an int.
+
+    Read as by :func:`json_int`, so a boolean or a number with a
+    fractional part raises :class:`ValidationError` rather than being
+    truncated; a NumPy scalar is read as its Python value.
+    """
+    try:
+        count = json_int(n.item() if isinstance(n, np.generic) else n)
+    except ValueError as exc:
+        raise ValidationError(f"number of draws: {exc}") from None
+    if count < 1:
+        raise ValidationError("n must be at least 1")
+    return count
+
+
 def json_float(value) -> float:
     """A real number read from JSON: a finite int or float, as a float.
 
@@ -124,6 +140,20 @@ def from_tail_form(tails) -> np.ndarray:
     return out
 
 
+def check_lotteries(L) -> None:
+    """Raise :class:`ValidationError` unless every row of ``L`` is a
+    lottery: finite, no negative probability, and mass at most
+    1 + ``LOTTERY_MASS_SLACK``."""
+    L = np.atleast_2d(L)
+    if not np.all(np.isfinite(L)):
+        raise ValidationError("lottery has a non-finite probability")
+    if np.any(L < 0):
+        raise ValidationError("lottery has negative probabilities")
+    mass = L.sum(axis=1)
+    if np.any(mass > 1.0 + LOTTERY_MASS_SLACK):
+        raise ValidationError(f"lottery mass {mass.max()} exceeds 1")
+
+
 class Menu:
     """An ordered menu: a (K, m) lottery matrix and a (K,) price vector.
 
@@ -162,18 +192,13 @@ class Menu:
         return self.lotteries.shape[0]
 
     def validate(self) -> "Menu":
-        """Check every entry: finite lottery and price, no negative
-        probability, lottery mass at most 1 + ``LOTTERY_MASS_SLACK``, and a
-        zero price only on the zero lottery, so "free" allocations cannot
-        occur."""
+        """Check every entry: finite price, a lottery that passes
+        :func:`check_lotteries`, and a zero price only on the zero
+        lottery, so "free" allocations cannot occur."""
         L, P = self.lotteries, self.prices
-        if not (np.all(np.isfinite(L)) and np.all(np.isfinite(P))):
-            raise ValidationError("menu has a non-finite lottery or price")
-        if np.any(L < 0):
-            raise ValidationError("lottery has negative probabilities")
-        mass = L.sum(axis=1)
-        if np.any(mass > 1.0 + LOTTERY_MASS_SLACK):
-            raise ValidationError(f"lottery mass {mass.max()} exceeds 1")
+        if not np.all(np.isfinite(P)):
+            raise ValidationError("menu has a non-finite price")
+        check_lotteries(L)
         if np.any((P == 0) & np.any(L != 0, axis=1)):
             raise ValidationError("zero price on a non-zero lottery")
         return self
@@ -298,8 +323,7 @@ def estimate_revenue(menu: Menu, sampler, n: int, seed: int) -> tuple[float, flo
     Deterministic for a fixed seed; the sampler's own stream is untouched.
     By convention the standard error is 0 when n == 1.
     """
-    if n < 1:
-        raise ValidationError("n must be at least 1")
+    n = sample_count(n)
     rng = np.random.default_rng(seed)
     V = sampler.draw(n, rng)
     r = revenue_batch(menu, V)

@@ -26,6 +26,15 @@ The parametric families:
   valuation per set; the MAXREV reduction instances.
 * ``MonotoneUniformSampler``: sorted i.i.d. uniforms on [1, H], a
   generator of monotone valuations for the tail-probability covers.
+
+Every sampler writes its batch straight into its output array.  The
+draws that need temporaries as large as their input (the overfit
+family's uniforms, the k-set draw's uniforms and their argsort) run in
+row blocks of about ``core._BLOCK_CELLS`` values, the choice kernel's
+block size, so a batch holds its output plus one block while it draws.
+Blocking does not change a single byte: ``Generator.random`` fills its
+output row-major, so consecutive (rows, m) calls read the same doubles
+as one (n, m) call, and each output row depends on its own doubles only.
 """
 
 from __future__ import annotations
@@ -36,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, json_field, json_float, json_floats, json_int
+from . import core
+from .core import ValidationError, json_field, json_float, json_floats, json_int, sample_count
 
 VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
@@ -168,6 +178,13 @@ def _integral_log2(H: float) -> int:
     return L
 
 
+def _row_blocks(n: int, m: int):
+    """Slices of consecutive rows of an (n, m) batch, ``core._BLOCK_CELLS``
+    values each (at least one row), covering all n rows in order."""
+    rows = max(1, core._BLOCK_CELLS // m)
+    return (slice(s, min(s + rows, n)) for s in range(0, n, rows))
+
+
 class Sampler:
     """Black-box access to a valuation distribution.
 
@@ -189,9 +206,7 @@ class Sampler:
         self._rng = np.random.default_rng(seed)
 
     def draw(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        if n < 1:
-            raise ValidationError("n must be at least 1")
-        return self._draw(int(n), self._rng if rng is None else rng)
+        return self._draw(sample_count(n), self._rng if rng is None else rng)
 
     def _draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -238,10 +253,11 @@ class OverfitProductSampler(Sampler):
 
     def _draw(self, n, rng):
         p = self.params
-        u = rng.random((n, self.m))
-        V = np.zeros((n, self.m))
-        V[u < p.delta / p.m + p.delta] = 1.0
-        V[u < p.delta / p.m] = 2.0
+        V = np.empty((n, self.m))
+        for block in _row_blocks(n, self.m):
+            u = rng.random(V[block].shape)
+            # 1 below delta/m + delta, and 1 more below delta/m
+            np.add(u < p.delta / p.m + p.delta, u < p.delta / p.m, out=V[block], dtype=float)
         return V
 
 
@@ -271,9 +287,18 @@ def _uniform_k_sets(rng: np.random.Generator, n: int, m: int, k: int) -> np.ndar
     """n independent uniform k-subsets of range(m), one sorted row each.
 
     Each row takes the first k positions of a uniformly random
-    permutation (the argsort of m i.i.d. uniforms).
+    permutation (the argsort of m i.i.d. uniforms).  The rows are drawn
+    in blocks of ``core._BLOCK_CELLS`` uniforms, each block's uniforms
+    and argsort written into the (n, k) result before the next block is
+    drawn, so the draw holds its output plus one block.  The sets are
+    the ones a single (n, m) draw would give, since ``Generator.random``
+    fills row-major and each row is sorted on its own.
     """
-    return np.sort(rng.random((n, m)).argsort(axis=1)[:, :k], axis=1)
+    sets = np.empty((n, k), dtype=np.intp)
+    for block in _row_blocks(n, m):
+        u = rng.random((block.stop - block.start, m))
+        sets[block] = np.sort(u.argsort(axis=1)[:, :k], axis=1)
+    return sets
 
 
 def _draw_scales(rng: np.random.Generator, levels: int, n: int) -> np.ndarray:
@@ -439,7 +464,10 @@ class MonotoneUniformSampler(Sampler):
         super().__init__(m, H, "monotone", seed)
 
     def _draw(self, n, rng):
-        V = 1.0 + (self.H - 1.0) * rng.random((n, self.m))
+        # in place, the same doubles as 1 + (H - 1) * r
+        V = rng.random((n, self.m))
+        V *= self.H - 1.0
+        V += 1.0
         V.sort(axis=1)
         return V
 

@@ -50,7 +50,7 @@ try:  # private scipy API, absent from some releases that pyproject allows
 except ImportError:
     _highs = None
 
-from .core import TIE_TOL, Menu
+from .core import TIE_TOL, Menu, ValidationError
 from .distributions import ExplicitDistribution
 
 # IC rows per type in the first relaxation: those against its nearest types
@@ -66,6 +66,8 @@ PURGE_ROUNDS = 2
 DEDUP_TOL = 1e-7
 # candidate menus scored per block in brute_force_optimal
 _GRID_CHUNK = 200_000
+# the smallest primal and dual feasibility tolerance HiGHS accepts
+_HIGHS_MIN_FEAS = 1e-10
 
 
 class LPError(RuntimeError):
@@ -367,10 +369,15 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     that handle, each round re-solves the current rows with ``linprog``.
     Unboundedness cannot occur with the payment bounds in place but is
     still mapped to :class:`LPUnboundedError`; any other non-optimal
-    status raises :class:`LPError`.
+    status raises :class:`LPError`.  A ``tol`` that is NaN, infinite or
+    under 1e-8, where ``feas`` would fall below ``_HIGHS_MIN_FEAS``, the
+    least HiGHS accepts, raises :class:`ValidationError` before anything
+    is solved.
     """
     n_ic = lp.num_ic_rows
     feas = min(tol * 1e-2, 1e-9)
+    if not (math.isfinite(tol) and feas >= _HIGHS_MIN_FEAS):
+        raise ValidationError(f"tol={tol!r} must be a finite number of at least {_HIGHS_MIN_FEAS * 1e2:g}")
     n_fixed = lp.b_fixed.size                   # IR and mass rows, first and never deleted
     model = np.unique(_neighbour_ic_rows(lp))   # IC row id at each model position after them
     relaxation = (_WarmHighs if _highs is not None else _ColdLinprog)(

@@ -295,3 +295,27 @@ def test_solver_failure_exits_5(tmp_path, monkeypatch, capsys):
     out = tmp_path / "m.json"
     assert cli.main(["solve-lp", "--dist", inputs["{dist.json}"], "--out", str(out)]) == cli.EXIT_SOLVER == 5
     assert "status=stub" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, lottery",
+    [
+        ("multiplicative", "nan,0.5"),
+        ("additive", "inf,0"),
+        ("multiplicative", "-0.5,0.5"),
+        ("multiplicative", "0.9,0.9"),
+        ("monotone_tail", "0.7,0.7"),
+    ],
+)
+def test_cover_round_of_a_non_lottery_exits_3(tmp_path, capsys, kind, lottery):
+    out = tmp_path / "y.json"
+    argv = ["cover", "round", "--kind", kind, "--epsilon", "0.1", "--m", "2", "--H", "4",
+            f"--lottery={lottery}", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION == 3
+    assert "lottery" in capsys.readouterr().err and not out.exists()
+
+
+def test_cover_round_accepts_a_lottery_within_the_mass_slack(capsys):
+    argv = ["cover", "round", "--kind", "additive", "--epsilon", "0.1", "--m", "2", "--lottery=0.5,0.5000000001"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.count(",") == 1

@@ -1,11 +1,13 @@
 """Samplers and parametric families: determinism, laws, class invariants."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import menuforge as mf
+from menuforge import core
 from menuforge.distributions import _draw_scales, _uniform_k_sets
 
 
@@ -275,3 +277,108 @@ def test_distribution_json_numbers_must_be_finite_numbers(spec, path):
     for bad in (True, "2.5", float("nan"), float("inf")):
         with pytest.raises(mf.ValidationError, match="not a number|non-finite"):
             mf.distribution_from_json(_replaced(spec, path, bad))
+
+
+def _whole_batch_overfit(rng, n, m, delta):
+    u = rng.random((n, m))
+    V = np.zeros((n, m))
+    V[u < delta / m + delta] = 1.0
+    V[u < delta / m] = 2.0
+    return V
+
+
+def _whole_batch_k_sets(rng, n, m, k):
+    return np.sort(rng.random((n, m)).argsort(axis=1)[:, :k], axis=1)
+
+
+def _whole_batch_spread(rng, n, params):
+    z = _draw_scales(rng, params.levels, n)
+    sets = _whole_batch_k_sets(rng, n, params.m, params.k)
+    V = np.ones((n, params.m))
+    V[np.arange(n)[:, None], sets] = 2.0 ** z[:, None]
+    return V, sets, z
+
+
+def _whole_batch_monotone(rng, n, m, H):
+    V = 1.0 + (H - 1.0) * rng.random((n, m))
+    V.sort(axis=1)
+    return V
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_blocked_draws_match_the_whole_batch_formulas(monkeypatch):
+    # small blocks put several block ends inside each batch; where a block ends
+    # does not depend on its size
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 2**10)
+    overfit = mf.OverfitProductParams(64, 0.1)
+    spread = mf.EqualRevenueSpreadParams(30, 8.0)
+    for m in (64, 30, 5):
+        block = core._BLOCK_CELLS // m
+        for n in (1, block - 1, block, block + 1, 2 * block + 3):
+            if m == 64:
+                got = mf.OverfitProductSampler(overfit, 0).draw(n, np.random.default_rng(n))
+                _same_bytes(got, _whole_batch_overfit(np.random.default_rng(n), n, 64, 0.1))
+            if m == 30:
+                got = mf.EqualRevenueSpreadSampler(spread, 0).draw_with_meta(n, np.random.default_rng(n))
+                for a, b in zip(got, _whole_batch_spread(np.random.default_rng(n), n, spread)):
+                    _same_bytes(a, b)
+                for k in (1, 10, 30):
+                    got = _uniform_k_sets(np.random.default_rng(n), n, 30, k)
+                    _same_bytes(got, _whole_batch_k_sets(np.random.default_rng(n), n, 30, k))
+            if m == 5:
+                got = mf.MonotoneUniformSampler(5, 8.0, 0).draw(n, np.random.default_rng(n))
+                _same_bytes(got, _whole_batch_monotone(np.random.default_rng(n), n, 5, 8.0))
+
+
+def test_sparse_subsample_does_not_depend_on_the_block_size(monkeypatch):
+    params = mf.EqualRevenueSpreadParams(30, 8.0)
+    want = mf.sparse_subsample(params, 20, seed=3)
+    # one row per block: every candidate block of up to 64 sets is split
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
+    got = mf.sparse_subsample(params, 20, seed=3)
+    _same_bytes(got.values, want.values)
+    _same_bytes(got.meta["sets"], want.meta["sets"])
+    _same_bytes(got.meta["z"], want.meta["z"])
+
+
+def _peak_bytes(draw):
+    tracemalloc.start()
+    try:
+        out = draw()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def test_sampler_draws_hold_their_output_plus_one_block():
+    n = 100_000
+    cases = [
+        lambda: mf.OverfitProductSampler(mf.OverfitProductParams(64, 0.1), 0).draw(n),
+        lambda: mf.EqualRevenueSpreadSampler(mf.EqualRevenueSpreadParams(30, 8.0), 0).draw_with_meta(n),
+        lambda: mf.MonotoneUniformSampler(5, 8.0, 0).draw(n),
+    ]
+    for draw in cases:
+        peak, out = _peak_bytes(draw)
+        # the draws are 51 MB, 33 MB (values, sets and scales) and 4 MB; one block is 1 MB
+        out_bytes = sum(a.nbytes for a in out) if isinstance(out, tuple) else out.nbytes
+        assert peak < 1.25 * out_bytes
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.bool_(True), "3", 0, -1])
+def test_draw_counts_must_be_integral(n):
+    sampler = mf.MonotoneUniformSampler(3, 4.0, 0)
+    with pytest.raises(mf.ValidationError):
+        sampler.draw(n)
+    with pytest.raises(mf.ValidationError):
+        mf.estimate_revenue(mf.uniform_price_menu(3, 2.0), sampler, n, 0)
+
+
+def test_integral_draw_counts_of_other_types_are_read_exactly():
+    sampler = mf.MonotoneUniformSampler(3, 4.0, 0)
+    want = sampler.draw(3, np.random.default_rng(1))
+    for n in (np.int64(3), 3.0, np.float64(3.0)):
+        _same_bytes(sampler.draw(n, np.random.default_rng(1)), want)

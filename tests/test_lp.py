@@ -3,6 +3,9 @@ grid-search oracle."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -364,3 +367,31 @@ def test_dump_lp_shape():
     # 2 IC + 2 IR + 2 mass rows, plus objective and bounds lines
     assert len(lines) == 1 + 6 + 1
     assert lines[-1].startswith("bounds ")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-12, 1e-9, float("inf")])
+def test_solve_lp_rejects_a_tolerance_highs_cannot_take(tol):
+    lp = mf.build_lp(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(mf.ValidationError, match="tol"):
+        mf.solve_lp(lp, tol=tol)
+
+
+def test_solve_lp_accepts_the_smallest_tolerance_highs_takes():
+    lp = mf.build_lp(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]))
+    assert mf.solve_lp(lp, tol=1e-8).objective == pytest.approx(mf.solve_lp(lp).objective, abs=1e-9)
+
+
+def test_solve_lp_cli_with_a_bad_tolerance_exits_3(tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(mf.distribution_to_json(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]))))
+    out = tmp_path / "menu.json"
+    argv = ["solve-lp", "--dist", str(dist), "--out", str(out), "--tol"]
+    for tol in ("0", "-1", "1e-12"):
+        assert cli.main(argv + [tol]) == cli.EXIT_VALIDATION == 3
+        assert "tol" in capsys.readouterr().err and not out.exists()
+    # NaN in a child process: a NaN tolerance that reached HiGHS crashed the interpreter
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "menuforge.cli", *argv, "nan"], env=env, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert "tol" in proc.stderr and not out.exists()
