@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .core import (
     ValidationError,
-    check_lotteries,
     expected_revenue,
     json_field,
     json_float,
@@ -70,11 +69,21 @@ def _fmt(x) -> str:
 
 
 def thread_budget() -> int:
-    """Worker cap for per-seed fan-out, from MENUFORGE_THREADS (default 1)."""
+    """Worker cap for the per-seed fan-out, from MENUFORGE_THREADS (default 1).
+
+    The variable caps only how many seeds run at once; the choice kernel
+    scores its row blocks on every CPU in the process's affinity mask
+    (``taskset`` limits them).  A value that is not an integer of at least
+    1 raises :class:`ValidationError`.
+    """
+    raw = os.environ.get("MENUFORGE_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MENUFORGE_THREADS", "1")))
+        budget = int(raw)
     except ValueError:
-        return 1
+        budget = 0
+    if budget < 1:
+        raise ValidationError(f"MENUFORGE_THREADS must be an integer of at least 1, not {raw!r}")
+    return budget
 
 
 def _map_seeds(fn, seeds):
@@ -189,7 +198,6 @@ def _cmd_cover_round(args) -> int:
     spec = _cover_spec(args)
     if x.size != spec.m:
         raise ValidationError(f"lottery has {x.size} coordinates, spec says m={spec.m}")
-    check_lotteries(x)
     y = round_lottery(x, spec)
     if args.out:
         _write_json(args.out, {"lottery": [float(v) for v in y]})

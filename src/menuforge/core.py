@@ -22,8 +22,12 @@ Conventions used throughout the package:
   buyers in blocks, entry-major: a block's utilities are the (K, rows)
   matrix ``L @ V_block.T - P``, and the first candidate in price order
   is the one with the largest rank weight, so every reduction runs
-  across buyers.  Its working memory is O(block * K), whatever the
-  number of buyers;
+  across buyers.  The blocks are scored by up to one worker per CPU in
+  the process's affinity mask (``taskset`` limits them): the calling
+  thread and a process-wide thread pool made on first use.  Every
+  worker writes into buffers the calling thread allocated, so the
+  working memory is O(workers * block * K), whatever the number of
+  buyers, and the output is the same for every worker count;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 
@@ -31,6 +35,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -253,6 +261,77 @@ def load_menu(path) -> Menu:
         return Menu.from_json_dict(json.load(fh))
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None  # the kernel's helper threads, made on first use
+_pool_lock = threading.Lock()
+
+
+def _kernel_pool() -> ThreadPoolExecutor:
+    """The process-wide pool: one thread fewer than :func:`_cpus`, since the
+    calling thread scores a share of the blocks itself."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cpus() - 1, thread_name_prefix="menuforge-kernel")
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a forked child has none of its parent's threads, and the lock may have
+    # been held by one of them; the child makes a pool and a lock of its own
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _block_buffers(K: int, rows: int, wtype) -> tuple:
+    """One worker's scratch for a block of up to ``rows`` rows: the utility,
+    mask and rank-weight matrices (flat, so any row count reshapes them
+    contiguously) and the per-row best utility and top weight."""
+    return (
+        np.empty(K * rows),
+        np.empty(K * rows, dtype=bool),
+        np.empty(K * rows, dtype=wtype),
+        np.empty(rows),
+        np.empty(rows, dtype=wtype),
+    )
+
+
+def _score_blocks(blocks, L, P, w, pick, V, idx, rows, buffers) -> None:
+    """Score the blocks this worker claims from ``blocks`` into ``idx``.
+
+    Runs on the calling thread and on pool threads, so it calls NumPy
+    only, and writes only into its own ``buffers`` and the claimed slices
+    of ``idx``.  ``next`` on the
+    shared range iterator is one call into C, so under the interpreter lock
+    no two workers claim the same block.
+    """
+    U_flat, mask_flat, weight_flat, best_buf, top_buf = buffers
+    K = L.shape[0]
+    for s in blocks:
+        Vb = V[s : s + rows]
+        r = Vb.shape[0]
+        U = np.matmul(L, Vb.T, out=U_flat[: K * r].reshape(K, r))
+        U -= P
+        best = U.max(axis=0, out=best_buf[:r])
+        np.maximum(best, 0.0, out=best)
+        best -= TIE_TOL
+        mask = np.greater_equal(U, best, out=mask_flat[: K * r].reshape(K, r))
+        weight = np.multiply(mask, w, out=weight_flat[: K * r].reshape(K, r))
+        np.take(pick, weight.max(axis=0, out=top_buf[:r]), out=idx[s : s + r], mode="clip")
+
+
 def _choose(menu: Menu, V) -> np.ndarray:
     """The one choice kernel: chosen entry index per valuation row, -1 for the zero entry.
 
@@ -268,8 +347,18 @@ def _choose(menu: Menu, V) -> np.ndarray:
     candidate, names the zero entry.  Prices are never negative, so an
     explicit candidate always wins the price tie-break against the zero
     entry.  A block holds ``max(1, _BLOCK_CELLS // K)`` rows and reads
-    them in place, so the working memory is O(block * K), independent of
-    the number of rows n.
+    them in place.
+
+    Up to one worker per CPU in the process's affinity mask scores the
+    blocks: the calling thread and the threads of a process-wide pool,
+    each claiming its next block from one shared iterator.  Every
+    worker's buffers are allocated here, in the calling thread, before
+    any block is scored, and the workers write into them and into
+    disjoint slices of the result, so the working memory is
+    O(workers * block * K), independent of the number of rows n.  Block
+    boundaries and each block's arithmetic do not depend on the worker
+    count, so neither does the result.  A call with one block, or on one
+    CPU, runs in the calling thread alone.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     n, K, m = V.shape[0], menu.size, menu.m
@@ -282,12 +371,19 @@ def _choose(menu: Menu, V) -> np.ndarray:
     L, P = menu.lotteries[order], menu.prices[order, None]
     w = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None]
     pick = np.concatenate(([-1], order[::-1]))  # pick[K - j] = order[j]
-    rows = max(1, _BLOCK_CELLS // K)
-    for s in range(0, n, rows):
-        U = L @ V[s : s + rows].T
-        U -= P
-        best = np.maximum(U.max(axis=0), 0.0) - TIE_TOL
-        idx[s : s + rows] = pick[((U >= best) * w).max(axis=0)]
+    rows = max(1, min(n, _BLOCK_CELLS // K))  # fewer rows than a block make one block
+    blocks = range(0, n, rows)
+    workers = max(1, min(len(blocks), _cpus()))
+    buffers = [_block_buffers(K, rows, w.dtype) for _ in range(workers)]
+    score = partial(_score_blocks, iter(blocks), L, P, w, pick, V, idx, rows)
+    helpers = [_kernel_pool().submit(score, b) for b in buffers[1:]]
+    try:
+        score(buffers[0])
+    finally:
+        for f in helpers:
+            # a helper that never started has nothing left to claim
+            if not f.cancel():
+                f.result()
     return idx
 
 

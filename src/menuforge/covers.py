@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, from_tail_form, to_tail_form
+from .core import ValidationError, check_lotteries, from_tail_form, to_tail_form
 
 COVER_KINDS = ("additive", "multiplicative", "monotone_tail")
 
@@ -122,7 +122,12 @@ def monotone_tail_round(x, spec: CoverSpec) -> np.ndarray:
 
 
 def round_lottery(x, spec: CoverSpec) -> np.ndarray:
-    """Dispatch to the spec's rounding map."""
+    """Dispatch to the spec's rounding map.
+
+    Raises :class:`ValidationError` unless ``x`` holds lotteries, as
+    :func:`check_lotteries` defines them.
+    """
+    check_lotteries(x)
     if spec.kind == "additive":
         return additive_round(x, spec)
     if spec.kind == "multiplicative":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Menu, ValidationError
+from .core import Menu, ValidationError, check_lotteries
 from .covers import CoverSpec, round_lottery
 
 
@@ -109,10 +109,13 @@ def guarantee_bound(params: RoundingParams) -> tuple[float, float]:
 def round_menu(menu: Menu, params: RoundingParams) -> Menu:
     """Map a menu into the cover-restricted family, entry by entry.
 
-    Requires every price in (0, H].  Entries whose adjusted price is not
-    positive are dropped (the implicit zero entry replaces them); all
-    surviving lotteries are level-scaled cover points.
+    Requires every price in (0, H] and every lottery to pass
+    :func:`check_lotteries`; the check runs here, before scaling, because
+    shrinking can bring a mass above 1 under the limit.  Entries whose
+    adjusted price is not positive are dropped (the implicit zero entry
+    replaces them); all surviving lotteries are level-scaled cover points.
     """
+    check_lotteries(menu.lotteries)
     if params.epsilon == 0.0:
         return menu
     eps = params.epsilon

@@ -72,6 +72,32 @@ def test_lowerbound_thread_fanout_writes_the_same_bytes(tmp_path, monkeypatch):
     assert rc == cli.EXIT_OK and two.read_bytes() == one.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "overfit", "--no-lp", "--seeds", "0:4"],
+    ["experiment", "baseline", "--dist", "{mono.json}", "--n", "100000", "--seeds", "0:3"],
+])
+def test_seed_threads_share_the_kernel_pool_and_write_the_same_bytes(tmp_path, monkeypatch, argv):
+    # every seed thread scores its multi-block batches on the kernel's pool as well
+    mono = tmp_path / "mono.json"
+    mono.write_text(json.dumps({"type": "monotone_uniform", "params": {"m": 5, "H": 8.0}}))
+    argv = [str(mono) if tok == "{mono.json}" else tok for tok in argv]
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MENUFORGE_THREADS", threads)
+        out = tmp_path / f"{threads}.csv"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        written.append(out.read_bytes())
+    assert written[1] == written[0]
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+def test_malformed_thread_budget_exits_3_naming_the_variable(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("MENUFORGE_THREADS", value)
+    rc, out = _lowerbound(tmp_path, "lb.csv", "--seeds", "0:2")
+    assert rc == cli.EXIT_VALIDATION == 3
+    assert "MENUFORGE_THREADS" in capsys.readouterr().err and not out.exists()
+
+
 def test_lowerbound_without_enough_sparse_sets_exits_6(tmp_path, capsys):
     # at m=6 at most 3 pairwise-disjoint 2-sets exist
     rc, out = _lowerbound(tmp_path, "lb.csv", "--m", "6", "--K", "4", "--seeds", "0:1")

@@ -1,6 +1,7 @@
 """Menus, choice, revenue, tail forms: examples and invariants."""
 
 import json
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -422,3 +423,101 @@ def test_choice_kernel_memory_is_independent_of_buyers():
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8 / 10
+
+
+@pytest.fixture
+def kernel_cpus(monkeypatch):
+    """``force(count)`` makes the kernel see ``count`` CPUs, whatever the host
+    has, and build a pool of that size on first use; pools built under a
+    forced count are shut down when the test ends."""
+    outer = core._pool
+
+    def drop_forced():
+        if core._pool is not None and core._pool is not outer:
+            core._pool.shutdown()
+
+    def force(count):
+        drop_forced()
+        monkeypatch.setattr(core, "_cpus", lambda: count)
+        monkeypatch.setattr(core, "_pool", None)
+
+    yield force
+    drop_forced()
+
+
+@pytest.mark.parametrize("k", [255, 256])
+def test_choice_kernel_output_does_not_depend_on_the_worker_count(k, kernel_cpus, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 2**13)
+    rng = np.random.default_rng(31)
+    menu, top = _shape_case(f"K{k}_m3", rng)
+    block = max(1, core._BLOCK_CELLS // menu.size)
+    V = rng.integers(0, top + 1, size=(40 * block, menu.m)).astype(float)
+    V[::7] = 0.0
+    V[1::11, 0] = 64.0
+    rows, inverse = np.unique(V, axis=0, return_inverse=True)
+    want = np.array([_loop_choice(menu, v) for v in rows], dtype=int)[inverse.ravel()]
+    # 3 blocks split unevenly between 2 workers and 4 blocks among 3; 40 blocks keep every worker busy
+    sizes = (0, 1, block - 1, block, block + 1, 2 * block + 3, 3 * block + 1, len(V))
+    outputs = {}
+    for workers in (1, 2, 3):
+        kernel_cpus(workers)
+        outputs[workers] = [(mf.choose_batch(menu, V[:n]).tobytes(), mf.revenue_batch(menu, V[:n]).tobytes())
+                            for n in sizes]
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    for n, (idx, pay) in zip(sizes, outputs[1]):
+        assert idx == want[:n].tobytes()
+        assert pay == np.append(menu.prices, 0.0)[want[:n]].tobytes()
+
+
+def test_choice_kernel_memory_is_one_set_of_block_buffers_per_worker(kernel_cpus):
+    rng = np.random.default_rng(3)
+    n, k, m = 50_000, 200, 5
+    menu = mf.Menu(rng.dirichlet(np.ones(m), size=k) * 0.9, rng.random(k) * 4)
+    V = rng.random((n, m)) * 4
+    kernel_cpus(2)
+    mf.choose_batch(menu, V[:10_000])  # the pool and its thread exist before tracing starts
+    tracemalloc.start()
+    try:
+        mf.choose_batch(menu, V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = core._BLOCK_CELLS // k
+    # per worker: float64 utilities, a bool mask and uint8 rank weights per cell,
+    # plus a float64 best utility and a uint8 top weight per row
+    buffers = k * rows * (8 + 1 + 1) + rows * (8 + 1)
+    # the slack covers the menu's sorted copy and NumPy's iterator buffers
+    # (64 KB each) for the broadcasting ufunc each worker runs
+    assert peak < n * 8 + 2 * buffers + 256 * 1024
+
+
+def _score_in_child(conn, menu, V):
+    dropped = core._pool is None
+    conn.send((dropped, mf.choose_batch(menu, V), core._pool is not None))
+    conn.close()
+
+
+def test_choice_kernel_runs_in_a_child_forked_after_the_pool_was_used(kernel_cpus):
+    rng = np.random.default_rng(5)
+    menu = _dyadic_menu(rng, 200, 3, np.arange(1, 25) / 8.0)
+    V = rng.integers(0, 5, size=(10 * (core._BLOCK_CELLS // 200), 3)).astype(float)
+    kernel_cpus(2)
+    want = mf.choose_batch(menu, V)
+    assert core._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_score_in_child, args=(send, menu, V))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child did not return its choices"
+        dropped, got, pooled = recv.recv()
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    # the child started without its parent's pool, made its own and got the parent's answer
+    assert dropped and pooled
+    assert got.tobytes() == want.tobytes()

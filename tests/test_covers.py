@@ -109,6 +109,13 @@ def test_dominance_exact():
     assert np.all(mf.to_tail_form(y) <= mf.to_tail_form(x) + 1e-15)
 
 
+@pytest.mark.parametrize("kind", ["additive", "multiplicative", "monotone_tail"])
+@pytest.mark.parametrize("x", [[np.nan, 0.5], [-0.5, 0.5], [0.9, 0.9]])
+def test_round_lottery_rejects_a_non_lottery(kind, x):
+    with pytest.raises(mf.ValidationError, match="lottery"):
+        mf.round_lottery(np.array(x), CoverSpec(kind, 0.1, 2, 4.0))
+
+
 def test_rounded_outputs_are_valid_lotteries():
     rng = np.random.default_rng(4)
     for kind in ("additive", "multiplicative", "monotone_tail"):

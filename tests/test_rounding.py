@@ -87,6 +87,13 @@ def test_round_menu_requires_positive_prices_within_h():
         mf.round_menu(mf.Menu([[1.0]], [5.0]), rp)
 
 
+@pytest.mark.parametrize("lottery", [[0.9, 0.9], [np.nan, 0.5], [-0.1, 0.5]])
+def test_round_menu_rejects_a_non_lottery(lottery):
+    # [0.9, 0.9] shrinks to mass 1.06 before the cover sees it, so round_menu checks first
+    with pytest.raises(mf.ValidationError, match="lottery"):
+        mf.round_menu(mf.Menu([lottery], [1.0]), RoundingParams(epsilon=0.1, H=4.0))
+
+
 def test_round_menu_proof_bound_fuzz():
     # q' >= (1-delta)(1-eps)^K p - (2K+1) eps per (menu, valuation) pair
     eps, delta, H = 0.04, 0.2, 16.0
