@@ -72,8 +72,9 @@ def thread_budget() -> int:
     """Worker cap for the per-seed fan-out, from MENUFORGE_THREADS (default 1).
 
     The variable caps only how many seeds run at once; the choice kernel
-    scores its row blocks on every CPU in the process's affinity mask
-    (``taskset`` limits them).  A value that is not an integer of at least
+    scores its row blocks on two threads where BLAS runs one thread per
+    call and the process's affinity mask holds more than one CPU (see
+    :mod:`menuforge.core`).  A value that is not an integer of at least
     1 raises :class:`ValidationError`.
     """
     raw = os.environ.get("MENUFORGE_THREADS", "1")

@@ -22,12 +22,14 @@ Conventions used throughout the package:
   buyers in blocks, entry-major: a block's utilities are the (K, rows)
   matrix ``L @ V_block.T - P``, and the first candidate in price order
   is the one with the largest rank weight, so every reduction runs
-  across buyers.  The blocks are scored by up to one worker per CPU in
-  the process's affinity mask (``taskset`` limits them): the calling
-  thread and a process-wide thread pool made on first use.  Every
-  worker writes into buffers the calling thread allocated, so the
-  working memory is O(workers * block * K), whatever the number of
-  buyers, and the output is the same for every worker count;
+  across buyers.  Where BLAS runs one thread per call
+  (``OPENBLAS_NUM_THREADS=1``) the blocks are scored by two workers, the
+  calling thread and the one thread of a process-wide pool made on first
+  use; otherwise, or when the process's affinity mask holds one CPU
+  (``taskset`` sets it), by the calling thread alone.  Every worker
+  writes into buffers the calling thread allocated, so the working
+  memory is O(workers * block * K), whatever the number of buyers or
+  of CPUs, and the output is the same for every worker count;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 
@@ -269,17 +271,40 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _blas_runs_one_thread() -> bool:
+    """Whether the environment pins OpenBLAS, the BLAS of NumPy's wheels, to
+    one thread per call: ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
+    is 1 (OpenBLAS's own order; unset, 0 or not a number passes to the next)."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
+# Workers per kernel call: the calling thread and one pool thread, the widest
+# count that has been timed; each worker holds its own block buffers.  Every
+# block's product ``L @ V_block.T`` is a BLAS call, and a multi-threaded BLAS
+# under two workers oversubscribes the CPUs (at OpenBLAS's default of one
+# thread per CPU, 2 vCPUs, K=1000: 85 ms a call inline, 130-147 ms on two
+# workers), so the pool is used only where BLAS runs one thread per call.
+# The variables are read once: OpenBLAS reads them when NumPy loads it.
+_MAX_WORKERS = 2 if _blas_runs_one_thread() else 1
+
 _pool: ThreadPoolExecutor | None = None  # the kernel's helper threads, made on first use
 _pool_lock = threading.Lock()
 
 
 def _kernel_pool() -> ThreadPoolExecutor:
-    """The process-wide pool: one thread fewer than :func:`_cpus`, since the
-    calling thread scores a share of the blocks itself."""
+    """The process-wide pool: ``_MAX_WORKERS - 1`` threads, since the calling
+    thread scores a share of the blocks itself."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cpus() - 1, thread_name_prefix="menuforge-kernel")
+            _pool = ThreadPoolExecutor(max_workers=_MAX_WORKERS - 1, thread_name_prefix="menuforge-kernel")
         return _pool
 
 
@@ -349,16 +374,17 @@ def _choose(menu: Menu, V) -> np.ndarray:
     entry.  A block holds ``max(1, _BLOCK_CELLS // K)`` rows and reads
     them in place.
 
-    Up to one worker per CPU in the process's affinity mask scores the
-    blocks: the calling thread and the threads of a process-wide pool,
-    each claiming its next block from one shared iterator.  Every
-    worker's buffers are allocated here, in the calling thread, before
-    any block is scored, and the workers write into them and into
-    disjoint slices of the result, so the working memory is
-    O(workers * block * K), independent of the number of rows n.  Block
-    boundaries and each block's arithmetic do not depend on the worker
-    count, so neither does the result.  A call with one block, or on one
-    CPU, runs in the calling thread alone.
+    At most ``_MAX_WORKERS`` workers score the blocks: the calling thread
+    and the threads of a process-wide pool of ``_MAX_WORKERS - 1``, each
+    claiming its next block from one shared iterator.  Every worker's
+    buffers are allocated here, in the calling thread, before any block
+    is scored, and the workers write into them and into disjoint slices
+    of the result, so the working memory is O(workers * block * K),
+    independent of the number of rows n and of the host's CPU count.
+    Block boundaries and each block's arithmetic do not depend on the
+    worker count, so neither does the result.  A call with one block, in
+    a process whose affinity mask holds one CPU, or where BLAS may run
+    several threads per call, runs in the calling thread alone.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     n, K, m = V.shape[0], menu.size, menu.m
@@ -373,7 +399,7 @@ def _choose(menu: Menu, V) -> np.ndarray:
     pick = np.concatenate(([-1], order[::-1]))  # pick[K - j] = order[j]
     rows = max(1, min(n, _BLOCK_CELLS // K))  # fewer rows than a block make one block
     blocks = range(0, n, rows)
-    workers = max(1, min(len(blocks), _cpus()))
+    workers = max(1, min(len(blocks), _cpus(), _MAX_WORKERS))
     buffers = [_block_buffers(K, rows, w.dtype) for _ in range(workers)]
     score = partial(_score_blocks, iter(blocks), L, P, w, pick, V, idx, rows)
     helpers = [_kernel_pool().submit(score, b) for b in buffers[1:]]

@@ -76,8 +76,9 @@ def test_lowerbound_thread_fanout_writes_the_same_bytes(tmp_path, monkeypatch):
     ["experiment", "overfit", "--no-lp", "--seeds", "0:4"],
     ["experiment", "baseline", "--dist", "{mono.json}", "--n", "100000", "--seeds", "0:3"],
 ])
-def test_seed_threads_share_the_kernel_pool_and_write_the_same_bytes(tmp_path, monkeypatch, argv):
+def test_seed_threads_share_the_kernel_pool_and_write_the_same_bytes(tmp_path, monkeypatch, kernel_workers, argv):
     # every seed thread scores its multi-block batches on the kernel's pool as well
+    kernel_workers(2)
     mono = tmp_path / "mono.json"
     mono.write_text(json.dumps({"type": "monotone_uniform", "params": {"m": 5, "H": 8.0}}))
     argv = [str(mono) if tok == "{mono.json}" else tok for tok in argv]

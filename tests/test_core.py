@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -425,28 +426,24 @@ def test_choice_kernel_memory_is_independent_of_buyers():
     assert peak < n * m * 8 / 10
 
 
-@pytest.fixture
-def kernel_cpus(monkeypatch):
-    """``force(count)`` makes the kernel see ``count`` CPUs, whatever the host
-    has, and build a pool of that size on first use; pools built under a
-    forced count are shut down when the test ends."""
-    outer = core._pool
-
-    def drop_forced():
-        if core._pool is not None and core._pool is not outer:
-            core._pool.shutdown()
-
-    def force(count):
-        drop_forced()
-        monkeypatch.setattr(core, "_cpus", lambda: count)
-        monkeypatch.setattr(core, "_pool", None)
-
-    yield force
-    drop_forced()
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "4"}, False),
+])
+def test_blas_counts_as_one_thread_in_openblas_order(monkeypatch, env, pinned):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert core._blas_runs_one_thread() is pinned
 
 
 @pytest.mark.parametrize("k", [255, 256])
-def test_choice_kernel_output_does_not_depend_on_the_worker_count(k, kernel_cpus, monkeypatch):
+def test_choice_kernel_output_does_not_depend_on_the_worker_count(k, kernel_workers, monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_CELLS", 2**13)
     rng = np.random.default_rng(31)
     menu, top = _shape_case(f"K{k}_m3", rng)
@@ -459,22 +456,29 @@ def test_choice_kernel_output_does_not_depend_on_the_worker_count(k, kernel_cpus
     # 3 blocks split unevenly between 2 workers and 4 blocks among 3; 40 blocks keep every worker busy
     sizes = (0, 1, block - 1, block, block + 1, 2 * block + 3, 3 * block + 1, len(V))
     outputs = {}
-    for workers in (1, 2, 3):
-        kernel_cpus(workers)
-        outputs[workers] = [(mf.choose_batch(menu, V[:n]).tobytes(), mf.revenue_batch(menu, V[:n]).tobytes())
-                            for n in sizes]
+    # a short switch interval makes the workers interleave their block claims often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            kernel_workers(workers)
+            outputs[workers] = [(mf.choose_batch(menu, V[:n]).tobytes(), mf.revenue_batch(menu, V[:n]).tobytes())
+                                for n in sizes]
+    finally:
+        sys.setswitchinterval(interval)
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
     for n, (idx, pay) in zip(sizes, outputs[1]):
         assert idx == want[:n].tobytes()
         assert pay == np.append(menu.prices, 0.0)[want[:n]].tobytes()
 
 
-def test_choice_kernel_memory_is_one_set_of_block_buffers_per_worker(kernel_cpus):
+def _kernel_peak_within_two_workers():
+    """Whether scoring 50k buyers at K=200 holds at most the output, two
+    workers' block buffers and a small slack (``tracemalloc`` peak)."""
     rng = np.random.default_rng(3)
     n, k, m = 50_000, 200, 5
     menu = mf.Menu(rng.dirichlet(np.ones(m), size=k) * 0.9, rng.random(k) * 4)
     V = rng.random((n, m)) * 4
-    kernel_cpus(2)
     mf.choose_batch(menu, V[:10_000])  # the pool and its thread exist before tracing starts
     tracemalloc.start()
     try:
@@ -488,7 +492,19 @@ def test_choice_kernel_memory_is_one_set_of_block_buffers_per_worker(kernel_cpus
     buffers = k * rows * (8 + 1 + 1) + rows * (8 + 1)
     # the slack covers the menu's sorted copy and NumPy's iterator buffers
     # (64 KB each) for the broadcasting ufunc each worker runs
-    assert peak < n * 8 + 2 * buffers + 256 * 1024
+    return peak < n * 8 + 2 * buffers + 256 * 1024
+
+
+def test_choice_kernel_memory_is_one_set_of_block_buffers_per_worker(kernel_workers):
+    kernel_workers(2)
+    assert _kernel_peak_within_two_workers()
+
+
+def test_choice_kernel_memory_does_not_grow_with_the_host_cpu_count(kernel_workers, monkeypatch):
+    # at the cap of two workers, a wide affinity mask still gets the calling thread and one pool thread
+    kernel_workers(2)
+    monkeypatch.setattr(core, "_cpus", lambda: 64)
+    assert _kernel_peak_within_two_workers()
 
 
 def _score_in_child(conn, menu, V):
@@ -497,11 +513,11 @@ def _score_in_child(conn, menu, V):
     conn.close()
 
 
-def test_choice_kernel_runs_in_a_child_forked_after_the_pool_was_used(kernel_cpus):
+def test_choice_kernel_runs_in_a_child_forked_after_the_pool_was_used(kernel_workers):
     rng = np.random.default_rng(5)
     menu = _dyadic_menu(rng, 200, 3, np.arange(1, 25) / 8.0)
     V = rng.integers(0, 5, size=(10 * (core._BLOCK_CELLS // 200), 3)).astype(float)
-    kernel_cpus(2)
+    kernel_workers(2)
     want = mf.choose_batch(menu, V)
     assert core._pool is not None
     ctx = multiprocessing.get_context("fork")
