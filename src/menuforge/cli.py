@@ -5,6 +5,10 @@ identical configuration produce byte-identical artifacts.  Numbers are
 written with 17 significant digits and '.' decimals regardless of locale.
 Experiment subcommands emit CSV with one row per seed; the run
 configuration is echoed into every CSV as leading comment lines.
+Experiments run their seeds in order, one after another.  Each row depends
+only on its seed and the configuration, so a long sweep can be split into
+processes over disjoint ``--seeds`` ranges whose data rows, concatenated,
+are the rows of the whole range.
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O, 5 solver failure,
 6 infeasible construction or exhausted combinatorial budget.
@@ -15,9 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -66,34 +68,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
-
-
-def thread_budget() -> int:
-    """Worker cap for the per-seed fan-out, from MENUFORGE_THREADS (default 1).
-
-    The variable caps only how many seeds run at once; the choice kernel
-    scores its row blocks on two threads where BLAS runs one thread per
-    call and the process's affinity mask holds more than one CPU (see
-    :mod:`menuforge.core`).  A value that is not an integer of at least
-    1 raises :class:`ValidationError`.
-    """
-    raw = os.environ.get("MENUFORGE_THREADS", "1")
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValidationError(f"MENUFORGE_THREADS must be an integer of at least 1, not {raw!r}")
-    return budget
-
-
-def _map_seeds(fn, seeds):
-    """Run fn over seeds, preserving order; parallel when allowed."""
-    workers = min(thread_budget(), len(seeds))
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, seeds))
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -251,13 +225,12 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_experiment_overfit(args) -> int:
-    seeds = _parse_seeds(args.seeds)
-
-    def run(seed: int):
+    rows = []
+    for seed in _parse_seeds(args.seeds):
         r = overfit_experiment(
             args.m, args.delta, args.sample_n, args.eval_n, seed, include_lp=not args.no_lp
         )
-        return [seed, r.naive_on_sample, r.naive_on_fresh, r.price1_on_fresh, r.lp_on_sample]
+        rows.append([seed, r.naive_on_sample, r.naive_on_fresh, r.price1_on_fresh, r.lp_on_sample])
 
     config = {
         "m": args.m,
@@ -267,26 +240,24 @@ def _cmd_experiment_overfit(args) -> int:
         "include_lp": not args.no_lp,
     }
     cols = ["seed", "naive_on_sample", "naive_on_fresh", "price1_on_fresh", "lp_on_sample"]
-    return _write_experiment(args, "overfit", config, cols, _map_seeds(run, seeds))
+    return _write_experiment(args, "overfit", config, cols, rows)
 
 
 def _cmd_experiment_lowerbound(args) -> int:
-    seeds = _parse_seeds(args.seeds)
-
-    def run(seed: int):
+    rows = []
+    for seed in _parse_seeds(args.seeds):
         r = lower_bound_experiment(args.m, args.H, args.K, seed)
-        return [seed, r.lb_menu_revenue, r.item_baseline_revenue, r.ratio]
+        rows.append([seed, r.lb_menu_revenue, r.item_baseline_revenue, r.ratio])
 
     config = {"m": args.m, "H": args.H, "K": args.K}
     cols = ["seed", "lb_menu_revenue", "item_baseline_revenue", "ratio"]
-    return _write_experiment(args, "lowerbound", config, cols, _map_seeds(run, seeds))
+    return _write_experiment(args, "lowerbound", config, cols, rows)
 
 
 def _cmd_experiment_baseline(args) -> int:
     source = load_distribution(args.dist)
-    seeds = _parse_seeds(args.seeds)
-
-    def run(seed: int):
+    rows = []
+    for seed in _parse_seeds(args.seeds):
         if isinstance(source, ExplicitDistribution):
             dist = source
         else:
@@ -296,11 +267,11 @@ def _cmd_experiment_baseline(args) -> int:
         _, rev = item_pricing_baseline(dist, H=H)
         emax = expected_max_value(dist)
         bound = emax / (2.0 * max(1, math.ceil(math.log2(max(H, 2.0)))))
-        return [seed, rev, emax, bound]
+        rows.append([seed, rev, emax, bound])
 
     config = {"dist": args.dist, "n": args.n}
     cols = ["seed", "baseline_revenue", "expected_max_value", "guarantee"]
-    return _write_experiment(args, "baseline", config, cols, _map_seeds(run, seeds))
+    return _write_experiment(args, "baseline", config, cols, rows)
 
 
 def _cmd_experiment_greedy(args) -> int:
@@ -323,7 +294,7 @@ def _cmd_experiment_greedy(args) -> int:
     if args.hitting_set:
         rows = [row(0, load_hitting_set(args.hitting_set, H=args.H))]
     else:
-        rows = _map_seeds(run, seeds)
+        rows = [run(seed) for seed in seeds]
     config = {"m": args.m, "n_sets": args.n_sets, "k": args.k, "H": args.H, "hitting_set": args.hitting_set or ""}
     cols = ["instance", "greedy_revenue", "oracle_revenue", "ratio"]
     return _write_experiment(args, "greedy-vs-opt", config, cols, rows)

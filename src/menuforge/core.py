@@ -431,12 +431,22 @@ def revenue_batch(menu: Menu, V) -> np.ndarray:
     return np.append(menu.prices, 0.0)[_choose(menu, V)]
 
 
+def weighted_sum(w, x) -> float:
+    """``sum(w * x)``, added up the same way whatever BLAS runs.
+
+    NumPy's pairwise sum of the products, not a BLAS dot product: OpenBLAS
+    splits a dot product of more than 10,000 elements across its threads,
+    and the split moves the last digits with the thread count.
+    """
+    return float(np.sum(np.multiply(w, x)))
+
+
 def expected_revenue(menu: Menu, dist) -> float:
     """Exact expected revenue over an explicit distribution."""
     w = np.asarray(dist.weights, dtype=float)
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValidationError(f"weights sum to {w.sum()}, expected 1")
-    return float(w @ revenue_batch(menu, dist.values))
+    return weighted_sum(w, revenue_batch(menu, dist.values))
 
 
 def estimate_revenue(menu: Menu, sampler, n: int, seed: int) -> tuple[float, float]:

@@ -152,7 +152,7 @@ def explicit_from_samples(samples, tag: str = "nonneg", H: float = float("inf"))
 
 def expected_max_value(dist: ExplicitDistribution) -> float:
     """E[max_i v_i], the single-item surplus upper bound on revenue."""
-    return float(dist.weights @ dist.values.max(axis=1))
+    return core.weighted_sum(dist.weights, dist.values.max(axis=1))
 
 
 def scalar_equal_revenue(H: float) -> ExplicitDistribution:

@@ -50,7 +50,7 @@ try:  # private scipy API, absent from some releases that pyproject allows
 except ImportError:
     _highs = None
 
-from .core import TIE_TOL, Menu, ValidationError
+from .core import TIE_TOL, Menu, ValidationError, weighted_sum
 from .distributions import ExplicitDistribution
 
 # IC rows per type in the first relaxation: those against its nearest types
@@ -231,21 +231,13 @@ class _WarmHighs:
         ):
             if self.highs.setOptionValue(name, value) == _highs.HighsStatus.kError:
                 raise _fail(lp, "option rejected", name)
-        model = _highs.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = lp.num_variables
-        model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
-        model.sense_ = _highs.ObjSense.kMaximize
-        model.col_cost_ = lp.objective
-        model.col_lower_ = lp.lower
-        model.col_upper_ = lp.upper
-        model.row_lower_ = np.full(A.shape[0], -np.inf)
-        model.row_upper_ = b
-        model.a_matrix_.format_ = _highs.MatrixFormat.kRowwise
-        model.a_matrix_.start_ = A.indptr
-        model.a_matrix_.index_ = A.indices
-        model.a_matrix_.value_ = A.data
-        if self.highs.passModel(model) == _highs.HighsStatus.kError:
-            raise _fail(lp, "model rejected", "passModel")
+        none = np.zeros(0, dtype=np.int32)
+        status = self.highs.addCols(lp.num_variables, lp.objective, lp.lower, lp.upper, 0, none, none, np.zeros(0))
+        if status == _highs.HighsStatus.kError:
+            raise _fail(lp, "columns rejected", "addCols")
+        if self.highs.changeObjectiveSense(_highs.ObjSense.kMaximize) == _highs.HighsStatus.kError:
+            raise _fail(lp, "sense rejected", "changeObjectiveSense")
+        self.add(A, b)  # the first rows go in as every later round's do
 
     def add(self, A: sp.csr_matrix, b: np.ndarray) -> None:
         status = self.highs.addRows(
@@ -413,7 +405,7 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     return LPSolution(
         lotteries=sol[:, : lp.m].copy(),
         payments=sol[:, lp.m].copy(),
-        objective=float(lp.objective @ x),
+        objective=weighted_sum(lp.objective, x),
         rounds=rounds,
         ic_rows_kept=int(model.size),
         ic_rows_purged=purged,

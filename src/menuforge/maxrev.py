@@ -131,9 +131,12 @@ def brute_force_k_menu(problem: KMenuProblem, budget: int = 1_000_000) -> tuple[
     w = problem.dist.weights
     n, m = S.shape
     k = min(problem.k, m)
-    if math.comb(m, k) > budget:
+    count = math.comb(m, k)
+    if count > budget:
         raise BudgetExceededError(f"C({m},{k}) exceeds budget {budget}")
-    combos = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), k)), dtype=np.intp, count=count * k
+    ).reshape(count, k)
     # hit fractions of all sets, scored in blocks of about 4 MB of (n, k) hits
     step = max(1, (1 << 22) // max(1, n * k))
     fracs = np.concatenate([

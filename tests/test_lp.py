@@ -235,27 +235,20 @@ def test_purge_keeps_rows_added_in_the_last_two_rounds():
 
 def test_highs_handle_methods_used_by_solve_lp():
     core = pytest.importorskip("scipy.optimize._highspy._core")
-    for name in ("passModel", "addRows", "deleteRows", "run", "getSolution", "setOptionValue",
-                 "getModelStatus", "modelStatusToString"):
+    for name in ("addCols", "changeObjectiveSense", "addRows", "deleteRows", "run", "getSolution",
+                 "setOptionValue", "getModelStatus", "modelStatusToString"):
         assert hasattr(core._Highs, name), name
     # max x + y  s.t.  x + 2y <= 4, 0 <= x, y <= 10; then add 3x + y <= 6,
     # then delete it again
     h = core._Highs()
     h.setOptionValue("output_flag", False)
-    model = core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = 2
-    model.num_row_ = model.a_matrix_.num_row_ = 1
-    model.sense_ = core.ObjSense.kMaximize
-    model.col_cost_ = np.array([1.0, 1.0])
-    model.col_lower_ = np.zeros(2)
-    model.col_upper_ = np.full(2, 10.0)
-    model.row_lower_ = np.array([-np.inf])
-    model.row_upper_ = np.array([4.0])
-    model.a_matrix_.format_ = core.MatrixFormat.kRowwise
-    model.a_matrix_.start_ = np.array([0, 2])
-    model.a_matrix_.index_ = np.array([0, 1])
-    model.a_matrix_.value_ = np.array([1.0, 2.0])
-    assert h.passModel(model) != core.HighsStatus.kError
+    none = np.zeros(0, dtype=np.int32)
+    status = h.addCols(2, np.array([1.0, 1.0]), np.zeros(2), np.full(2, 10.0), 0, none, none, np.zeros(0))
+    assert status != core.HighsStatus.kError
+    assert h.changeObjectiveSense(core.ObjSense.kMaximize) != core.HighsStatus.kError
+    status = h.addRows(1, np.array([-np.inf]), np.array([4.0]), 2,
+                       np.array([0], dtype=np.int32), np.array([0, 1], dtype=np.int32), np.array([1.0, 2.0]))
+    assert status != core.HighsStatus.kError
     h.run()
     assert h.getModelStatus() == core.HighsModelStatus.kOptimal
     assert np.allclose(h.getSolution().col_value, [4.0, 0.0])
