@@ -24,11 +24,8 @@ from .core import (
 from .covers import (
     CoverEnumeration,
     CoverSpec,
-    additive_round,
     enumerate_cover,
     grid_values,
-    monotone_tail_round,
-    multiplicative_round,
     paper_count_envelope,
     round_lottery,
 )

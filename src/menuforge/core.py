@@ -388,11 +388,11 @@ def _choose(menu: Menu, V) -> np.ndarray:
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     n, K, m = V.shape[0], menu.size, menu.m
+    if V.shape[1] != m:
+        raise DimensionMismatchError(f"valuations have m={V.shape[1]}, menu has m={m}")
     idx = np.full(n, -1, dtype=int)
     if K == 0:
         return idx
-    if V.shape[1] != m:
-        raise DimensionMismatchError(f"valuations have m={V.shape[1]}, menu has m={m}")
     order = np.argsort(-menu.prices, kind="stable")
     L, P = menu.lotteries[order], menu.prices[order, None]
     w = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None]

@@ -89,50 +89,42 @@ def _floor_to_powers(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
     return np.where(pos & (t <= tmax), val, 0.0)
 
 
-def additive_round(x, spec: CoverSpec) -> np.ndarray:
+def _additive_round(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
     """Coordinate-wise round-down to multiples of eps/m.
 
     Certified only for valuations in [0,1]^m: there each coordinate loses
     at most eps/m of value, hence |v.x - v.x'| <= eps in total.
     """
-    if spec.kind != "additive":
-        raise ValidationError("spec is not additive")
-    x = np.asarray(x, dtype=float)
     return _floor_to_multiples(x, spec.epsilon / spec.m)
 
 
-def multiplicative_round(x, spec: CoverSpec) -> np.ndarray:
+def _multiplicative_round(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
     """Coordinate-wise round-down into {0} union powers of (1-eps) >= eps/(Hm)."""
-    if spec.kind != "multiplicative":
-        raise ValidationError("spec is not multiplicative")
-    return _floor_to_powers(np.asarray(x, dtype=float), spec)
+    return _floor_to_powers(x, spec)
 
 
-def monotone_tail_round(x, spec: CoverSpec) -> np.ndarray:
+def _monotone_tail_round(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
     """Round the tail-probability form down into powers of (1-eps) >= eps/H.
 
     Round-down of a nonincreasing sequence into a fixed grid stays
     nonincreasing, so the reconstructed vector is a valid lottery.
     """
-    if spec.kind != "monotone_tail":
-        raise ValidationError("spec is not monotone_tail")
-    tails = to_tail_form(np.asarray(x, dtype=float))
-    rounded = _floor_to_powers(tails, spec)
-    return from_tail_form(rounded)
+    return from_tail_form(_floor_to_powers(to_tail_form(x), spec))
 
 
 def round_lottery(x, spec: CoverSpec) -> np.ndarray:
-    """Dispatch to the spec's rounding map.
+    """Round lotteries down into the spec's grid.
 
     Raises :class:`ValidationError` unless ``x`` holds lotteries, as
     :func:`check_lotteries` defines them.
     """
     check_lotteries(x)
+    x = np.asarray(x, dtype=float)
     if spec.kind == "additive":
-        return additive_round(x, spec)
+        return _additive_round(x, spec)
     if spec.kind == "multiplicative":
-        return multiplicative_round(x, spec)
-    return monotone_tail_round(x, spec)
+        return _multiplicative_round(x, spec)
+    return _monotone_tail_round(x, spec)
 
 
 def grid_values(spec: CoverSpec) -> np.ndarray:

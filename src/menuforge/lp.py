@@ -24,8 +24,7 @@ cost of each simplex iteration grows with the row count.  A deleted row
 goes back to the pool and can be separated again, so the certificate
 still covers every IC row.  The relaxation lives in one HiGHS model
 (scipy's bundled handle), so every round warm-starts from the previous
-basis; where that handle is missing the same loop re-solves the current
-rows with :func:`scipy.optimize.linprog`.
+basis.
 
 :func:`brute_force_optimal` is an independent grid-search oracle: it
 enumerates small menus whose entries come from finite price and lottery
@@ -43,12 +42,7 @@ from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
-
-try:  # private scipy API, absent from some releases that pyproject allows
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
+from scipy.optimize._highspy import _core as _highs  # private scipy API, shipped since 1.15
 
 from .core import TIE_TOL, Menu, ValidationError, weighted_sum
 from .distributions import ExplicitDistribution
@@ -263,38 +257,6 @@ class _WarmHighs:
         return np.array(self.highs.getSolution().col_value)
 
 
-class _ColdLinprog:
-    """The relaxation re-solved from scratch by linprog after every change."""
-
-    def __init__(self, lp: MenuLP, A: sp.csr_matrix, b: np.ndarray, feas: float):
-        self.lp, self.A, self.b = lp, A, b
-        self.options = {"primal_feasibility_tolerance": feas, "dual_feasibility_tolerance": feas}
-
-    def add(self, A: sp.csr_matrix, b: np.ndarray) -> None:
-        self.A = sp.vstack([self.A, A], format="csr")
-        self.b = np.concatenate([self.b, b])
-
-    def delete(self, positions: np.ndarray) -> None:
-        keep = np.ones(self.b.size, dtype=bool)
-        keep[positions] = False
-        self.A, self.b = self.A[keep], self.b[keep]
-
-    def solve(self) -> np.ndarray:
-        res = linprog(
-            -self.lp.objective,
-            A_ub=self.A,
-            b_ub=self.b,
-            bounds=np.column_stack([self.lp.lower, self.lp.upper]),
-            method="highs",
-            options=self.options,
-        )
-        if res.status == 3:
-            raise LPUnboundedError("LP reported unbounded despite payment bounds")
-        if res.status != 0 or res.x is None:
-            raise _fail(self.lp, res.status, res.message)
-        return res.x
-
-
 def _ic_row(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Row index of the IC row "type i does not prefer type j's pair"."""
     return i * (n - 1) + j - (j > i)
@@ -357,11 +319,10 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     checks it: the certificate is unchanged.
 
     The relaxation is one HiGHS model through scipy's bundled handle, so
-    each round warm-starts from the last basis; where scipy does not ship
-    that handle, each round re-solves the current rows with ``linprog``.
-    Unboundedness cannot occur with the payment bounds in place but is
-    still mapped to :class:`LPUnboundedError`; any other non-optimal
-    status raises :class:`LPError`.  A ``tol`` that is NaN, infinite or
+    each round warm-starts from the last basis.  Unboundedness cannot
+    occur with the payment bounds in place but is still mapped to
+    :class:`LPUnboundedError`; any other non-optimal status raises
+    :class:`LPError`.  A ``tol`` that is NaN, infinite or
     under 1e-8, where ``feas`` would fall below ``_HIGHS_MIN_FEAS``, the
     least HiGHS accepts, raises :class:`ValidationError` before anything
     is solved.
@@ -372,7 +333,7 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
         raise ValidationError(f"tol={tol!r} must be a finite number of at least {_HIGHS_MIN_FEAS * 1e2:g}")
     n_fixed = lp.b_fixed.size                   # IR and mass rows, first and never deleted
     model = np.unique(_neighbour_ic_rows(lp))   # IC row id at each model position after them
-    relaxation = (_WarmHighs if _highs is not None else _ColdLinprog)(
+    relaxation = _WarmHighs(
         lp, sp.vstack([lp.fixed, lp.ic_rows(model)], format="csr"),
         np.concatenate([lp.b_fixed, np.zeros(model.size)]), feas,
     )

@@ -38,6 +38,9 @@ def test_evaluate_menu_of_another_item_count_exits_3(tmp_path, capsys):
     _, _, argv = _evaluate_inputs(tmp_path, menu_m=3)
     assert cli.main(argv) == cli.EXIT_VALIDATION == 3
     assert "m=" in capsys.readouterr().err
+    mf.save_menu(mf.Menu.empty(3), tmp_path / "menu.json")  # no entries, still m=3
+    assert cli.main(argv) == cli.EXIT_VALIDATION == 3
+    assert "m=" in capsys.readouterr().err
 
 
 def test_evaluate_missing_menu_file_exits_4(tmp_path):

@@ -35,11 +35,11 @@ def test_utility_examples():
 
 
 def test_utility_dimension_mismatch():
-    menu = mf.Menu([[0.5, 0.5]], [1.0])
-    with pytest.raises(mf.DimensionMismatchError):
-        mf.choose_batch(menu, [[1.0, 2.0, 3.0]])
-    with pytest.raises(mf.DimensionMismatchError):
-        mf.revenue_batch(menu, [[1.0, 2.0, 3.0]])
+    for menu in (mf.Menu([[0.5, 0.5]], [1.0]), mf.Menu.empty(2)):
+        with pytest.raises(mf.DimensionMismatchError):
+            mf.choose_batch(menu, [[1.0, 2.0, 3.0]])
+        with pytest.raises(mf.DimensionMismatchError):
+            mf.revenue_batch(menu, [[1.0, 2.0, 3.0]])
 
 
 def test_choose_prefers_positive_utility():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import menuforge as mf
+from menuforge import covers
 from menuforge.covers import CoverSpec
 
 
@@ -23,8 +24,8 @@ def _random_lotteries(rng, n, m):
 def test_additive_round_examples():
     spec = CoverSpec("additive", 0.5, 2)
     on_grid = np.array([0.25, 0.5])
-    np.testing.assert_array_equal(mf.additive_round(on_grid, spec), on_grid)
-    np.testing.assert_allclose(mf.additive_round([0.3, 0.3], spec), [0.25, 0.25])
+    np.testing.assert_array_equal(mf.round_lottery(on_grid, spec), on_grid)
+    np.testing.assert_allclose(mf.round_lottery([0.3, 0.3], spec), [0.25, 0.25])
 
 
 def test_additive_guarantee_fuzz():
@@ -33,7 +34,7 @@ def test_additive_guarantee_fuzz():
         for m in (1, 2, 5):
             spec = CoverSpec("additive", eps, m)
             x = _random_lotteries(rng, 2000, m)
-            y = np.array([mf.additive_round(row, spec) for row in x])
+            y = np.array([mf.round_lottery(row, spec) for row in x])
             v = rng.random((2000, m))
             gaps = np.abs((v * x).sum(axis=1) - (v * y).sum(axis=1))
             assert gaps.max() <= eps + 1e-12
@@ -42,9 +43,9 @@ def test_additive_guarantee_fuzz():
 def test_multiplicative_round_examples():
     spec = CoverSpec("multiplicative", 0.2, 4, H=8.0)
     floor = 0.2 / (8.0 * 4)
-    assert mf.multiplicative_round(np.array([0.5 * floor, 0, 0, 0]), spec)[0] == 0.0
+    assert mf.round_lottery(np.array([0.5 * floor, 0, 0, 0]), spec)[0] == 0.0
     point = (1 - 0.2) ** 3
-    out = mf.multiplicative_round(np.array([point, 0, 0, 0]), spec)
+    out = mf.round_lottery(np.array([point, 0, 0, 0]), spec)
     assert out[0] == point  # closed round-down fixes grid points
 
 
@@ -116,6 +117,12 @@ def test_round_lottery_rejects_a_non_lottery(kind, x):
         mf.round_lottery(np.array(x), CoverSpec(kind, 0.1, 2, 4.0))
 
 
+def test_round_lottery_is_the_only_public_rounding_map():
+    # the per-kind maps skip check_lotteries, so none may be reachable
+    for name in ("additive_round", "multiplicative_round", "monotone_tail_round"):
+        assert not hasattr(mf, name) and not hasattr(covers, name), name
+
+
 def test_rounded_outputs_are_valid_lotteries():
     rng = np.random.default_rng(4)
     for kind in ("additive", "multiplicative", "monotone_tail"):
@@ -131,7 +138,7 @@ def test_multiplicative_cover_inequalities(eps, H):
     for m in (1, 3, 8):
         spec = CoverSpec("multiplicative", eps, m, H=H)
         x = _random_lotteries(rng, n, m)
-        y = mf.multiplicative_round(x, spec)
+        y = mf.round_lottery(x, spec)
         v = 1.0 + (H - 1.0) * rng.random((n, m))
         vx = (v * x).sum(axis=1)
         vy = (v * y).sum(axis=1)
@@ -147,7 +154,7 @@ def test_monotone_cover_inequalities(eps, H):
     for m in (1, 3, 8):
         spec = CoverSpec("monotone_tail", eps, m, H=H)
         x = _random_lotteries(rng, n, m)
-        y = np.array([mf.monotone_tail_round(row, spec) for row in x])
+        y = np.array([mf.round_lottery(row, spec) for row in x])
         v = np.sort(1.0 + (H - 1.0) * rng.random((n, m)), axis=1)
         vx = (v * x).sum(axis=1)
         vy = (v * y).sum(axis=1)
@@ -205,5 +212,5 @@ def test_grid_fixed_points_random(seed):
     t = rng.integers(0, 10, size=3).astype(float)
     x = (1 - eps) ** t
     x = x / max(1.0, x.sum())  # keep it a lottery; scaling may leave the grid
-    y = mf.multiplicative_round(x, spec)
-    np.testing.assert_array_equal(mf.multiplicative_round(y, spec), y)
+    y = mf.round_lottery(x, spec)
+    np.testing.assert_array_equal(mf.round_lottery(y, spec), y)
