@@ -22,14 +22,18 @@ Conventions used throughout the package:
   buyers in blocks, entry-major: a block's utilities are the (K, rows)
   matrix ``L @ V_block.T - P``, and the first candidate in price order
   is the one with the largest rank weight, so every reduction runs
-  across buyers.  Where BLAS runs one thread per call
-  (``OPENBLAS_NUM_THREADS=1``) the blocks are scored by two workers, the
-  calling thread and the one thread of a process-wide pool made on first
-  use; otherwise, or when the process's affinity mask holds one CPU
-  (``taskset`` sets it), by the calling thread alone.  Every worker
-  writes into buffers the calling thread allocated, so the working
-  memory is O(workers * block * K), whatever the number of buyers or
-  of CPUs, and the output is the same for every worker count;
+  across buyers.  A menu with more entries than items (K > m) folds its
+  prices into that product, ``[L | -P] @ [V_block | 1].T``, one BLAS
+  call per block instead of a product and a pass over all K * rows
+  utilities; the (rows, m+1) value block it copies the buyers into
+  costs fewer cells than that pass only when K > m.  Where BLAS runs one
+  thread per call (``OPENBLAS_NUM_THREADS=1``) the blocks are scored by
+  two workers, the calling thread and the one thread of a process-wide
+  pool made on first use; otherwise, or when the process's affinity
+  mask holds one CPU (``taskset`` sets it), by the calling thread alone.
+  Every worker writes into buffers the calling thread allocated, so the
+  working memory is O(workers * block * K), whatever the number of
+  buyers or of CPUs, and the output is the same for every worker count;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 
@@ -320,35 +324,47 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _block_buffers(K: int, rows: int, wtype) -> tuple:
+def _block_buffers(K: int, rows: int, wtype, m: int | None) -> tuple:
     """One worker's scratch for a block of up to ``rows`` rows: the utility,
     mask and rank-weight matrices (flat, so any row count reshapes them
-    contiguously) and the per-row best utility and top weight."""
+    contiguously), the per-row best utility and top weight, and, when the
+    prices are folded into the product (``m`` given), the (rows, m+1) value
+    block whose last column is ones and whose first m the worker overwrites
+    with each block's values; else ``None``."""
     return (
         np.empty(K * rows),
         np.empty(K * rows, dtype=bool),
         np.empty(K * rows, dtype=wtype),
         np.empty(rows),
         np.empty(rows, dtype=wtype),
+        None if m is None else np.ones((rows, m + 1)),
     )
 
 
 def _score_blocks(blocks, L, P, w, pick, V, idx, rows, buffers) -> None:
     """Score the blocks this worker claims from ``blocks`` into ``idx``.
 
-    Runs on the calling thread and on pool threads, so it calls NumPy
-    only, and writes only into its own ``buffers`` and the claimed slices
-    of ``idx``.  ``next`` on the
-    shared range iterator is one call into C, so under the interpreter lock
-    no two workers claim the same block.
+    ``L`` is the sorted (K, m) lottery matrix with the (K, 1) prices ``P``,
+    or, where the worker has a value block, the folded (K, m+1) matrix
+    ``[L | -P]`` with ``P`` None.  Runs on the calling thread and on pool
+    threads, so it calls NumPy only, and writes only into its own
+    ``buffers`` and the claimed slices of ``idx``.  ``next`` on the shared
+    range iterator is one call into C, so under the interpreter lock no two
+    workers claim the same block.
     """
-    U_flat, mask_flat, weight_flat, best_buf, top_buf = buffers
+    U_flat, mask_flat, weight_flat, best_buf, top_buf, X = buffers
     K = L.shape[0]
     for s in blocks:
         Vb = V[s : s + rows]
         r = Vb.shape[0]
-        U = np.matmul(L, Vb.T, out=U_flat[: K * r].reshape(K, r))
-        U -= P
+        U = U_flat[: K * r].reshape(K, r)
+        if X is None:
+            np.matmul(L, Vb.T, out=U)
+            U -= P
+        else:
+            Xb = X[:r]
+            Xb[:, :-1] = Vb
+            np.matmul(L, Xb.T, out=U)
         best = U.max(axis=0, out=best_buf[:r])
         np.maximum(best, 0.0, out=best)
         best -= TIE_TOL
@@ -366,13 +382,24 @@ def _choose(menu: Menu, V) -> np.ndarray:
     in sorted order has the highest price and, among equal prices, the
     earliest index.  Rows are scored in blocks, entry-major: a block's
     utilities are the (K, rows) matrix ``L @ V[block].T - P``, so every
-    reduction runs across buyers.  The sorted entries carry the rank
-    weights K, K-1, ..., 1, and each buyer's largest weight among its
-    candidates names the first candidate; weight 0, no explicit
-    candidate, names the zero entry.  Prices are never negative, so an
-    explicit candidate always wins the price tie-break against the zero
-    entry.  A block holds ``max(1, _BLOCK_CELLS // K)`` rows and reads
-    them in place.
+    reduction runs across buyers.  When the menu has more entries than
+    items (K > m) the prices are folded into the product: the (K, m+1)
+    matrix ``[L | -P]`` is built once, each worker copies a block's values
+    into a (rows, m+1) value block whose last column is ones, and one
+    product of the two is the block's utilities net of price.  The copy
+    writes (m+1) cells per row where the subtraction it replaces writes K,
+    so for K <= m the block is read in place and ``P`` subtracted after
+    the product.  The folded product adds ``-p`` as its last term, inside
+    BLAS, so a utility may round a few ulps away from the subtracted one
+    where BLAS orders a block's sums differently for m+1 terms than for m;
+    only a buyer within those ulps of the tie window can choose otherwise.
+
+    The sorted entries carry the rank weights K, K-1, ..., 1, and each
+    buyer's largest weight among its candidates names the first
+    candidate; weight 0, no explicit candidate, names the zero entry.
+    Prices are never negative, so an explicit candidate always wins the
+    price tie-break against the zero entry.  A block holds
+    ``max(1, _BLOCK_CELLS // K)`` rows.
 
     At most ``_MAX_WORKERS`` workers score the blocks: the calling thread
     and the threads of a process-wide pool of ``_MAX_WORKERS - 1``, each
@@ -395,12 +422,15 @@ def _choose(menu: Menu, V) -> np.ndarray:
         return idx
     order = np.argsort(-menu.prices, kind="stable")
     L, P = menu.lotteries[order], menu.prices[order, None]
+    fold = K > m
+    if fold:
+        L, P = np.hstack((L, -P)), None
     w = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None]
     pick = np.concatenate(([-1], order[::-1]))  # pick[K - j] = order[j]
     rows = max(1, min(n, _BLOCK_CELLS // K))  # fewer rows than a block make one block
     blocks = range(0, n, rows)
     workers = max(1, min(len(blocks), _cpus(), _MAX_WORKERS))
-    buffers = [_block_buffers(K, rows, w.dtype) for _ in range(workers)]
+    buffers = [_block_buffers(K, rows, w.dtype, m if fold else None) for _ in range(workers)]
     score = partial(_score_blocks, iter(blocks), L, P, w, pick, V, idx, rows)
     helpers = [_kernel_pool().submit(score, b) for b in buffers[1:]]
     try:

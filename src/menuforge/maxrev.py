@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Menu, ValidationError
+from .core import Menu, ValidationError, weighted_sum
 from .distributions import ExplicitDistribution, HittingSetInstance, hitting_set_valuations
 from .lp import BudgetExceededError
 
@@ -82,6 +82,12 @@ def _score(problem: KMenuProblem, hit_fraction: float) -> float:
     return problem.low + (problem.high - problem.low) * hit_fraction
 
 
+def _weighted_column_sums(w, hits) -> np.ndarray:
+    """``w @ hits`` for an (n, c) ``hits``, each column added up as
+    :func:`weighted_sum` adds it, so no sum depends on the BLAS thread count."""
+    return np.multiply(hits.T, w, order="C").sum(axis=1)
+
+
 def _item_menu(problem: KMenuProblem, items) -> Menu:
     items = sorted(int(j) for j in items)
     m = problem.m
@@ -107,13 +113,13 @@ def greedy_k_item_menu(problem: KMenuProblem) -> tuple[Menu, float]:
     unhit = np.ones(n, dtype=bool)
     picked: list[int] = []
     for _ in range(min(problem.k, m)):
-        gains = (S & unhit[:, None]).T @ w     # (m,)
-        j = int(np.argmax(gains))              # argmax takes the lowest index on ties
+        gains = _weighted_column_sums(w, S & unhit[:, None])  # (m,)
+        j = int(np.argmax(gains))  # argmax takes the lowest index on ties
         if gains[j] <= 0 and picked:
             break
         picked.append(j)
         unhit &= ~S[:, j]
-    frac = float(w @ ~unhit)
+    frac = weighted_sum(w, ~unhit)
     return _item_menu(problem, picked), _score(problem, frac)
 
 
@@ -140,14 +146,13 @@ def brute_force_k_menu(problem: KMenuProblem, budget: int = 1_000_000) -> tuple[
     # hit fractions of all sets, scored in blocks of about 4 MB of (n, k) hits
     step = max(1, (1 << 22) // max(1, n * k))
     fracs = np.concatenate([
-        S[:, combos[s : s + step]].any(axis=2).T @ w for s in range(0, len(combos), step)
+        _weighted_column_sums(w, S[:, combos[s : s + step]].any(axis=2)) for s in range(0, len(combos), step)
     ])
-    # Only a set within 1e-9 of the top can end the scan as the best, and
-    # those are rescored one at a time so the kept score is the per-set sum.
+    # only a set within 1e-9 of the top can end the scan as the best
+    near = fracs >= fracs.max() - 1e-9
     best_frac = -1.0
     best: tuple[int, ...] = ()
-    for combo in combos[fracs >= fracs.max() - 1e-9]:
-        frac = float(w @ S[:, combo].any(axis=1))
+    for combo, frac in zip(combos[near], fracs[near].tolist()):
         if frac > best_frac + 1e-15:
             best_frac = frac
             best = tuple(int(j) for j in combo)
@@ -179,12 +184,12 @@ def derandomize_lotteries(menu: Menu, problem: KMenuProblem) -> np.ndarray:
     chosen: list[int] = []
     for t in range(k):
         tail = suffix[t + 1]
-        base = w @ np.where(hit, 1.0, 1.0 - tail)        # choosing null
+        base = weighted_sum(w, np.where(hit, 1.0, 1.0 - tail))  # choosing null
         best_val, best_j = base, None
         support = np.flatnonzero(X[t] > 0)
         for j in support:
             new_hit = hit | S[:, j]
-            val = w @ np.where(new_hit, 1.0, 1.0 - tail)
+            val = weighted_sum(w, np.where(new_hit, 1.0, 1.0 - tail))
             if val > best_val + 1e-15:
                 best_val, best_j = val, int(j)
         if best_j is not None:
@@ -197,14 +202,14 @@ def expected_hit_fraction(menu: Menu, problem: KMenuProblem) -> float:
     """Hit probability under independent draws, one item per lottery."""
     X = np.atleast_2d(menu.lotteries)
     hm = np.clip(X @ problem.sets.T, 0.0, 1.0)
-    return float(problem.dist.weights @ (1.0 - np.prod(1.0 - hm, axis=0)))
+    return weighted_sum(problem.dist.weights, 1.0 - np.prod(1.0 - hm, axis=0))
 
 
 def hit_fraction(items, problem: KMenuProblem) -> float:
     items = np.asarray(list(items), dtype=int)
     if items.size == 0:
         return 0.0
-    return float(problem.dist.weights @ problem.sets[:, items].any(axis=1))
+    return weighted_sum(problem.dist.weights, problem.sets[:, items].any(axis=1))
 
 
 def revenue_upper_bound(menu: Menu, problem: KMenuProblem) -> float:
@@ -219,4 +224,4 @@ def revenue_upper_bound(menu: Menu, problem: KMenuProblem) -> float:
         best = np.zeros(problem.dist.n)
     else:
         best = np.max(np.clip(menu.lotteries @ problem.sets.T, 0.0, 1.0), axis=0)
-    return float(problem.low + (problem.high - problem.low) * (problem.dist.weights @ best))
+    return float(problem.low + (problem.high - problem.low) * weighted_sum(problem.dist.weights, best))

@@ -157,19 +157,12 @@ def naive_overfit_menu(samples) -> Menu:
     V = np.asarray(samples, dtype=float)
     if V.ndim == 1:
         V = V[None, :]
-    n, m = V.shape
-    lotteries = [np.eye(m)[i] for i in range(m)]
-    prices = [2.0] * m
-    for v in V:
-        if v.max() >= 2.0:
-            continue
-        support = v == 1.0
-        count = int(support.sum())
-        if count == 0:
-            continue
-        lotteries.append(support / count)
-        prices.append(1.0)
-    return Menu(np.array(lotteries), np.array(prices))
+    m = V.shape[1]
+    support = V[V.max(axis=1) < 2.0] == 1.0  # the types with no 2-valued item
+    count = support.sum(axis=1)
+    lotteries = support[count > 0] / count[count > 0, None]
+    prices = np.concatenate((np.full(m, 2.0), np.ones(len(lotteries))))
+    return Menu(np.vstack((np.eye(m), lotteries)), prices)
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,11 @@ def test_a_seed_range_split_in_two_writes_the_same_rows(tmp_path, argv):
 
 def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # OpenBLAS splits a dot product over 10,000 elements across its threads,
-    # which moves the last digits of a sum; both commands sum more than that
+    # which moves the last digits of a sum; each command sums more than that
     commands = [
         ["experiment", "baseline", "--dist", _monotone(tmp_path), "--n", "100000", "--seeds", "0:2"],
         ["experiment", "overfit", "--eval-n", "100", "--seeds", "1:3"],
+        ["experiment", "greedy-vs-opt", "--m", "8", "--n-sets", "12000", "--k", "2", "--seeds", "0:2"],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     written = []

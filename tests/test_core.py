@@ -369,15 +369,16 @@ def _shape_case(kind, rng):
         return mf.uniform_price_menu(5, 2.0), 3
     if kind == "K1_m64":  # a uniform lottery at price 1: buyers whose values sum to 64 tie
         return mf.Menu(np.full((1, 64), 1 / 64), [1.0]), 2
-    # K = 255 and 256 sit on both sides of the uint8 -> uint16 rank-weight boundary
-    k, m = (5, 64) if kind == "K5_m64" else (int(kind[1:4]), 3)
+    # K = 255 and 256 sit on both sides of the uint8 -> uint16 rank-weight
+    # boundary; K = m scores the block in place and K = m + 1 folds the prices in
+    k, m = (int(part[1:]) for part in kind.split("_"))
     base = _dyadic_menu(rng, k, m, np.arange(1, 25) / 8.0)
     L, P = np.array(base.lotteries), np.array(base.prices)
     L[0], P[0] = np.eye(m)[0], 4.0  # the top rank weight: the first entry in price order
     return mf.Menu(L, P), 4
 
 
-@pytest.mark.parametrize("kind", ["K1_m1", "K5_m5", "K1_m64", "K5_m64", "K255_m3", "K256_m3"])
+@pytest.mark.parametrize("kind", ["K1_m1", "K5_m5", "K1_m64", "K5_m64", "K64_m64", "K65_m64", "K255_m3", "K256_m3"])
 def test_choice_kernel_matches_the_loop_at_block_and_weight_boundaries(kind, monkeypatch):
     # smaller blocks keep the m=64 cases small; where a block ends does not depend on its size
     monkeypatch.setattr(core, "_BLOCK_CELLS", 2**13)
@@ -488,9 +489,10 @@ def _kernel_peak_within_two_workers():
         tracemalloc.stop()
     rows = core._BLOCK_CELLS // k
     # per worker: float64 utilities, a bool mask and uint8 rank weights per cell,
-    # plus a float64 best utility and a uint8 top weight per row
-    buffers = k * rows * (8 + 1 + 1) + rows * (8 + 1)
-    # the slack covers the menu's sorted copy and NumPy's iterator buffers
+    # plus a float64 best utility, a uint8 top weight and, as K > m folds the
+    # prices into the product, a float64 value block of m + 1 values per row
+    buffers = k * rows * (8 + 1 + 1) + rows * (8 + 1 + (m + 1) * 8)
+    # the slack covers the menu's sorted, folded copy and NumPy's iterator buffers
     # (64 KB each) for the broadcasting ufunc each worker runs
     return peak < n * 8 + 2 * buffers + 256 * 1024
 

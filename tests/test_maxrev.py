@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import menuforge as mf
+from menuforge.core import weighted_sum
 
 
 def _random_instance(rng, m, n_sets, H):
@@ -82,7 +83,7 @@ def _scan_one_set_at_a_time(problem):
     S, w = problem.sets, problem.dist.weights
     best_frac, best = -1.0, ()
     for combo in itertools.combinations(range(problem.m), min(problem.k, problem.m)):
-        frac = float(w @ S[:, combo].any(axis=1))
+        frac = weighted_sum(w, S[:, combo].any(axis=1))  # the program's sum, not BLAS's
         if frac > best_frac + 1e-15:
             best_frac, best = frac, combo
     return best, problem.low + (problem.high - problem.low) * best_frac

@@ -61,3 +61,23 @@ def test_item_pricing_from_samples_picks_the_baseline_menu_on_its_draws():
         prices = mf.doubling_prices(8.0)
         means = [mf.revenue_batch(mf.uniform_price_menu(4, p), V).mean() for p in prices]
         assert menu == mf.uniform_price_menu(4, prices[int(np.argmax(means))])
+
+
+def test_naive_overfit_menu_sells_items_at_2_and_each_unit_support_at_1():
+    samples = [
+        [1.0, 0.0, 1.0],
+        [2.0, 1.0, 0.0],  # a 2-valued item: no lottery
+        [0.0, 0.0, 0.0],  # an empty support: no lottery
+        [1.0, 1.0, 1.0],
+        [1.0, 0.0, 1.0],  # a repeated type keeps its own entry
+    ]
+    menu = mf.naive_overfit_menu(samples)
+    third = 1.0 / 3.0
+    want_L = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0, 0.5], [third, third, third], [0.5, 0, 0.5]]
+    assert menu.lotteries.tolist() == want_L
+    assert menu.prices.tolist() == [2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+    # on its own sample each type pays its largest item value
+    assert mf.revenue_batch(menu, np.array(samples)).tolist() == [1.0, 2.0, 0.0, 1.0, 1.0]
+    # one type given as a vector, and a sample with no lottery
+    assert mf.naive_overfit_menu([0.0, 1.0]).lotteries.tolist() == [[1, 0], [0, 1], [0, 1]]
+    assert mf.naive_overfit_menu([[2.0, 1.0]]) == mf.Menu(np.eye(2), [2.0, 2.0])
