@@ -89,29 +89,6 @@ def _floor_to_powers(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
     return np.where(pos & (t <= tmax), val, 0.0)
 
 
-def _additive_round(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
-    """Coordinate-wise round-down to multiples of eps/m.
-
-    Certified only for valuations in [0,1]^m: there each coordinate loses
-    at most eps/m of value, hence |v.x - v.x'| <= eps in total.
-    """
-    return _floor_to_multiples(x, spec.epsilon / spec.m)
-
-
-def _multiplicative_round(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
-    """Coordinate-wise round-down into {0} union powers of (1-eps) >= eps/(Hm)."""
-    return _floor_to_powers(x, spec)
-
-
-def _monotone_tail_round(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
-    """Round the tail-probability form down into powers of (1-eps) >= eps/H.
-
-    Round-down of a nonincreasing sequence into a fixed grid stays
-    nonincreasing, so the reconstructed vector is a valid lottery.
-    """
-    return from_tail_form(_floor_to_powers(to_tail_form(x), spec))
-
-
 def round_lottery(x, spec: CoverSpec) -> np.ndarray:
     """Round lotteries down into the spec's grid.
 
@@ -121,10 +98,11 @@ def round_lottery(x, spec: CoverSpec) -> np.ndarray:
     check_lotteries(x)
     x = np.asarray(x, dtype=float)
     if spec.kind == "additive":
-        return _additive_round(x, spec)
+        return _floor_to_multiples(x, spec.epsilon / spec.m)
     if spec.kind == "multiplicative":
-        return _multiplicative_round(x, spec)
-    return _monotone_tail_round(x, spec)
+        return _floor_to_powers(x, spec)
+    # round-down keeps the nonincreasing tails nonincreasing, so they rebuild a lottery
+    return from_tail_form(_floor_to_powers(to_tail_form(x), spec))
 
 
 def grid_values(spec: CoverSpec) -> np.ndarray:

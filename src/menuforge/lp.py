@@ -60,6 +60,8 @@ PURGE_ROUNDS = 2
 DEDUP_TOL = 1e-7
 # candidate menus scored per block in brute_force_optimal
 _GRID_CHUNK = 200_000
+# most candidate menus brute_force_optimal will score
+BRUTE_FORCE_BUDGET = 5_000_000
 # the smallest primal and dual feasibility tolerance HiGHS accepts
 _HIGHS_MIN_FEAS = 1e-10
 
@@ -432,12 +434,7 @@ def _grid_pairs(m: int, price_grid, lottery_grid) -> tuple[np.ndarray, np.ndarra
     return L[keep], P[keep]
 
 
-def brute_force_optimal(
-    dist: ExplicitDistribution,
-    price_grid,
-    lottery_grid,
-    budget: int = 5_000_000,
-) -> tuple[Menu, float]:
+def brute_force_optimal(dist: ExplicitDistribution, price_grid, lottery_grid) -> tuple[Menu, float]:
     """Best grid-restricted menu of at most n entries, by exhaustive search.
 
     Menus are subsets of the grid pair set; each candidate is scored by
@@ -450,8 +447,8 @@ def brute_force_optimal(
     L, P = _grid_pairs(m, price_grid, lottery_grid)
     npairs = len(P)
     total = sum(math.comb(npairs, s) for s in range(1, n + 1))
-    if total > budget:
-        raise BudgetExceededError(f"{total} candidate menus exceed budget {budget}")
+    if total > BRUTE_FORCE_BUDGET:
+        raise BudgetExceededError(f"{total} candidate menus exceed budget {BRUTE_FORCE_BUDGET}")
 
     U = V @ L.T - P          # (n, npairs) utility of each pair for each type
     best_rev = 0.0

@@ -32,6 +32,9 @@ from .core import Menu, ValidationError, weighted_sum
 from .distributions import ExplicitDistribution, HittingSetInstance, hitting_set_valuations
 from .lp import BudgetExceededError
 
+# most item sets brute_force_k_menu will score
+BRUTE_FORCE_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class KMenuProblem:
@@ -123,7 +126,7 @@ def greedy_k_item_menu(problem: KMenuProblem) -> tuple[Menu, float]:
     return _item_menu(problem, picked), _score(problem, frac)
 
 
-def brute_force_k_menu(problem: KMenuProblem, budget: int = 1_000_000) -> tuple[tuple[int, ...], float]:
+def brute_force_k_menu(problem: KMenuProblem) -> tuple[tuple[int, ...], float]:
     """Exhaustive search over size-k item sets, scored by hit count.
 
     For {0,1} valuations this is the true optimum over all k-entry lottery
@@ -138,8 +141,8 @@ def brute_force_k_menu(problem: KMenuProblem, budget: int = 1_000_000) -> tuple[
     n, m = S.shape
     k = min(problem.k, m)
     count = math.comb(m, k)
-    if count > budget:
-        raise BudgetExceededError(f"C({m},{k}) exceeds budget {budget}")
+    if count > BRUTE_FORCE_BUDGET:
+        raise BudgetExceededError(f"C({m},{k}) exceeds budget {BRUTE_FORCE_BUDGET}")
     combos = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(m), k)), dtype=np.intp, count=count * k
     ).reshape(count, k)

@@ -73,21 +73,23 @@ class RoundingParams:
             return 0
         return max(1, math.ceil(math.log(self.H) / math.log1p(self.resolved_delta) - 1e-12))
 
-    def level(self, price: float) -> int:
-        """Smallest k >= 1 with price <= (1+delta)^k, for price in (0, H].
+    def level(self, price):
+        """Smallest k >= 1 with price <= (1+delta)^k, elementwise, for prices in (0, H].
 
+        A scalar price gives a Python int, an array of prices an int array.
         Degenerate H <= 1 has a single level 0 (no level scaling at all).
         """
-        if price <= 0:
+        p = np.asarray(price, dtype=float)
+        if not np.all(p > 0):
             raise ValidationError("level is defined for positive prices")
-        if price > self.H * (1.0 + 1e-9):
-            raise ValidationError(f"price {price} exceeds H={self.H}")
+        if np.any(p > self.H * (1.0 + 1e-9)):
+            raise ValidationError(f"price {p.max()} exceeds H={self.H}")
         K = self.K
         if K == 0:
-            return 0
-        if price <= 1.0 + self.resolved_delta:
-            return 1
-        return min(K, max(1, math.ceil(math.log(price) / math.log1p(self.resolved_delta) - 1e-12)))
+            k = np.zeros(p.shape, dtype=int)
+        else:
+            k = np.clip(np.ceil(np.log(p) / math.log1p(self.resolved_delta) - 1e-12), 1, K).astype(int)
+        return int(k) if k.ndim == 0 else k
 
     def cover_spec(self, m: int) -> CoverSpec:
         return CoverSpec(self.cover_kind, self.epsilon, m, self.H)
@@ -107,7 +109,7 @@ def guarantee_bound(params: RoundingParams) -> tuple[float, float]:
 
 
 def round_menu(menu: Menu, params: RoundingParams) -> Menu:
-    """Map a menu into the cover-restricted family, entry by entry.
+    """Map a menu into the cover-restricted family, all entries at once.
 
     Requires every price in (0, H] and every lottery to pass
     :func:`check_lotteries`; the check runs here, before scaling, because
@@ -120,24 +122,15 @@ def round_menu(menu: Menu, params: RoundingParams) -> Menu:
         return menu
     eps = params.epsilon
     K = params.K
-    spec = params.cover_spec(menu.m)
-    shrink = 1.0 - eps
-    lotteries = []
-    prices = []
-    for i in range(menu.size):
-        p = float(menu.prices[i])
-        if p <= 0:
-            raise ValidationError("round_menu requires positive entry prices")
-        k = params.level(p)
-        scaled = shrink ** (K - k) * menu.lotteries[i]
-        x_new = round_lottery(scaled, spec)
-        p_new = math.floor(shrink ** K * p / eps) * eps - 2 * k * eps
-        if p_new > 0:
-            lotteries.append(x_new)
-            prices.append(p_new)
-    if not lotteries:
-        return Menu.empty(menu.m)
-    return Menu(np.array(lotteries), np.array(prices))
+    k = params.level(menu.prices)
+    # Python's float powers, as guarantee_bound takes them (np.power differs in
+    # the last ulp on some), for the levels present only: K can run to millions
+    levels, at = np.unique(k, return_inverse=True)
+    shrink = np.array([(1.0 - eps) ** (K - j) for j in levels.tolist()])
+    lotteries = round_lottery(shrink[at, None] * menu.lotteries, params.cover_spec(menu.m))
+    prices = np.floor((1.0 - eps) ** K * menu.prices / eps) * eps - 2 * k * eps
+    keep = prices > 0
+    return Menu(lotteries[keep], prices[keep])
 
 
 def sample_size_for_cover(cover_count_log: float, H: float, epsilon: float, failure_prob: float) -> int:

@@ -388,7 +388,8 @@ def test_choice_kernel_matches_the_loop_at_block_and_weight_boundaries(kind, mon
     V = rng.integers(0, top + 1, size=(2 * block + 3, menu.m)).astype(float)
     V[::7] = 0.0
     V[1::11, 0] = 64.0  # these buyers take the first entry in price order
-    # the choice depends on the row alone, so the loop runs once per distinct row
+    # integer values and dyadic lotteries make every utility exact, so the choice
+    # depends on the row alone and the loop runs once per distinct row
     rows, inverse = np.unique(V, axis=0, return_inverse=True)
     want = np.array([_loop_choice(menu, v) for v in rows], dtype=int)[inverse.ravel()]
     for n in (1, block - 1, block, block + 1, len(V)):

@@ -118,7 +118,7 @@ def test_round_lottery_rejects_a_non_lottery(kind, x):
 
 
 def test_round_lottery_is_the_only_public_rounding_map():
-    # the per-kind maps skip check_lotteries, so none may be reachable
+    # round_lottery checks its input; a public per-kind map would skip that check
     for name in ("additive_round", "multiplicative_round", "monotone_tail_round"):
         assert not hasattr(mf, name) and not hasattr(covers, name), name
 

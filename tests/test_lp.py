@@ -3,6 +3,7 @@ grid-search oracle."""
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,9 +77,11 @@ def test_brute_force_two_values_example():
 
 
 def test_brute_force_budget():
+    # two types over 13,486 grid pairs: 90,942,841 candidate menus, refused before any is scored
     d = _uniform_dist([[1.0, 1.0], [2.0, 2.0]])
+    assert 13_486 + math.comb(13_486, 2) > lp_module.BRUTE_FORCE_BUDGET
     with pytest.raises(mf.BudgetExceededError):
-        mf.brute_force_optimal(d, np.linspace(0, 2, 30), np.linspace(0, 1, 30), budget=100)
+        mf.brute_force_optimal(d, np.linspace(0, 2, 30), np.linspace(0, 1, 30))
 
 
 def test_extract_menu_dedup_and_identity():

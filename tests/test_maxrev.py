@@ -2,11 +2,13 @@
 coverage upper bound."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import menuforge as mf
+from menuforge import maxrev
 from menuforge.core import weighted_sum
 
 
@@ -103,8 +105,10 @@ def test_brute_force_budget_guard():
     rng = np.random.default_rng(0)
     inst = _random_instance(rng, 30, 4, 2.0)
     problem = mf.reduce_hitting_set(inst, k=10)
+    # C(30, 10) item sets, refused before any is scored
+    assert math.comb(30, 10) > maxrev.BRUTE_FORCE_BUDGET
     with pytest.raises(mf.BudgetExceededError):
-        mf.brute_force_k_menu(problem, budget=1000)
+        mf.brute_force_k_menu(problem)
 
 
 def test_greedy_matches_brute_force_on_unique_optima():

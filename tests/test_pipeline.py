@@ -3,7 +3,7 @@
 import numpy as np
 
 import menuforge as mf
-from menuforge import pipeline
+from menuforge import cli, pipeline
 
 
 def test_overfit_fresh_draws_are_not_the_next_seeds_sample(monkeypatch):
@@ -81,3 +81,11 @@ def test_naive_overfit_menu_sells_items_at_2_and_each_unit_support_at_1():
     # one type given as a vector, and a sample with no lottery
     assert mf.naive_overfit_menu([0.0, 1.0]).lotteries.tolist() == [[1, 0], [0, 1], [0, 1]]
     assert mf.naive_overfit_menu([[2.0, 1.0]]) == mf.Menu(np.eye(2), [2.0, 2.0])
+
+
+def test_lower_bound_menu_earns_what_the_module_docstring_says_at_the_cli_defaults():
+    # the docstring: 0.64 to 1.00 times the doubling baseline, 0.85 on average, over seeds 0:200
+    args = cli.build_parser().parse_args(["experiment", "lowerbound", "--out", "unused.csv"])
+    assert (args.m, args.H, args.K) == (30, 8.0, 20)
+    ratios = np.array([mf.lower_bound_experiment(args.m, args.H, args.K, seed).ratio for seed in range(200)])
+    assert (round(ratios.min(), 2), round(ratios.max(), 2), round(ratios.mean(), 2)) == (0.64, 1.00, 0.85)

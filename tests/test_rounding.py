@@ -46,10 +46,11 @@ def test_level_function():
     assert rp.level(1.2) == 1
     assert rp.level(1.21) == 2
     assert rp.level(16.0) == rp.K
-    with pytest.raises(mf.ValidationError):
-        rp.level(0.0)
-    with pytest.raises(mf.ValidationError):
-        rp.level(17.0)
+    assert type(rp.level(1.21)) is int
+    assert rp.level(np.array([0.5, 1.2, 1.21, 16.0])).tolist() == [1, 1, 2, rp.K]
+    for bad in (0.0, np.nan, 17.0, np.array([1.0, 0.0])):
+        with pytest.raises(mf.ValidationError):
+            rp.level(bad)
 
 
 def test_round_menu_tiny_epsilon_is_nearly_identity():
@@ -126,27 +127,47 @@ def test_round_menu_monotone_cover_proof_bound():
         assert np.all(q >= mult * p - add - 1e-9)
 
 
-def test_round_menu_closure_lotteries_are_scaled_cover_points():
-    eps, H = 0.05, 8.0
-    rp = RoundingParams(epsilon=eps, H=H, delta=math.sqrt(eps))
-    spec = rp.cover_spec(4)
-    rng = np.random.default_rng(3)
-    menu = _random_menu(rng, 6, 4, H)
-    out = mf.round_menu(menu, rp)
-    K = rp.K
-    kept = [i for i in range(menu.size)]
-    # recover each output lottery's grid point by dividing out the level scale
-    j = 0
-    for i in kept:
-        p = float(menu.prices[i])
-        k = rp.level(p)
+def _reference_round_menu(menu, rp):
+    """round_menu one entry at a time, each level from math.log: the oracle."""
+    eps, K, d = rp.epsilon, rp.K, rp.resolved_delta
+    lotteries, prices = [], []
+    for x, p in zip(menu.lotteries, menu.prices.tolist()):
+        k = min(K, max(1, math.ceil(math.log(p) / math.log1p(d) - 1e-12)))
         p_new = math.floor((1 - eps) ** K * p / eps) * eps - 2 * k * eps
-        if p_new <= 0:
-            continue
-        grid_point = mf.round_lottery((1 - eps) ** (K - k) * menu.lotteries[i], spec)
-        np.testing.assert_array_equal(out.lotteries[j], grid_point)
-        j += 1
-    assert j == out.size
+        if p_new > 0:
+            lotteries.append(mf.round_lottery((1 - eps) ** (K - k) * x, rp.cover_spec(menu.m)))
+            prices.append(p_new)
+    return np.array(lotteries).reshape(-1, menu.m), np.array(prices)
+
+
+def test_round_menu_closure_lotteries_are_scaled_cover_points():
+    # every kept lottery is its entry's level-scaled cover point, byte for byte,
+    # over prices below 1, on level boundaries (1+delta)^k, equal to H, and
+    # low enough to drop, and over empty menus
+    rng = np.random.default_rng(3)
+    seen = {"dropped": 0, "below_1": 0, "on_boundary": 0, "at_H": 0, "empty": 0}
+    for trial in range(400):
+        cover_kind = ("multiplicative", "monotone_tail")[trial % 2]
+        eps = (0.05, (0.1 / 3) ** 2)[trial // 2 % 2]  # the pipeline rounds t=100 fits at (0.1/3)^2
+        H = (8.0, 16.0)[trial // 4 % 2]
+        rp = RoundingParams(epsilon=eps, H=H, cover_kind=cover_kind)
+        d = rp.resolved_delta
+        m, k = int(rng.integers(1, 7)), int(rng.integers(0, 12))
+        L = rng.dirichlet(np.ones(m), size=k) * rng.random((k, 1))
+        boundaries = [(1 + d) ** j for j in range(rp.K) if (1 + d) ** j <= H]
+        special = np.array(boundaries + [H, 0.1 * rng.random() + 1e-3, 0.5 + 0.5 * rng.random()])
+        P = np.where(rng.random(k) < 0.5, H ** rng.random(k), rng.choice(special, k))
+        menu = mf.Menu(L, P)
+        out = mf.round_menu(menu, rp)
+        want_L, want_P = _reference_round_menu(menu, rp)
+        assert out.lotteries.tobytes() == want_L.tobytes() and out.lotteries.shape == want_L.shape
+        assert out.prices.tobytes() == want_P.tobytes()
+        seen["dropped"] += menu.size - out.size
+        seen["below_1"] += int(np.sum(P < 1))
+        seen["on_boundary"] += int(np.isin(P, boundaries[1:]).sum())
+        seen["at_H"] += int(np.sum(P == H))
+        seen["empty"] += menu.size == 0
+    assert all(seen.values()), seen
 
 
 def test_round_menu_determinism():
