@@ -28,9 +28,10 @@ Conventions used throughout the package:
   utilities; the (rows, m+1) value block it copies the buyers into
   costs fewer cells than that pass only when K > m.  Where BLAS runs one
   thread per call (``OPENBLAS_NUM_THREADS=1``) the blocks are scored by
-  two workers, the calling thread and the one thread of a process-wide
-  pool made on first use; otherwise, or when the process's affinity
-  mask holds one CPU (``taskset`` sets it), by the calling thread alone.
+  two workers, the calling thread and one helper thread that the call
+  starts and joins before it returns; otherwise, or when the process's
+  affinity mask holds one CPU (``taskset`` sets it), by the calling
+  thread alone.  No thread outlives a call.
   Every worker writes into buffers the calling thread allocated, so the
   working memory is O(workers * block * K), whatever the number of
   buyers or of CPUs, and the output is the same for every worker count;
@@ -43,7 +44,6 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import chain
 
@@ -289,39 +289,14 @@ def _blas_runs_one_thread() -> bool:
     return False
 
 
-# Workers per kernel call: the calling thread and one pool thread, the widest
+# Workers per kernel call: the calling thread and one helper thread, the widest
 # count that has been timed; each worker holds its own block buffers.  Every
 # block's product ``L @ V_block.T`` is a BLAS call, and a multi-threaded BLAS
 # under two workers oversubscribes the CPUs (at OpenBLAS's default of one
 # thread per CPU, 2 vCPUs, K=1000: 85 ms a call inline, 130-147 ms on two
-# workers), so the pool is used only where BLAS runs one thread per call.
+# workers), so a helper is started only where BLAS runs one thread per call.
 # The variables are read once: OpenBLAS reads them when NumPy loads it.
 _MAX_WORKERS = 2 if _blas_runs_one_thread() else 1
-
-_pool: ThreadPoolExecutor | None = None  # the kernel's helper threads, made on first use
-_pool_lock = threading.Lock()
-
-
-def _kernel_pool() -> ThreadPoolExecutor:
-    """The process-wide pool: ``_MAX_WORKERS - 1`` threads, since the calling
-    thread scores a share of the blocks itself."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_MAX_WORKERS - 1, thread_name_prefix="menuforge-kernel")
-        return _pool
-
-
-def _drop_pool() -> None:
-    # a forked child has none of its parent's threads, and the lock may have
-    # been held by one of them; the child makes a pool and a lock of its own
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _block_buffers(K: int, rows: int, wtype, m: int | None) -> tuple:
@@ -346,11 +321,11 @@ def _score_blocks(blocks, L, P, w, pick, V, idx, rows, buffers) -> None:
 
     ``L`` is the sorted (K, m) lottery matrix with the (K, 1) prices ``P``,
     or, where the worker has a value block, the folded (K, m+1) matrix
-    ``[L | -P]`` with ``P`` None.  Runs on the calling thread and on pool
-    threads, so it calls NumPy only, and writes only into its own
-    ``buffers`` and the claimed slices of ``idx``.  ``next`` on the shared
-    range iterator is one call into C, so under the interpreter lock no two
-    workers claim the same block.
+    ``[L | -P]`` with ``P`` None.  Runs on the calling thread and on the
+    call's helper threads, so it calls NumPy only, and writes only into
+    its own ``buffers`` and the claimed slices of ``idx``.  ``next`` on
+    the shared range iterator is one call into C, so under the interpreter
+    lock no two workers claim the same block.
     """
     U_flat, mask_flat, weight_flat, best_buf, top_buf, X = buffers
     K = L.shape[0]
@@ -402,12 +377,14 @@ def _choose(menu: Menu, V) -> np.ndarray:
     ``max(1, _BLOCK_CELLS // K)`` rows.
 
     At most ``_MAX_WORKERS`` workers score the blocks: the calling thread
-    and the threads of a process-wide pool of ``_MAX_WORKERS - 1``, each
-    claiming its next block from one shared iterator.  Every worker's
-    buffers are allocated here, in the calling thread, before any block
-    is scored, and the workers write into them and into disjoint slices
-    of the result, so the working memory is O(workers * block * K),
-    independent of the number of rows n and of the host's CPU count.
+    and ``_MAX_WORKERS - 1`` helper threads, started here and joined
+    before the call returns, each claiming its next block from one shared
+    iterator; an exception raised in a helper is raised again here.
+    Every worker's buffers are allocated here, in the calling thread,
+    before any block is scored, and the workers write into them and into
+    disjoint slices of the result, so the working memory is
+    O(workers * block * K), independent of the number of rows n and of
+    the host's CPU count.
     Block boundaries and each block's arithmetic do not depend on the
     worker count, so neither does the result.  A call with one block, in
     a process whose affinity mask holds one CPU, or where BLAS may run
@@ -432,14 +409,24 @@ def _choose(menu: Menu, V) -> np.ndarray:
     workers = max(1, min(len(blocks), _cpus(), _MAX_WORKERS))
     buffers = [_block_buffers(K, rows, w.dtype, m if fold else None) for _ in range(workers)]
     score = partial(_score_blocks, iter(blocks), L, P, w, pick, V, idx, rows)
-    helpers = [_kernel_pool().submit(score, b) for b in buffers[1:]]
+    errors = []
+
+    def helper(b):
+        try:
+            score(b)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=helper, args=(b,), name="menuforge-kernel") for b in buffers[1:]]
+    for t in helpers:
+        t.start()
     try:
         score(buffers[0])
     finally:
-        for f in helpers:
-            # a helper that never started has nothing left to claim
-            if not f.cancel():
-                f.result()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
     return idx
 
 

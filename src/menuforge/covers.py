@@ -38,6 +38,8 @@ class CoverSpec:
     H: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.H):
+            raise ValidationError(f"H must be finite, not {self.H}")
         if self.kind not in COVER_KINDS:
             raise ValidationError(f"unknown cover kind {self.kind!r}")
         if not (0.0 < self.epsilon < 1.0):

@@ -170,11 +170,13 @@ def scalar_equal_revenue(H: float) -> ExplicitDistribution:
 
 
 def _integral_log2(H: float) -> int:
+    if not math.isfinite(H):
+        raise ValidationError(f"H must be finite, not {H}")
+    if H < 2:
+        raise ValidationError("H must be at least 2")
     L = round(math.log2(H))
     if 2 ** L != H:
         raise ValidationError(f"H={H} must be an integral power of 2")
-    if L < 1:
-        raise ValidationError("H must be at least 2")
     return L
 
 

@@ -64,6 +64,8 @@ class PipelineConfig:
             raise ValidationError("t must be at least 1")
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError("epsilon must lie in (0, 1)")
+        if not math.isfinite(self.H):
+            raise ValidationError(f"H must be finite, not {self.H}")
         if self.mode not in PIPELINE_MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.cover_kind not in ("multiplicative", "monotone_tail"):

@@ -52,6 +52,8 @@ class RoundingParams:
     cover_kind: str = "multiplicative"
 
     def __post_init__(self):
+        if not math.isfinite(self.H):
+            raise ValidationError(f"H must be finite, not {self.H}")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValidationError("epsilon must lie in [0, 1)")
         d = self.resolved_delta
@@ -118,11 +120,11 @@ def round_menu(menu: Menu, params: RoundingParams) -> Menu:
     replaces them); all surviving lotteries are level-scaled cover points.
     """
     check_lotteries(menu.lotteries)
+    k = params.level(menu.prices)
     if params.epsilon == 0.0:
         return menu
     eps = params.epsilon
     K = params.K
-    k = params.level(menu.prices)
     # Python's float powers, as guarantee_bound takes them (np.power differs in
     # the last ulp on some), for the levels present only: K can run to millions
     levels, at = np.unique(k, return_inverse=True)

@@ -312,6 +312,32 @@ def test_pipeline_report_counts_the_written_menu(tmp_path):
     assert rows == ["seed,menu_entries", f"2,{mf.load_menu(out).size}"]
 
 
+@pytest.mark.parametrize("H", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["round-menu", "--menu", "{menu.json}", "--epsilon", "0.1", "--out", "{out}"],
+    ["pipeline", "--config", "{config.json}", "--out", "{out}"],
+    ["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "3", "--lottery", "0.2,0.3,0.4"],
+    ["cover", "enumerate", "--kind", "additive", "--epsilon", "0.1", "--m", "2", "--out", "{out}"],
+    ["experiment", "lowerbound", "--seeds", "0", "--out", "{out}"],
+])
+def test_a_non_finite_H_exits_3_naming_H(tmp_path, capsys, argv, H):
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "out"
+    inputs["{out}"] = str(out)
+    assert cli.main([inputs.get(tok, tok) for tok in argv] + ["--H", H]) == cli.EXIT_VALIDATION
+    assert f"H must be finite, not {H}" in capsys.readouterr().err and not out.exists()
+
+
+def test_round_menu_at_epsilon_0_checks_the_prices_against_H(tmp_path, capsys):
+    inputs = _subcommand_inputs(tmp_path)  # its menu's top price is 3.7
+    out = tmp_path / "r.json"
+    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0", "--delta", "0.5", "--out", str(out)]
+    assert cli.main(argv + ["--H", "3"]) == cli.EXIT_VALIDATION == 3
+    assert "exceeds H=3.0" in capsys.readouterr().err and not out.exists()
+    assert cli.main(argv + ["--H", "4"]) == cli.EXIT_OK
+    assert mf.load_menu(out) == mf.load_menu(inputs["{menu.json}"])
+
+
 @pytest.mark.parametrize("argv", [
     ["pipeline", "--config", "{missing}"],
     ["reduce-hitting-set", "--in", "{missing}", "--H", "4", "--k", "2"],

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -481,7 +482,6 @@ def _kernel_peak_within_two_workers():
     n, k, m = 50_000, 200, 5
     menu = mf.Menu(rng.dirichlet(np.ones(m), size=k) * 0.9, rng.random(k) * 4)
     V = rng.random((n, m)) * 4
-    mf.choose_batch(menu, V[:10_000])  # the pool and its thread exist before tracing starts
     tracemalloc.start()
     try:
         mf.choose_batch(menu, V)
@@ -504,25 +504,47 @@ def test_choice_kernel_memory_is_one_set_of_block_buffers_per_worker(kernel_work
 
 
 def test_choice_kernel_memory_does_not_grow_with_the_host_cpu_count(kernel_workers, monkeypatch):
-    # at the cap of two workers, a wide affinity mask still gets the calling thread and one pool thread
+    # at the cap of two workers, a wide affinity mask still gets the calling thread and one helper thread
     kernel_workers(2)
     monkeypatch.setattr(core, "_cpus", lambda: 64)
     assert _kernel_peak_within_two_workers()
 
 
+def _multi_block_case():
+    """A 200-entry menu and buyers enough for ten of its blocks."""
+    rng = np.random.default_rng(5)
+    menu = _dyadic_menu(rng, 200, 3, np.arange(1, 25) / 8.0)
+    return menu, rng.integers(0, 5, size=(10 * (core._BLOCK_CELLS // 200), 3)).astype(float)
+
+
+def test_a_helper_error_reaches_the_caller_and_no_thread_outlives_the_call(kernel_workers, monkeypatch):
+    score = core._score_blocks
+
+    def fail_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper failed")
+        score(*args)
+
+    monkeypatch.setattr(core, "_score_blocks", fail_off_the_main_thread)
+    kernel_workers(2)
+    menu, V = _multi_block_case()
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        mf.choose_batch(menu, V)
+    assert threading.active_count() == threads
+
+
 def _score_in_child(conn, menu, V):
-    dropped = core._pool is None
-    conn.send((dropped, mf.choose_batch(menu, V), core._pool is not None))
+    conn.send(mf.choose_batch(menu, V))
     conn.close()
 
 
-def test_choice_kernel_runs_in_a_child_forked_after_the_pool_was_used(kernel_workers):
-    rng = np.random.default_rng(5)
-    menu = _dyadic_menu(rng, 200, 3, np.arange(1, 25) / 8.0)
-    V = rng.integers(0, 5, size=(10 * (core._BLOCK_CELLS // 200), 3)).astype(float)
+def test_choice_kernel_runs_in_a_child_forked_after_a_two_worker_call(kernel_workers):
+    menu, V = _multi_block_case()
     kernel_workers(2)
+    threads = threading.active_count()
     want = mf.choose_batch(menu, V)
-    assert core._pool is not None
+    assert threading.active_count() == threads  # the helper was joined before the fork
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_score_in_child, args=(send, menu, V))
@@ -530,13 +552,11 @@ def test_choice_kernel_runs_in_a_child_forked_after_the_pool_was_used(kernel_wor
     send.close()
     try:
         assert recv.poll(60), "the forked child did not return its choices"
-        dropped, got, pooled = recv.recv()
+        got = recv.recv()
         child.join(60)
         assert not child.is_alive() and child.exitcode == 0
     finally:
         if child.is_alive():
             child.kill()
             child.join()
-    # the child started without its parent's pool, made its own and got the parent's answer
-    assert dropped and pooled
     assert got.tobytes() == want.tobytes()

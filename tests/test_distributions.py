@@ -71,6 +71,15 @@ def test_overfit_sampler_law():
     assert abs(support_sizes.mean() - expected) < 0.05
 
 
+@pytest.mark.parametrize("H, message", [
+    (0.0, "at least 2"), (-4.0, "at least 2"), (1.0, "at least 2"), (3.0, "power of 2"),
+    (np.inf, "finite"), (np.nan, "finite"),
+])
+def test_spread_params_reject_an_H_that_is_no_power_of_2_from_2(H, message):
+    with pytest.raises(mf.ValidationError, match=message):
+        mf.EqualRevenueSpreadParams(9, H)
+
+
 def test_equal_revenue_sampler_degenerate_h2():
     params = mf.EqualRevenueSpreadParams(9, 2.0)
     V = mf.EqualRevenueSpreadSampler(params, 1).draw(500)
