@@ -41,14 +41,11 @@ from .distributions import (
     OverfitProductSampler,
     Sampler,
     distribution_from_json,
-    distribution_to_json,
     expected_max_value,
     explicit_from_samples,
     hitting_set_valuations,
     load_distribution,
     load_hitting_set,
-    save_hitting_set,
-    scalar_equal_revenue,
     sparse_subsample,
 )
 from .lp import (

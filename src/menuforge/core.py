@@ -17,8 +17,11 @@ Conventions used throughout the package:
 * utility ties within ``TIE_TOL`` are resolved in favor of the higher
   price, then in favor of the earlier menu entry, with the implicit
   zero entry losing ties against explicit entries of equal price;
-* that rule is written once, in the choice kernel ``_choose`` behind
-  :func:`choose_batch` and :func:`revenue_batch`.  The kernel scores
+* every program path applies that rule through one choice kernel,
+  ``_choose``, behind :func:`choose_batch` and :func:`revenue_batch`.
+  Only the grid-search oracle :func:`menuforge.lp.brute_force_optimal`
+  restates the rule's revenue half, on its own, so that tests can check
+  one copy against the other.  The kernel scores
   buyers in blocks, entry-major: a block's utilities are the (K, rows)
   matrix ``L @ V_block.T - P``, and the first candidate in price order
   is the one with the largest rank weight, so every reduction runs

@@ -155,20 +155,6 @@ def expected_max_value(dist: ExplicitDistribution) -> float:
     return core.weighted_sum(dist.weights, dist.values.max(axis=1))
 
 
-def scalar_equal_revenue(H: float) -> ExplicitDistribution:
-    """The one-item dyadic equal-revenue core: Pr[v = 2^x] = 2^-x.
-
-    The law is supported on {2, 4, ..., H} with the leftover mass 2^-log2(H)
-    placed on a unit-value atom that never buys at any dyadic price >= 2.
-    Every single price 2^j then earns exactly 2 - 2^(j - log2 H), so the
-    best single price earns 2 - 2^(1 - log2 H), strictly below 2.
-    """
-    L = _integral_log2(H)
-    vals = [1.0] + [float(2 ** x) for x in range(1, L + 1)]
-    wts = [2.0 ** -L] + [2.0 ** -x for x in range(1, L + 1)]
-    return ExplicitDistribution(np.array(vals)[:, None], np.array(wts), tag="bounded", H=float(H))
-
-
 def _integral_log2(H: float) -> int:
     if not math.isfinite(H):
         raise ValidationError(f"H must be finite, not {H}")
@@ -204,7 +190,6 @@ class Sampler:
         self.m = int(m)
         self.H = float(H)
         self.tag = tag
-        self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
     def draw(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -404,6 +389,8 @@ class HittingSetInstance:
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError("m must be at least 1")
+        if not math.isfinite(self.H):
+            raise ValidationError(f"H must be finite, not {self.H}")
         if self.H <= 1:
             raise ValidationError("H must exceed 1")
         if len(self.sets) == 0:
@@ -450,13 +437,6 @@ def load_hitting_set(path, H: float) -> HittingSetInstance:
     return HittingSetInstance(tuple(sets), m=m, H=H)
 
 
-def save_hitting_set(inst: HittingSetInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{inst.m} {inst.n}\n")
-        for s in inst.sets:
-            fh.write(" ".join(str(e + 1) for e in s) + "\n")
-
-
 class MonotoneUniformSampler(Sampler):
     """m i.i.d. uniforms on [1, H], sorted ascending: monotone valuations."""
 
@@ -472,18 +452,6 @@ class MonotoneUniformSampler(Sampler):
         V += 1.0
         V.sort(axis=1)
         return V
-
-
-def distribution_to_json(obj) -> dict:
-    if isinstance(obj, ExplicitDistribution):
-        return obj.to_json_dict()
-    if isinstance(obj, OverfitProductSampler):
-        return {"type": "overfit", "params": {"m": obj.m, "delta": obj.params.delta}, "seed": obj.seed}
-    if isinstance(obj, EqualRevenueSpreadSampler):
-        return {"type": "equal_revenue", "params": {"m": obj.m, "H": obj.H}, "seed": obj.seed}
-    if isinstance(obj, MonotoneUniformSampler):
-        return {"type": "monotone_uniform", "params": {"m": obj.m, "H": obj.H}, "seed": obj.seed}
-    raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
 def distribution_from_json(d: dict):

@@ -113,10 +113,6 @@ class MenuLP:
     def num_ic_rows(self) -> int:
         return self.n * (self.n - 1)
 
-    @property
-    def num_ir_rows(self) -> int:
-        return self.n
-
     def ic_rows(self, ids) -> sp.csr_matrix:
         """The IC rows with the given ids, in that order; each has
         right-hand side 0.
@@ -379,22 +375,16 @@ def extract_menu(sol: LPSolution) -> Menu:
     """Deduplicate the per-type pairs of an optimal solution into a menu.
 
     Pairs equal within ``DEDUP_TOL`` (max over coordinates and price)
-    collapse to one entry; the all-zero pair is dropped since the implicit
-    zero entry covers it.  Tiny solver negatives are clipped to keep the
-    menu valid.
+    collapse to one entry, the first of them in type order; the all-zero
+    pair is dropped since the implicit zero entry covers it.  Tiny solver
+    negatives are clipped to keep the menu valid.
     """
-    entries: list[tuple[np.ndarray, float]] = []
-    for x, p in zip(sol.lotteries, sol.payments):
-        x = np.clip(x, 0.0, None)
-        p = max(float(p), 0.0)
-        if p <= DEDUP_TOL and np.all(x <= DEDUP_TOL):
-            continue
-        if any(abs(p - q) <= DEDUP_TOL and np.max(np.abs(x - y)) <= DEDUP_TOL for y, q in entries):
-            continue
-        entries.append((x, p))
-    if not entries:
-        return Menu.empty(sol.lotteries.shape[1])
-    return Menu(np.array([e[0] for e in entries]), np.array([e[1] for e in entries]))
+    pairs = np.clip(np.column_stack([sol.lotteries, sol.payments]), 0.0, None)  # (n, m+1)
+    kept: list[int] = []
+    for i, z in enumerate(pairs):
+        if not (np.all(z <= DEDUP_TOL) or np.any(np.abs(pairs[kept] - z).max(axis=1) <= DEDUP_TOL)):
+            kept.append(i)
+    return Menu(pairs[kept, :-1], pairs[kept, -1])
 
 
 def dump_lp(lp: MenuLP, out: TextIO) -> None:
@@ -440,6 +430,9 @@ def brute_force_optimal(dist: ExplicitDistribution, price_grid, lottery_grid) ->
     Menus are subsets of the grid pair set; each candidate is scored by
     exact buyer simulation (choice with tie-breaking) on the distribution,
     so incentive compatibility and rationality hold by construction.  The
+    scoring restates the revenue half of the choice rule in
+    :mod:`menuforge.core` rather than calling its kernel, which keeps the
+    oracle independent of the code it checks.  The
     result lower-bounds the LP optimum and approaches it as grids refine.
     """
     V, w = dist.values, dist.weights

@@ -222,16 +222,10 @@ def lower_bound_menu(dist: ExplicitDistribution) -> Menu:
     """
     if "sets" not in dist.meta or "z" not in dist.meta:
         raise ValidationError("distribution lacks per-point (set, scale) metadata")
-    sets = dist.meta["sets"]
-    z = dist.meta["z"]
-    n = dist.n
-    L = np.zeros((n, dist.m))
-    P = np.empty(n)
-    k = sets.shape[1]
-    for i in range(n):
-        L[i, sets[i]] = 1.0 / k
-        P[i] = 2.0 ** (int(z[i]) - 1)
-    return Menu(L, P)
+    sets, z = dist.meta["sets"], dist.meta["z"]
+    L = np.zeros((dist.n, dist.m))
+    L[np.arange(dist.n)[:, None], sets] = 1.0 / sets.shape[1]
+    return Menu(L, 2.0 ** (z - 1.0))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ def _evaluate_inputs(tmp_path, menu_m=2):
     dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]]), np.array([0.5, 0.25, 0.25]))
     menu = mf.Menu([np.full(menu_m, 1.0 / menu_m), np.eye(menu_m)[0]], [1.25, 2.0])
     dist_path, menu_path = tmp_path / "dist.json", tmp_path / "menu.json"
-    dist_path.write_text(json.dumps(mf.distribution_to_json(dist)))
+    dist_path.write_text(json.dumps(dist.to_json_dict()))
     mf.save_menu(menu, menu_path)
     return dist, menu, ["evaluate", "--menu", str(menu_path), "--dist", str(dist_path)]
 
@@ -263,7 +263,7 @@ def _subcommand_inputs(tmp_path):
     paths = {name: tmp_path / name for name in ("menu.json", "dist.json", "mono.json", "config.json", "hs.txt")}
     mf.save_menu(mf.Menu([[0.5, 0.5], [1.0, 0.0], [0.3, 0.6]], [1.25, 2.0, 3.7]), paths["menu.json"])
     dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]]), np.full(3, 1 / 3))
-    paths["dist.json"].write_text(json.dumps(mf.distribution_to_json(dist)))
+    paths["dist.json"].write_text(json.dumps(dist.to_json_dict()))
     mono = {"type": "monotone_uniform", "params": {"m": 3, "H": 8.0}, "seed": 3}
     paths["mono.json"].write_text(json.dumps(mono))
     paths["config.json"].write_text(json.dumps(
@@ -319,6 +319,8 @@ def test_pipeline_report_counts_the_written_menu(tmp_path):
     ["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "3", "--lottery", "0.2,0.3,0.4"],
     ["cover", "enumerate", "--kind", "additive", "--epsilon", "0.1", "--m", "2", "--out", "{out}"],
     ["experiment", "lowerbound", "--seeds", "0", "--out", "{out}"],
+    ["experiment", "greedy-vs-opt", "--seeds", "0", "--out", "{out}"],
+    ["reduce-hitting-set", "--in", "{hs.txt}", "--k", "2", "--out", "{out}"],
 ])
 def test_a_non_finite_H_exits_3_naming_H(tmp_path, capsys, argv, H):
     inputs = _subcommand_inputs(tmp_path)

@@ -133,17 +133,6 @@ def test_expected_revenue_rejects_unnormalized_weights():
         mf.ExplicitDistribution(np.array([[1.0], [2.0]]), np.array([0.5, np.nan]))
 
 
-def test_scalar_equal_revenue_single_price_curve():
-    # Pr[v = 2^z] = 2^-z for z=1..3 at H=8; single price 2^j earns 2 - 2^(j-3)
-    d = mf.scalar_equal_revenue(8.0)
-    revs = {}
-    for j in (1, 2, 3):
-        menu = mf.Menu([[1.0]], [float(2 ** j)])
-        revs[j] = mf.expected_revenue(menu, d)
-        assert revs[j] == pytest.approx(2.0 - 2.0 ** (j - 3), abs=1e-12)
-    assert max(revs.values()) < 2.0
-
-
 def test_estimate_revenue_constant_sampler():
     d = mf.ExplicitDistribution(np.array([[2.0, 1.0]]), np.array([1.0]))
     sampler = mf.ExplicitSampler(d, seed=0)

@@ -43,7 +43,8 @@ def test_sampler_determinism_per_family():
         lambda s: mf.OverfitProductSampler(mf.OverfitProductParams(8, 0.2), s),
         lambda s: mf.EqualRevenueSpreadSampler(mf.EqualRevenueSpreadParams(9, 8.0), s),
         lambda s: mf.MonotoneUniformSampler(5, 4.0, s),
-        lambda s: mf.ExplicitSampler(mf.scalar_equal_revenue(8.0), s),
+        lambda s: mf.ExplicitSampler(
+            mf.ExplicitDistribution(np.array([[1.0], [2.0], [4.0], [8.0]]), np.array([0.125, 0.5, 0.25, 0.125])), s),
     ]
     for make in makers:
         a = make(42).draw(50)
@@ -201,12 +202,11 @@ def test_hitting_set_valuations_examples():
 
 
 def test_hitting_set_text_round_trip(tmp_path):
-    inst = mf.HittingSetInstance(((0, 2), (1,), (0, 1, 3)), m=4, H=8.0)
+    # 1-based items, one set per line; comment and blank lines are skipped
     path = tmp_path / "hs.txt"
-    mf.save_hitting_set(inst, path)
-    assert path.read_text().splitlines()[0] == "4 3"
+    path.write_text("# m n\n4 3\n3 1\n\n2\n1 2 4\n")
     back = mf.load_hitting_set(path, H=8.0)
-    assert back.sets == inst.sets and back.m == 4
+    assert back == mf.HittingSetInstance(((0, 2), (1,), (0, 1, 3)), m=4, H=8.0)
 
 
 def test_monotone_sampler_invariants():
@@ -236,14 +236,14 @@ def test_family_invariants_fuzz():
 
 
 def test_distribution_json_round_trips():
-    d = mf.scalar_equal_revenue(4.0)
+    d = mf.ExplicitDistribution(np.array([[1.0], [2.0], [4.0]]), np.array([0.25, 0.5, 0.25]), tag="bounded", H=4.0)
     back = mf.distribution_from_json(d.to_json_dict())
     np.testing.assert_array_equal(back.values, d.values)
     np.testing.assert_array_equal(back.weights, d.weights)
+    assert (back.tag, back.H) == ("bounded", 4.0)
 
     samp = mf.OverfitProductSampler(mf.OverfitProductParams(6, 0.2), seed=9)
-    spec = mf.distribution_to_json(samp)
-    samp2 = mf.distribution_from_json(spec)
+    samp2 = mf.distribution_from_json({"type": "overfit", "params": {"m": 6, "delta": 0.2}, "seed": 9})
     np.testing.assert_array_equal(samp.draw(20), samp2.draw(20))
 
 

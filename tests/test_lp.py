@@ -2,6 +2,7 @@
 grid-search oracle."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -27,14 +28,14 @@ def _uniform_dist(values):
 def test_lp_structure_counts():
     lp1 = mf.build_lp(_uniform_dist([[2.0]]))
     assert lp1.num_variables == 2
-    assert lp1.num_ic_rows == 0 and lp1.num_ir_rows == 1
+    assert lp1.num_ic_rows == 0
 
     lp2 = mf.build_lp(_uniform_dist([[1.0], [2.0]]))
-    assert lp2.num_ic_rows == 2 and lp2.num_ir_rows == 2
+    assert lp2.num_ic_rows == 2
 
     lp3 = mf.build_lp(_uniform_dist([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0]]))
     assert lp3.num_variables == 9
-    assert lp3.num_ic_rows == 6 and lp3.num_ir_rows == 3
+    assert lp3.num_ic_rows == 6
     # IC + IR + lottery mass rows
     assert lp3.A_ub.shape == (6 + 3 + 3, 9)
 
@@ -74,6 +75,23 @@ def test_brute_force_two_values_example():
     d = _uniform_dist([[1.0], [2.0]])
     _, rev = mf.brute_force_optimal(d, [1.0, 2.0], [0.0, 0.5, 1.0])
     assert rev == pytest.approx(1.0)
+
+
+def test_brute_force_revenue_is_what_its_menu_earns():
+    # the oracle scores menus with its own copy of the choice rule's revenue
+    # half; values and prices on one half-step grid make utility ties common.
+    # The entries a menu sells form a menu of at most n entries that earns as
+    # much, so no 2-entry grid menu may beat the oracle's optimum.
+    prices, levels = [0.5, 1.0, 1.5, 2.0], [0.0, 0.5, 1.0]
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        d = mf.ExplicitDistribution(rng.integers(0, 7, (n, m)) / 2.0, rng.dirichlet(np.ones(n)))
+        menu, rev = mf.brute_force_optimal(d, prices, levels)
+        assert rev == pytest.approx(mf.expected_revenue(menu, d), abs=1e-12)
+        L, P = lp_module._grid_pairs(m, prices, levels)
+        for pair in itertools.combinations(range(len(P)), 2):
+            assert mf.expected_revenue(mf.Menu(L[list(pair)], P[list(pair)]), d) <= rev + 1e-12
 
 
 def test_brute_force_budget():
@@ -302,7 +320,7 @@ def test_ic_block_matches_pairwise_reference():
 def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):
     dist = tmp_path / "dist.json"
     d = _uniform_dist([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
-    dist.write_text(json.dumps(mf.distribution_to_json(d)))
+    dist.write_text(json.dumps(d.to_json_dict()))
     dump = tmp_path / "lp.txt"
     argv = ["solve-lp", "--dist", str(dist), "--out", str(tmp_path / "menu.json"), "--dump-lp", str(dump)]
     assert cli.main(argv) == 0
@@ -364,7 +382,7 @@ def test_solve_lp_accepts_the_smallest_tolerance_highs_takes():
 
 def test_solve_lp_cli_with_a_bad_tolerance_exits_3(tmp_path, capsys):
     dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps(mf.distribution_to_json(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]))))
+    dist.write_text(json.dumps(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]).to_json_dict()))
     out = tmp_path / "menu.json"
     argv = ["solve-lp", "--dist", str(dist), "--out", str(out), "--tol"]
     for tol in ("0", "-1", "1e-12"):
