@@ -263,7 +263,8 @@ def _cmd_experiment_baseline(args) -> int:
         else:
             rng = np.random.default_rng(seed)
             dist = explicit_from_samples(source.draw(args.n, rng), tag=source.tag, H=source.H)
-        H = args.H if args.H is not None else float(dist.values.max())
+        # prices start at 1, so a support below 1 gets the single price 1
+        H = args.H if args.H is not None else max(1.0, float(dist.values.max()))
         _, rev = item_pricing_baseline(dist, H=H)
         emax = expected_max_value(dist)
         bound = emax / (2.0 * max(1, math.ceil(math.log2(max(H, 2.0)))))
@@ -294,6 +295,8 @@ def _cmd_experiment_greedy(args) -> int:
     if args.hitting_set:
         rows = [row(0, load_hitting_set(args.hitting_set, H=args.H))]
     else:
+        if args.m < 1:  # before run draws set sizes from [1, m]
+            raise ValidationError("m must be at least 1")
         rows = [run(seed) for seed in seeds]
     config = {"m": args.m, "n_sets": args.n_sets, "k": args.k, "H": args.H, "hitting_set": args.hitting_set or ""}
     cols = ["instance", "greedy_revenue", "oracle_revenue", "ratio"]

@@ -311,6 +311,7 @@ class EqualRevenueSpreadSampler(Sampler):
 
     def draw_with_meta(self, n: int, rng: np.random.Generator | None = None):
         """Draws plus their construction data: (values, sets (n, k), z (n,))."""
+        n = sample_count(n)
         rng = self._rng if rng is None else rng
         p = self.params
         z = _draw_scales(rng, p.levels, n)

@@ -11,9 +11,12 @@ into an explicit menu.
 The n(n-1) IC rows dominate the program, but almost all of them are slack
 at the optimum.  :class:`MenuLP` therefore stores only the IR and mass
 rows and builds IC rows on demand, and :func:`solve_lp` solves by row
-generation: it starts from the IR and mass rows plus each type's nearest
-neighbours' IC rows, and adds the most violated IC rows until none
-outside the model is violated.  Each round reads every IC slack off one
+generation: it starts from the IR and mass rows plus each type's IC rows
+against its nearest neighbours and against the nearest types it dominates
+componentwise, and adds the most violated IC rows until none outside the
+model is violated.  The dominated rows follow the screening intuition that
+binding IC constraints run downward, from a type to types below it
+(Rochet and Choné, 1998).  Each round reads every IC slack off one
 dense n x n utility matrix, so the IC block is never assembled.  A
 solution that is optimal for a relaxation and feasible for the full
 program is optimal for the full program, so the loop ends with a
@@ -49,6 +52,8 @@ from .distributions import ExplicitDistribution
 
 # IC rows per type in the first relaxation: those against its nearest types
 SEED_NEIGHBOURS = 5
+# and those against its nearest types that it dominates componentwise
+DOWN_NEIGHBOURS = 2
 # most violated IC rows added per truthful type in each round
 ROWS_PER_TYPE = 5
 # an IC row slack by more than PURGE_SLACK in PURGE_ROUNDS solves in a row
@@ -260,18 +265,51 @@ def _ic_row(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return i * (n - 1) + j - (j > i)
 
 
+def _nearest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for the k smallest finite entries of each row i of ``dist``,
+    ties to the lower j; a row with fewer finite entries gives them all.
+    Overwrites ``dist``."""
+    rows = np.arange(dist.shape[0])
+    I, J = [], []
+    for _ in range(k):
+        j = dist.argmin(axis=1)
+        hit = np.isfinite(dist[rows, j])
+        I.append(rows[hit])
+        J.append(j[hit])
+        dist[rows, j] = np.inf
+    return np.concatenate(I), np.concatenate(J)
+
+
 def _neighbour_ic_rows(lp: MenuLP) -> np.ndarray:
-    """IC rows of each type against its SEED_NEIGHBOURS nearest types."""
+    """IC rows of each type i against its SEED_NEIGHBOURS nearest types and
+    against its DOWN_NEIGHBOURS nearest dominated types, those j with
+    v_j <= v_i in every coordinate; a row can appear twice.
+
+    Nearest is in squared Euclidean distance, ties to the lower index.
+    Dominance is tested exactly, one coordinate at a time, but only on
+    the pairs that pass two necessary conditions read off the n x n Gram
+    matrix: sum_l v_jl <= sum_l v_il and, values being nonnegative,
+    v_j . v_j <= v_i . v_j.  No (n, n, m) array is built.
+    """
     n = lp.n
-    k = min(SEED_NEIGHBOURS, n - 1)
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
     V = lp.values
+    gram = V @ V.T
     sq = np.einsum("ij,ij->i", V, V)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
+    dist = sq[:, None] + sq[None, :] - 2.0 * gram
     np.fill_diagonal(dist, np.inf)
-    nearest = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    return _ic_row(n, np.arange(n)[:, None], nearest).ravel()
+    total = V.sum(axis=1)
+    # flat indices i*n + j; the relative slack covers rounding in the two
+    # dot products
+    pairs = np.flatnonzero((total <= total[:, None]) & (gram >= sq * (1.0 - 1e-9)))
+    I, J = np.divmod(pairs, n)
+    dominated = I != J
+    for col in V.T:
+        dominated &= col[J] <= col[I]
+    below = np.full((n, n), np.inf)
+    below.flat[pairs[dominated]] = dist.flat[pairs[dominated]]
+    near = _nearest(dist, SEED_NEIGHBOURS)
+    down = _nearest(below, DOWN_NEIGHBOURS)
+    return np.concatenate([_ic_row(n, *near), _ic_row(n, *down)])
 
 
 def _purge(streak: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,10 +334,13 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     Row generation over the IC rows, with HiGHS feasibility tolerances
     ``feas = min(tol * 1e-2, 1e-9)``.  The first relaxation holds every
     column and bound, the IR and mass rows, and each type's IC rows
-    against its SEED_NEIGHBOURS nearest types in value space.  Each round
-    solves the relaxation, reads all n(n-1) IC slacks off one n x n
-    utility matrix (:meth:`MenuLP.ic_violations`), and adds up to
-    ROWS_PER_TYPE of the most violated rows per truthful type, built by
+    against its SEED_NEIGHBOURS nearest types in value space and against
+    its DOWN_NEIGHBOURS nearest types among those it dominates
+    componentwise (:func:`_neighbour_ic_rows`).  The seed only sets where
+    the loop starts: the optimum and the stopping test do not depend on
+    it.  Each round solves the relaxation, reads all n(n-1) IC slacks off
+    one n x n utility matrix (:meth:`MenuLP.ic_violations`), and adds up
+    to ROWS_PER_TYPE of the most violated rows per truthful type, built by
     :meth:`MenuLP.ic_rows`; the IC block itself is never assembled.
     Only rows not yet in the model are separated: HiGHS holds its own
     rows only to ``feas``, so a model row can read as violated and must

@@ -128,8 +128,13 @@ def item_pricing_baseline(dist: ExplicitDistribution, H: float) -> tuple[Menu, f
     For supports in [1, H] the winner extracts at least
     expected_max_value / (2 ceil(log2 H)): the doubling prices cut [1, H]
     into ceil(log2 H) bands and the band menus' revenues add up to at
-    least half the expected maximum value.
+    least half the expected maximum value.  H must be finite and at least
+    1, the lowest doubling price.
     """
+    if not math.isfinite(H):
+        raise ValidationError(f"H must be finite, not {H}")
+    if H < 1:
+        raise ValidationError(f"H must be at least 1, not {H}")
     best_menu, best_rev = None, -1.0
     for p in doubling_prices(H):
         menu = uniform_price_menu(dist.m, p)

@@ -330,6 +330,29 @@ def test_a_non_finite_H_exits_3_naming_H(tmp_path, capsys, argv, H):
     assert f"H must be finite, not {H}" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("H", ["inf", "0", "-1", "nan"])
+def test_baseline_H_that_is_not_finite_or_under_1_exits_3_naming_H(tmp_path, capsys, H):
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "b.csv"
+    argv = ["experiment", "baseline", "--dist", inputs["{mono.json}"], "--n", "50", "--seeds", "0", "--H", H]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "H must be" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--m", "0", "m must be at least 1"),
+    ("--m", "-3", "m must be at least 1"),
+    ("--n-sets", "0", "set family is empty"),
+    ("--k", "0", "k must be at least 1"),
+    ("--H", "1", "H must exceed 1"),
+])
+def test_greedy_vs_opt_argument_out_of_range_exits_3_naming_it(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "g.csv"
+    argv = ["experiment", "greedy-vs-opt", "--seeds", "0", flag, value, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err and not out.exists()
+
+
 def test_round_menu_at_epsilon_0_checks_the_prices_against_H(tmp_path, capsys):
     inputs = _subcommand_inputs(tmp_path)  # its menu's top price is 3.7
     out = tmp_path / "r.json"

@@ -384,6 +384,8 @@ def test_draw_counts_must_be_integral(n):
         sampler.draw(n)
     with pytest.raises(mf.ValidationError):
         mf.estimate_revenue(mf.uniform_price_menu(3, 2.0), sampler, n, 0)
+    with pytest.raises(mf.ValidationError):
+        mf.EqualRevenueSpreadSampler(mf.EqualRevenueSpreadParams(6, 4.0), 0).draw_with_meta(n)
 
 
 def test_integral_draw_counts_of_other_types_are_read_exactly():

@@ -224,6 +224,34 @@ def test_lazy_solve_keeps_few_ic_rows():
     assert (single.rounds, single.ic_rows_kept, single.ic_rows_purged) == (1, 0, 0)
 
 
+def _seed_pairs(lp):
+    """The seed's IC rows as {truthful type: set of reported types}."""
+    i, r = np.divmod(lp_module._neighbour_ic_rows(lp), lp.n - 1)
+    pairs = {t: set() for t in range(lp.n)}
+    for a, b in zip(i.tolist(), (r + (r >= i)).tolist()):
+        pairs[a].add(b)
+    return pairs
+
+
+def test_seed_holds_each_type_against_its_nearest_dominated_types():
+    assert (lp_module.SEED_NEIGHBOURS, lp_module.DOWN_NEIGHBOURS) == (5, 2)
+    # types 1-5 sit close to type 0 but each beats it in one coordinate,
+    # so type 0's dominated types 6, 7 and 8 are all farther than its five
+    # nearest; type 8 dominates no type
+    V = np.array([[5.0, 5.0], [5.1, 4.96], [4.93, 5.12], [5.22, 4.91], [4.88, 5.17], [5.3, 4.97],
+                  [4.0, 4.0], [3.0, 3.0], [1.0, 1.0]])
+    lp = mf.build_lp(_uniform_dist(V))
+    pairs = _seed_pairs(lp)
+    assert pairs[0] == {1, 2, 3, 4, 5, 6, 7}
+    for i in range(lp.n):
+        dist = ((V - V[i]) ** 2).sum(axis=1)
+        dist[i] = np.inf
+        others = np.argsort(dist, kind="stable")
+        dominated = [j for j in others if j != i and np.all(V[j] <= V[i])]
+        assert pairs[i] == set(others[:5].tolist()) | set(dominated[:2])
+    assert len(pairs[8]) == 5
+
+
 def test_purge_keeps_rows_added_in_the_last_two_rounds():
     assert lp_module.PURGE_ROUNDS == 2
     slack = lp_module.PURGE_SLACK
