@@ -71,16 +71,21 @@ def _fmt(x) -> str:
 
 
 def _parse_seeds(spec: str) -> list[int]:
+    """The seeds of a ``--seeds`` spec: a range ``lo:hi`` or a list ``a,b,c``
+    of nonnegative integers, the seeds NumPy's generators take."""
     spec = spec.strip()
-    if ":" in spec:
-        a, b = spec.split(":", 1)
-        lo, hi = int(a), int(b)
-        if hi <= lo:
-            raise ValidationError(f"empty seed range {spec!r}")
-        return list(range(lo, hi))
-    seeds = [int(tok) for tok in spec.split(",") if tok]
+    try:
+        if ":" in spec:
+            a, b = spec.split(":", 1)
+            seeds = list(range(int(a), int(b)))
+        else:
+            seeds = [int(tok) for tok in spec.split(",") if tok]
+    except ValueError:
+        raise ValidationError(f"--seeds {spec!r} is not a range lo:hi or a list of integers") from None
     if not seeds:
-        raise ValidationError(f"no seeds in {spec!r}")
+        raise ValidationError(f"--seeds {spec!r} holds no seeds")
+    if min(seeds) < 0:
+        raise ValidationError(f"--seeds {spec!r} holds a negative seed")
     return seeds
 
 

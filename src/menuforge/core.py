@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 * a lottery is a nonnegative row with total mass at most 1 (partial
   lotteries model "no sale" residual probability), and only the zero
-  lottery may carry a zero price; :meth:`Menu.validate` checks both;
+  lottery may carry a zero price; the :class:`Menu` constructor checks both;
 * utility ties within ``TIE_TOL`` are resolved in favor of the higher
   price, then in favor of the earlier menu entry, with the implicit
   zero entry losing ties against explicit entries of equal price;
@@ -176,8 +176,10 @@ class Menu:
 
     The implicit zero entry is never stored; choice routines inject it.
     ``size`` is the menu complexity (number of explicit entries).  The
-    constructor copies its inputs, freezes the copies and rejects a
-    negative price; :meth:`validate` checks the other entry invariants.
+    constructor copies its inputs, checks every entry (a finite,
+    nonnegative price, a lottery that passes :func:`check_lotteries`, and
+    a zero price only on the zero lottery, so "free" allocations cannot
+    occur) and freezes the copies.
     """
 
     __slots__ = ("lotteries", "prices")
@@ -189,8 +191,13 @@ class Menu:
             raise ValidationError(
                 "a menu needs a (K, m) lottery array and K prices; use Menu.empty(m) for an empty menu"
             )
+        if not np.all(np.isfinite(P)):
+            raise ValidationError("menu has a non-finite price")
         if np.any(P < 0):
             raise ValidationError("negative price")
+        check_lotteries(L)
+        if np.any((P == 0) & np.any(L != 0, axis=1)):
+            raise ValidationError("zero price on a non-zero lottery")
         L.setflags(write=False)
         P.setflags(write=False)
         self.lotteries = L
@@ -207,18 +214,6 @@ class Menu:
     @property
     def size(self) -> int:
         return self.lotteries.shape[0]
-
-    def validate(self) -> "Menu":
-        """Check every entry: finite price, a lottery that passes
-        :func:`check_lotteries`, and a zero price only on the zero
-        lottery, so "free" allocations cannot occur."""
-        L, P = self.lotteries, self.prices
-        if not np.all(np.isfinite(P)):
-            raise ValidationError("menu has a non-finite price")
-        check_lotteries(L)
-        if np.any((P == 0) & np.any(L != 0, axis=1)):
-            raise ValidationError("zero price on a non-zero lottery")
-        return self
 
     def __eq__(self, other) -> bool:
         return (
@@ -256,7 +251,7 @@ class Menu:
                 raise DimensionMismatchError(f"entry {i} has a lottery of shape {x.shape}, menu declares m={m}")
             L[i] = x
             P[i] = json_field(e, "price", f"menu entry {i}", json_float)
-        return cls(L, P).validate()
+        return cls(L, P)
 
 
 def save_menu(menu: Menu, path) -> None:
@@ -473,10 +468,7 @@ def weighted_sum(w, x) -> float:
 
 def expected_revenue(menu: Menu, dist) -> float:
     """Exact expected revenue over an explicit distribution."""
-    w = np.asarray(dist.weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"weights sum to {w.sum()}, expected 1")
-    return weighted_sum(w, revenue_batch(menu, dist.values))
+    return weighted_sum(dist.weights, revenue_batch(menu, dist.values))
 
 
 def estimate_revenue(menu: Menu, sampler, n: int, seed: int) -> tuple[float, float]:
@@ -485,10 +477,7 @@ def estimate_revenue(menu: Menu, sampler, n: int, seed: int) -> tuple[float, flo
     Deterministic for a fixed seed; the sampler's own stream is untouched.
     By convention the standard error is 0 when n == 1.
     """
-    n = sample_count(n)
-    rng = np.random.default_rng(seed)
-    V = sampler.draw(n, rng)
-    r = revenue_batch(menu, V)
+    r = revenue_batch(menu, sampler.draw(n, np.random.default_rng(seed)))
     mean = float(r.mean())
-    stderr = 0.0 if n == 1 else float(r.std(ddof=1) / np.sqrt(n))
+    stderr = 0.0 if r.size == 1 else float(r.std(ddof=1) / np.sqrt(r.size))
     return mean, stderr

@@ -179,7 +179,9 @@ class Sampler:
     ``draw(n)`` advances the sampler's own stream; ``draw(n, rng)`` uses
     the caller's generator instead and leaves the sampler untouched.  Two
     samplers built with the same seed produce identical draw sequences.
-    A single instance must not be shared across concurrent drawers.
+    A single instance must not be shared across concurrent drawers.  The
+    constructor checks m >= 1, the tag, and, for "bounded" and "monotone"
+    values, a finite H >= 1.
     """
 
     m: int
@@ -190,6 +192,12 @@ class Sampler:
         self.m = int(m)
         self.H = float(H)
         self.tag = tag
+        if self.m < 1:
+            raise ValidationError(f"m must be at least 1, not {m}")
+        if tag not in VALUE_RANGE_TAGS:
+            raise ValidationError(f"unknown value range tag {tag!r}")
+        if tag in ("bounded", "monotone") and not (math.isfinite(self.H) and self.H >= 1):
+            raise ValidationError(f"H must be finite and at least 1, not {H}")
         self._rng = np.random.default_rng(seed)
 
     def draw(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -442,8 +450,6 @@ class MonotoneUniformSampler(Sampler):
     """m i.i.d. uniforms on [1, H], sorted ascending: monotone valuations."""
 
     def __init__(self, m: int, H: float, seed: int):
-        if H < 1:
-            raise ValidationError("H must be at least 1")
         super().__init__(m, H, "monotone", seed)
 
     def _draw(self, n, rng):

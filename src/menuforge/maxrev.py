@@ -12,12 +12,13 @@ high-value set.  This module makes the equivalence executable:
 * an exact coverage upper bound dominates the revenue of every menu.
 
 Hit-count accounting: a size-k item set T hitting a weight fraction f of
-the valuations scores low + (high - low) * f.  In the {0,1} convention
-(low 0, high 1, items priced at 1) this equals the menu's true expected
-revenue and the paper's optimality argument makes brute force over item
-sets the exact k-menu optimum.  In the {1,H} convention it is the
-coverage objective of the hardness reduction: it coincides with true
-revenue at full coverage and upper-bounds it below full coverage.
+the valuations scores low + (high - low) * f, and its item menu prices
+every item at high.  In the {0,h} convention (low 0; {0,1} is the usual
+case) the score equals the menu's true expected revenue and the paper's
+optimality argument makes brute force over item sets the exact k-menu
+optimum.  In the {1,H} convention it is the coverage objective of the
+hardness reduction: it coincides with true revenue at full coverage and
+upper-bounds it below full coverage.
 """
 
 from __future__ import annotations
@@ -93,13 +94,8 @@ def _weighted_column_sums(w, hits) -> np.ndarray:
 
 def _item_menu(problem: KMenuProblem, items) -> Menu:
     items = sorted(int(j) for j in items)
-    m = problem.m
-    L = np.zeros((len(items), m))
-    for r, j in enumerate(items):
-        L[r, j] = 1.0
-    # {0,1} instances price at 1 (= high); {1,H} instances price at H (= high)
-    price = problem.high if problem.low > 0 else 1.0
-    return Menu(L, np.full(len(items), price))
+    # every item at the high value, the price the hit-count score assumes
+    return Menu(np.eye(problem.m)[items], np.full(len(items), problem.high))
 
 
 def greedy_k_item_menu(problem: KMenuProblem) -> tuple[Menu, float]:
@@ -176,7 +172,7 @@ def derandomize_lotteries(menu: Menu, problem: KMenuProblem) -> np.ndarray:
     S = problem.sets
     w = problem.dist.weights
     n, m = S.shape
-    X = np.atleast_2d(menu.lotteries)
+    X = menu.lotteries
     hit_mass = np.clip(X @ S.T, 0.0, 1.0)     # (k, n): x_t(S_i)
     k = X.shape[0]
     hit = np.zeros(n, dtype=bool)
@@ -203,8 +199,7 @@ def derandomize_lotteries(menu: Menu, problem: KMenuProblem) -> np.ndarray:
 
 def expected_hit_fraction(menu: Menu, problem: KMenuProblem) -> float:
     """Hit probability under independent draws, one item per lottery."""
-    X = np.atleast_2d(menu.lotteries)
-    hm = np.clip(X @ problem.sets.T, 0.0, 1.0)
+    hm = np.clip(menu.lotteries @ problem.sets.T, 0.0, 1.0)
     return weighted_sum(problem.dist.weights, 1.0 - np.prod(1.0 - hm, axis=0))
 
 
@@ -223,8 +218,5 @@ def revenue_upper_bound(menu: Menu, problem: KMenuProblem) -> float:
     chosen lottery, which is at most low + (high - low) x_t(S_i) because
     total lottery mass is at most 1.
     """
-    if menu.size == 0:
-        best = np.zeros(problem.dist.n)
-    else:
-        best = np.max(np.clip(menu.lotteries @ problem.sets.T, 0.0, 1.0), axis=0)
+    best = np.max(np.clip(menu.lotteries @ problem.sets.T, 0.0, 1.0), axis=0, initial=0.0)
     return float(problem.low + (problem.high - problem.low) * weighted_sum(problem.dist.weights, best))

@@ -66,6 +66,8 @@ class PipelineConfig:
             raise ValidationError("epsilon must lie in (0, 1)")
         if not math.isfinite(self.H):
             raise ValidationError(f"H must be finite, not {self.H}")
+        if self.H < 1:
+            raise ValidationError(f"H must be at least 1, not {self.H}")
         if self.mode not in PIPELINE_MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.cover_kind not in ("multiplicative", "monotone_tail"):
@@ -146,8 +148,6 @@ def item_pricing_baseline(dist: ExplicitDistribution, H: float) -> tuple[Menu, f
 
 def item_pricing_from_samples(sampler: Sampler, H: float, n: int, seed: int) -> Menu:
     """Empirical winner among the doubling menus on n fresh draws."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
     V = sampler.draw(n, np.random.default_rng(seed))
     return item_pricing_baseline(explicit_from_samples(V), H)[0]
 

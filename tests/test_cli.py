@@ -258,6 +258,14 @@ def test_empty_seed_list_exits_3(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["a:b", "3:", "1,x", "-3:-1", "2,-1"])
+def test_malformed_seeds_exit_3_quoting_the_spec(tmp_path, capsys, spec):
+    out = tmp_path / "lb.csv"
+    # "--seeds=" so that argparse reads a leading "-" as part of the value
+    assert cli.main(["experiment", "lowerbound", f"--seeds={spec}", "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert f"--seeds {spec!r}" in capsys.readouterr().err and not out.exists()
+
+
 def _subcommand_inputs(tmp_path):
     """Tiny input files for the subcommand cases, keyed by placeholder."""
     paths = {name: tmp_path / name for name in ("menu.json", "dist.json", "mono.json", "config.json", "hs.txt")}

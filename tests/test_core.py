@@ -55,10 +55,10 @@ def test_choose_strict_argmax():
 
 
 def test_choose_tie_break_favors_higher_price():
-    # both entries give utility exactly 1 to v=(2,0)
-    menu = mf.Menu([[0.5, 0.0], [1.0, 0.0]], [0.0, 1.0])
+    # both entries give utility exactly 0.5 to v=(2,0)
+    menu = mf.Menu([[0.5, 0.0], [1.0, 0.0]], [0.5, 1.5])
     index, price, _ = _choice(menu, [2.0, 0.0])
-    assert index == 1 and price == 1.0
+    assert index == 1 and price == 1.5
 
     # non-tied case from the same family: first entry wins on strict utility
     menu2 = mf.Menu([[1.0, 0.0], [0.5, 0.5]], [1.0, 1.5])
@@ -206,17 +206,17 @@ def test_explicit_zero_entry_changes_nothing():
 
 def test_menu_entry_invariant_zero_price_needs_zero_lottery():
     with pytest.raises(mf.ValidationError, match="zero price"):
-        mf.Menu([[1.0, 0.0], [0.5, 0.0]], [1.0, 0.0]).validate()
-    mf.Menu([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0]).validate()
+        mf.Menu([[1.0, 0.0], [0.5, 0.0]], [1.0, 0.0])
+    mf.Menu([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0])
 
 
 def test_lottery_invariants():
     for lotteries in ([[0.5, 0.5], [-0.1, 0.5]], [[0.7, 0.7]], [[0.5, np.nan]], [[np.inf, 0.0]]):
         with pytest.raises(mf.ValidationError):
-            mf.Menu(lotteries, np.ones(len(lotteries))).validate()
+            mf.Menu(lotteries, np.ones(len(lotteries)))
     with pytest.raises(mf.ValidationError, match="non-finite"):
-        mf.Menu([[1.0]], [np.nan]).validate()
-    mf.Menu([[0.5, 0.5 + 0.5 * core.LOTTERY_MASS_SLACK], [0.0, 0.25]], [1.0, 2.0]).validate()
+        mf.Menu([[1.0]], [np.nan])
+    mf.Menu([[0.5, 0.5 + 0.5 * core.LOTTERY_MASS_SLACK], [0.0, 0.25]], [1.0, 2.0])
 
 
 def _explicit(rows, tag, H=4.0):

@@ -65,7 +65,7 @@ def test_enumerate_monotone_small():
     enum = mf.enumerate_cover(CoverSpec("monotone_tail", 0.5, 2, H=2.0))
     # nonincreasing pairs over {1, .5, .25, 0}
     assert enum.count == math.comb(4 + 1, 2)
-    mf.Menu(enum.lotteries, np.ones(enum.count)).validate()
+    mf.Menu(enum.lotteries, np.ones(enum.count))  # the constructor checks each lottery
 
 
 def test_enumerate_count_only_past_budget():
@@ -127,7 +127,7 @@ def test_rounded_outputs_are_valid_lotteries():
     rng = np.random.default_rng(4)
     for kind in ("additive", "multiplicative", "monotone_tail"):
         spec = CoverSpec(kind, 0.05, 5, H=16.0)
-        mf.Menu(mf.round_lottery(_random_lotteries(rng, 300, 5), spec), np.ones(300)).validate()
+        mf.Menu(mf.round_lottery(_random_lotteries(rng, 300, 5), spec), np.ones(300))
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])

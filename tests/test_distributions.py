@@ -221,6 +221,25 @@ def test_monotone_sampler_invariants():
     np.testing.assert_allclose(ones, 1.0)
 
 
+@pytest.mark.parametrize("m, H, message", [
+    (5, float("nan"), "H must be finite and at least 1, not nan"),
+    (5, float("inf"), "H must be finite and at least 1, not inf"),
+    (5, 0.5, "H must be finite and at least 1, not 0.5"),
+    (0, 8.0, "m must be at least 1, not 0"),
+    (-2, 8.0, "m must be at least 1, not -2"),
+])
+def test_samplers_reject_a_broken_m_or_H(m, H, message):
+    with pytest.raises(mf.ValidationError, match=message):
+        mf.MonotoneUniformSampler(m, H, 0)
+    with pytest.raises(mf.ValidationError, match=message):
+        mf.Sampler(m, H, "bounded", 0)
+
+
+def test_samplers_reject_an_unknown_tag():
+    with pytest.raises(mf.ValidationError, match="unknown value range tag 'odd'"):
+        mf.Sampler(2, 8.0, "odd", 0)
+
+
 def test_family_invariants_fuzz():
     # every family emits class-valid draws, checked over 10^4 draws each
     n = 10_000

@@ -149,6 +149,19 @@ def test_zero_one_convention_prices_at_one_and_scores_exactly():
         assert mf.expected_revenue(menu, d) == pytest.approx(value, abs=1e-12)
 
 
+def test_zero_h_convention_prices_at_h_and_scores_exactly():
+    # {0,3} valuations: the greedy menu sells each item at 3, and the score it
+    # reports is the revenue that menu earns
+    V = np.array([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 3, 3], [0, 3, 3, 0]], dtype=float)
+    d = mf.explicit_from_samples(V)
+    problem = mf.KMenuProblem.from_distribution(d, k=2)
+    assert problem.low == 0.0 and problem.high == 3.0
+    menu, value = mf.greedy_k_item_menu(problem)
+    assert np.all(menu.prices == 3.0)
+    assert value == 2.25
+    assert mf.expected_revenue(menu, d) == pytest.approx(value, abs=1e-12)
+
+
 def test_reduction_faithfulness_dual_brute_force():
     # {0,1} MAXREV optimum == optimal hitting-set count, by two brute forces
     rng = np.random.default_rng(3)

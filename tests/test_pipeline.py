@@ -1,6 +1,9 @@
 """Seeding and sample use of the desk-scale experiments."""
 
+import json
+
 import numpy as np
+import pytest
 
 import menuforge as mf
 from menuforge import cli, pipeline
@@ -89,3 +92,17 @@ def test_lower_bound_menu_earns_what_the_module_docstring_says_at_the_cli_defaul
     assert (args.m, args.H, args.K) == (30, 8.0, 20)
     ratios = np.array([mf.lower_bound_experiment(args.m, args.H, args.K, seed).ratio for seed in range(200)])
     assert (round(ratios.min(), 2), round(ratios.max(), 2), round(ratios.mean(), 2)) == (0.64, 1.00, 0.85)
+
+
+@pytest.mark.parametrize("mode", ["naive", "sample_and_round"])
+def test_pipeline_H_under_1_exits_3_before_the_lp(tmp_path, capsys, monkeypatch, mode):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran before the config was checked")
+
+    monkeypatch.setattr(pipeline, "solve_lp", no_lp)
+    dist = {"type": "explicit", "params": {"support": [[1.0, 2.0], [3.0, 0.5]], "weights": [0.5, 0.5]}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dist": dist, "t": 8, "epsilon": 0.1, "H": 0.5, "mode": mode}))
+    out = tmp_path / "menu.json"
+    assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "H must be at least 1, not 0.5" in capsys.readouterr().err and not out.exists()
