@@ -52,7 +52,6 @@ from .lp import (
     BudgetExceededError,
     LPError,
     LPSolution,
-    LPUnboundedError,
     MenuLP,
     brute_force_optimal,
     build_lp,

@@ -132,7 +132,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_solve_lp(args) -> int:
     dist = _load_dist_arg(args.dist)
     lp = build_lp(dist)
-    sol = solve_lp(lp, tol=args.tol)
+    sol = solve_lp(lp)
     menu = extract_menu(sol)
     save_menu(menu, args.out)
     if args.dump_lp:
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp = sub.add_parser("solve-lp", help="optimal menu for an explicit distribution by LP")
     lp.add_argument("--dist", required=True)
     lp.add_argument("--out", required=True)
-    lp.add_argument("--tol", type=float, default=1e-7)
     lp.add_argument("--dump-lp", help="also write the LP in sparse text form")
     lp.set_defaults(func=_cmd_solve_lp)
 

@@ -27,7 +27,8 @@ cost of each simplex iteration grows with the row count.  A deleted row
 goes back to the pool and can be separated again, so the certificate
 still covers every IC row.  The relaxation lives in one HiGHS model
 (scipy's bundled handle), so every round warm-starts from the previous
-basis.
+basis.  The accuracy is fixed: HiGHS feasibility tolerances of 1e-9
+(FEAS_TOL) and an objective within 1e-7 of the optimum.
 
 :func:`brute_force_optimal` is an independent grid-search oracle: it
 enumerates small menus whose entries come from finite price and lottery
@@ -47,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core as _highs  # private scipy API, shipped since 1.15
 
-from .core import TIE_TOL, Menu, ValidationError, weighted_sum
+from .core import TIE_TOL, Menu, weighted_sum
 from .distributions import ExplicitDistribution
 
 # IC rows per type in the first relaxation: those against its nearest types
@@ -67,16 +68,13 @@ DEDUP_TOL = 1e-7
 _GRID_CHUNK = 200_000
 # most candidate menus brute_force_optimal will score
 BRUTE_FORCE_BUDGET = 5_000_000
-# the smallest primal and dual feasibility tolerance HiGHS accepts
-_HIGHS_MIN_FEAS = 1e-10
+# HiGHS primal and dual feasibility tolerance; solve_lp also stops when no
+# IC row outside the model is violated by more than this
+FEAS_TOL = 1e-9
 
 
 class LPError(RuntimeError):
     """Solver-level failure, with status diagnostics attached."""
-
-
-class LPUnboundedError(LPError):
-    pass
 
 
 class BudgetExceededError(RuntimeError):
@@ -218,13 +216,13 @@ class _WarmHighs:
     """The relaxation held in one HiGHS model: added rows keep the basis,
     so each run warm-starts from the previous optimum."""
 
-    def __init__(self, lp: MenuLP, A: sp.csr_matrix, b: np.ndarray, feas: float):
+    def __init__(self, lp: MenuLP, A: sp.csr_matrix, b: np.ndarray):
         self.lp = lp
         self.highs = _highs._Highs()
         for name, value in (
             ("output_flag", False),
-            ("primal_feasibility_tolerance", feas),
-            ("dual_feasibility_tolerance", feas),
+            ("primal_feasibility_tolerance", FEAS_TOL),
+            ("dual_feasibility_tolerance", FEAS_TOL),
         ):
             if self.highs.setOptionValue(name, value) == _highs.HighsStatus.kError:
                 raise _fail(lp, "option rejected", name)
@@ -253,8 +251,6 @@ class _WarmHighs:
     def solve(self) -> np.ndarray:
         self.highs.run()
         status = self.highs.getModelStatus()
-        if status == _highs.HighsModelStatus.kUnbounded:
-            raise LPUnboundedError("LP reported unbounded despite payment bounds")
         if status != _highs.HighsModelStatus.kOptimal:
             raise _fail(self.lp, status, self.highs.modelStatusToString(status))
         return np.array(self.highs.getSolution().col_value)
@@ -328,12 +324,12 @@ def _purge(streak: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return streak, streak >= PURGE_ROUNDS
 
 
-def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
-    """Solve to an optimal basic solution within ``tol`` of the optimum.
+def solve_lp(lp: MenuLP) -> LPSolution:
+    """Solve to an optimal basic solution within 1e-7 of the optimum.
 
-    Row generation over the IC rows, with HiGHS feasibility tolerances
-    ``feas = min(tol * 1e-2, 1e-9)``.  The first relaxation holds every
-    column and bound, the IR and mass rows, and each type's IC rows
+    The accuracy is fixed: row generation over the IC rows, with HiGHS
+    feasibility tolerances FEAS_TOL = 1e-9.  The first relaxation holds
+    every column and bound, the IR and mass rows, and each type's IC rows
     against its SEED_NEIGHBOURS nearest types in value space and against
     its DOWN_NEIGHBOURS nearest types among those it dominates
     componentwise (:func:`_neighbour_ic_rows`).  The seed only sets where
@@ -343,9 +339,9 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     to ROWS_PER_TYPE of the most violated rows per truthful type, built by
     :meth:`MenuLP.ic_rows`; the IC block itself is never assembled.
     Only rows not yet in the model are separated: HiGHS holds its own
-    rows only to ``feas``, so a model row can read as violated and must
+    rows only to FEAS_TOL, so a model row can read as violated and must
     not be added again.  The loop stops
-    when no row outside the model is violated by more than ``feas``.  The
+    when no row outside the model is violated by more than FEAS_TOL.  The
     solution is then optimal for a relaxation and feasible for the full
     LP, which certifies it optimal for the full LP.
 
@@ -358,23 +354,16 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
     checks it: the certificate is unchanged.
 
     The relaxation is one HiGHS model through scipy's bundled handle, so
-    each round warm-starts from the last basis.  Unboundedness cannot
-    occur with the payment bounds in place but is still mapped to
-    :class:`LPUnboundedError`; any other non-optimal status raises
-    :class:`LPError`.  A ``tol`` that is NaN, infinite or
-    under 1e-8, where ``feas`` would fall below ``_HIGHS_MIN_FEAS``, the
-    least HiGHS accepts, raises :class:`ValidationError` before anything
-    is solved.
+    each round warm-starts from the last basis.  Every column has finite
+    bounds, so the LP cannot be unbounded; any non-optimal status raises
+    :class:`LPError`.
     """
     n_ic = lp.num_ic_rows
-    feas = min(tol * 1e-2, 1e-9)
-    if not (math.isfinite(tol) and feas >= _HIGHS_MIN_FEAS):
-        raise ValidationError(f"tol={tol!r} must be a finite number of at least {_HIGHS_MIN_FEAS * 1e2:g}")
     n_fixed = lp.b_fixed.size                   # IR and mass rows, first and never deleted
     model = np.unique(_neighbour_ic_rows(lp))   # IC row id at each model position after them
     relaxation = _WarmHighs(
         lp, sp.vstack([lp.fixed, lp.ic_rows(model)], format="csr"),
-        np.concatenate([lp.b_fixed, np.zeros(model.size)]), feas,
+        np.concatenate([lp.b_fixed, np.zeros(model.size)]),
     )
     streak = np.zeros(model.size, dtype=np.int64)
     k = min(ROWS_PER_TYPE, lp.n - 1)
@@ -389,7 +378,7 @@ def solve_lp(lp: MenuLP, tol: float = 1e-7) -> LPSolution:
         violation[model] = -np.inf
         violation = violation.reshape(lp.n, lp.n - 1)
         worst = np.argpartition(-violation, k - 1, axis=1)[:, :k]
-        violated = np.take_along_axis(violation, worst, axis=1) > feas
+        violated = np.take_along_axis(violation, worst, axis=1) > FEAS_TOL
         rows = (np.arange(lp.n)[:, None] * (lp.n - 1) + worst)[violated]
         if rows.size == 0:
             break

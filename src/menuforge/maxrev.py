@@ -65,17 +65,6 @@ class KMenuProblem:
     def m(self) -> int:
         return self.dist.m
 
-    @classmethod
-    def from_distribution(cls, dist: ExplicitDistribution, k: int) -> "KMenuProblem":
-        vals = np.unique(dist.values)
-        if len(vals) > 2:
-            raise ValidationError("more than two distinct values in the sample")
-        high = float(vals[-1])
-        if high <= 0:
-            raise ValidationError("sample has no positive values")
-        low = float(vals[0]) if len(vals) == 2 else 0.0
-        return cls(dist, k, low, high)
-
 
 def reduce_hitting_set(inst: HittingSetInstance, k: int) -> KMenuProblem:
     """The hardness reduction: one {1,H} valuation per set, C = k."""

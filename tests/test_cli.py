@@ -391,7 +391,7 @@ def test_unknown_cover_kind_is_a_usage_error(tmp_path):
 
 
 def test_solver_failure_exits_5(tmp_path, monkeypatch, capsys):
-    def fail(lp, tol=1e-7):
+    def fail(lp):
         raise mf.LPError("LP solve failed: status=stub")
 
     monkeypatch.setattr(cli, "solve_lp", fail)

@@ -5,9 +5,6 @@ import io
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -127,6 +124,41 @@ def test_extracted_menu_realizes_ic_rows():
         for j in range(d.n):
             alt = float(d.values[i] @ sol.lotteries[j] - sol.payments[j])
             assert got >= alt - 1e-6
+
+
+# five per-type pairs of the LP optimum on the consolidated t=100 monotone
+# sample (m=5, H=8) drawn from default_rng(417406410): types 0, 8, 58, 64
+# and 89, each of weight 0.01 there
+_MERGE_VALUES = [
+    [1.0132582129597445, 4.050757052353214, 4.4334989215815845, 7.152759406575761, 7.769654653508488],
+    [1.1731248726291312, 2.188824243547019, 3.3208036715263134, 6.622763506842235, 6.7100333327099655],
+    [2.18846582733413, 3.194788431225231, 3.9990396595760425, 6.7001402141355575, 6.727263681559174],
+    [2.286345002884915, 2.8255064157529115, 4.001618191349343, 7.037458439286346, 7.1321223895067805],
+    [3.6114457854356, 4.15686982672105, 4.7048950041245945, 5.9520978742188815, 6.345395367090767],
+]
+_MERGE_SOLUTION = mf.LPSolution(
+    lotteries=np.array([
+        [0.0, 0.0, 0.0, 3.6263835899719155e-06, 0.99999637361641],
+        [0.0, 0.0, 0.0, 3.6563860642546686e-06, 0.9999963436139357],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 3.6563860715821406e-06, 0.9999963436139284],
+        [0.03671956350908859, 0.02355662429252511, 0.0, 0.1318267922145489, 0.8078970199838374],
+    ]),
+    payments=np.array([6.061235692946375, 6.061235683612922, 5.973966176837366, 6.061235683612921, 5.76937261988008]),
+    objective=5.985409171377933,
+    rounds=0, ic_rows_kept=0, ic_rows_purged=0,
+)
+
+
+@pytest.mark.xfail(strict=True, reason="extract_menu's DEDUP_TOL merge can move a type off an exact "
+                                       "utility tie onto a strictly better, cheaper entry")
+def test_extracted_menu_earns_the_objective_after_a_merge():
+    # types 1 and 3 sit at an exact utility tie between their own pair and the
+    # cheaper pairs of types 2 and 4; the merge gives them type 0's pair, 3e-8
+    # away, which they like less, so they buy the cheaper entries
+    d = mf.ExplicitDistribution(np.array(_MERGE_VALUES), np.full(5, 0.2))
+    menu = mf.extract_menu(_MERGE_SOLUTION)
+    assert mf.expected_revenue(menu, d) >= _MERGE_SOLUTION.objective - 1e-7
 
 
 def test_lp_dominates_external_menus():
@@ -295,7 +327,6 @@ def test_highs_handle_methods_used_by_solve_lp():
     h.run()
     assert h.getModelStatus() == core.HighsModelStatus.kOptimal
     assert np.allclose(h.getSolution().col_value, [4.0, 0.0])
-    assert hasattr(core.HighsModelStatus, "kUnbounded")
 
 
 def _pairwise_ic_block(V):
@@ -395,29 +426,12 @@ def test_dump_lp_shape():
     assert lines[-1].startswith("bounds ")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-12, 1e-9, float("inf")])
-def test_solve_lp_rejects_a_tolerance_highs_cannot_take(tol):
-    lp = mf.build_lp(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(mf.ValidationError, match="tol"):
-        mf.solve_lp(lp, tol=tol)
-
-
-def test_solve_lp_accepts_the_smallest_tolerance_highs_takes():
-    lp = mf.build_lp(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]))
-    assert mf.solve_lp(lp, tol=1e-8).objective == pytest.approx(mf.solve_lp(lp).objective, abs=1e-9)
-
-
-def test_solve_lp_cli_with_a_bad_tolerance_exits_3(tmp_path, capsys):
+def test_solve_lp_cli_has_no_tolerance_option(tmp_path, capsys):
+    # the LP runs at one fixed accuracy, so --tol is a usage error
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]).to_json_dict()))
     out = tmp_path / "menu.json"
-    argv = ["solve-lp", "--dist", str(dist), "--out", str(out), "--tol"]
-    for tol in ("0", "-1", "1e-12"):
-        assert cli.main(argv + [tol]) == cli.EXIT_VALIDATION == 3
-        assert "tol" in capsys.readouterr().err and not out.exists()
-    # NaN in a child process: a NaN tolerance that reached HiGHS crashed the interpreter
-    src = os.path.dirname(os.path.dirname(mf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "menuforge.cli", *argv, "nan"], env=env, capture_output=True, text=True)
-    assert proc.returncode == cli.EXIT_VALIDATION
-    assert "tol" in proc.stderr and not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-lp", "--dist", str(dist), "--out", str(out), "--tol", "1e-7"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err and not out.exists()

@@ -142,8 +142,7 @@ def test_zero_one_convention_prices_at_one_and_scores_exactly():
         V = (rng.random((n, m)) < 0.4).astype(float)
         V[V.sum(axis=1) == 0, 0] = 1.0  # keep every support set nonempty
         d = mf.explicit_from_samples(V, tag="unit_interval")
-        problem = mf.KMenuProblem.from_distribution(d, k=2)
-        assert problem.low == 0.0 and problem.high == 1.0
+        problem = mf.KMenuProblem(d, 2, 0.0, 1.0)
         menu, value = mf.greedy_k_item_menu(problem)
         assert np.all(menu.prices == 1.0)
         assert mf.expected_revenue(menu, d) == pytest.approx(value, abs=1e-12)
@@ -154,8 +153,7 @@ def test_zero_h_convention_prices_at_h_and_scores_exactly():
     # reports is the revenue that menu earns
     V = np.array([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, 3, 3], [0, 3, 3, 0]], dtype=float)
     d = mf.explicit_from_samples(V)
-    problem = mf.KMenuProblem.from_distribution(d, k=2)
-    assert problem.low == 0.0 and problem.high == 3.0
+    problem = mf.KMenuProblem(d, 2, 0.0, 3.0)
     menu, value = mf.greedy_k_item_menu(problem)
     assert np.all(menu.prices == 3.0)
     assert value == 2.25
@@ -174,7 +172,7 @@ def test_reduction_faithfulness_dual_brute_force():
             V[i, list(s)] = 1.0
         d = mf.explicit_from_samples(V, tag="unit_interval")
         k = int(rng.integers(1, 3))
-        problem = mf.KMenuProblem.from_distribution(d, k=k)
+        problem = mf.KMenuProblem(d, k, 0.0, 1.0)
         _, value = mf.brute_force_k_menu(problem)
         # independent oracle: enumerate item sets, count hits, evaluate menus
         best_count = 0.0
@@ -243,4 +241,4 @@ def test_revenue_upper_bound_dominates_fuzz():
 def test_two_level_validation():
     d = mf.explicit_from_samples(np.array([[1.0, 2.0], [1.0, 3.0]]))
     with pytest.raises(mf.ValidationError):
-        mf.KMenuProblem.from_distribution(d, k=1)
+        mf.KMenuProblem(d, 1, 1.0, 3.0)

@@ -210,6 +210,42 @@ def test_dropped_entries_only_at_negligible_prices():
     assert mult * 0.05 - add < 0
 
 
+# row 46 of the consolidated sample of pipeline seed 47 at t=100
+# (MonotoneUniformSampler(5, 8.0, 0), epsilon 0.1, H 8, monotone_tail) and
+# the two entries of its LP menu it buys before and after rounding
+_TIE_BUYER = [1.9382535628773547, 3.07829269515546, 4.135250670640326, 4.8402415382078985, 5.297646101270019]
+_TIE_MENU = (
+    [[0.0, 0.0, 0.059522519895607924, 0.01730255932331012, 0.060954242416434844],
+     [0.01797748160284807, 0.0, 0.0067982718321920165, 0.0, 0.0]],
+    [0.6528031113638009, 0.06295747592155009],
+)
+_TIE_PARAMS = mf.PipelineConfig(t=100, epsilon=0.1, H=8.0, cover_kind="monotone_tail").rounding_params()
+
+
+def test_pinned_tie_sits_clear_of_the_tie_window_edge():
+    v = np.array([_TIE_BUYER])
+    menu = mf.Menu(*_TIE_MENU)
+    # before rounding both entries and the zero entry tie, far inside the
+    # window, and the buyer takes the dearer entry; after rounding the best
+    # option leads the next by far more than the window
+    u = (v @ menu.lotteries.T - menu.prices)[0]
+    assert np.all(np.abs(u) < mf.TIE_TOL / 1e3)
+    assert mf.revenue_batch(menu, v)[0] == menu.prices[0]
+    rounded = mf.round_menu(menu, _TIE_PARAMS)
+    u = np.sort(np.append(v @ rounded.lotteries.T - rounded.prices, 0.0))
+    assert u[-1] - u[-2] > mf.TIE_TOL * 1e4
+
+
+@pytest.mark.xfail(strict=True, reason="level 1 holds every price up to 1+delta, so a buyer tied between "
+                                       "two LP entries priced below 1 moves to the much cheaper one")
+def test_round_menu_keeps_the_guarantee_on_a_pinned_lp_tie():
+    v = np.array([_TIE_BUYER])
+    menu = mf.Menu(*_TIE_MENU)
+    rev = mf.revenue_batch(menu, v)[0]
+    mult, add = mf.guarantee_bound(_TIE_PARAMS)
+    assert mf.revenue_batch(mf.round_menu(menu, _TIE_PARAMS), v)[0] >= mult * rev - add
+
+
 def test_sample_size_for_cover_examples():
     # single-menu Hoeffding: log|N| = 0, failure ~ 2/e makes the log term 1
     t = mf.sample_size_for_cover(0.0, H=4.0, epsilon=0.5, failure_prob=2.0 / math.e)
