@@ -147,10 +147,7 @@ def _cmd_solve_lp(args) -> int:
 
 def _cmd_round_menu(args) -> int:
     menu = load_menu(args.menu)
-    params = RoundingParams(
-        epsilon=args.epsilon, H=args.H, delta=args.delta, cover_kind=args.cover_kind
-    )
-    rounded = round_menu(menu, params)
+    rounded = round_menu(menu, RoundingParams(args.epsilon, args.H, args.cover_kind))
     save_menu(rounded, args.out)
     print(f"entries {menu.size} -> {rounded.size}")
     return EXIT_OK
@@ -297,13 +294,16 @@ def _cmd_experiment_greedy(args) -> int:
             sets.append(tuple(np.sort(rng.choice(args.m, size=size, replace=False)).tolist()))
         return row(seed, HittingSetInstance(tuple(sets), m=args.m, H=args.H))
 
+    m, n_sets = args.m, args.n_sets
     if args.hitting_set:
-        rows = [row(0, load_hitting_set(args.hitting_set, H=args.H))]
+        inst = load_hitting_set(args.hitting_set, H=args.H)
+        m, n_sets = inst.m, inst.n
+        rows = [row(0, inst)]
     else:
         if args.m < 1:  # before run draws set sizes from [1, m]
             raise ValidationError("m must be at least 1")
         rows = [run(seed) for seed in seeds]
-    config = {"m": args.m, "n_sets": args.n_sets, "k": args.k, "H": args.H, "hitting_set": args.hitting_set or ""}
+    config = {"m": m, "n_sets": n_sets, "k": args.k, "H": args.H, "hitting_set": args.hitting_set or ""}
     cols = ["instance", "greedy_revenue", "oracle_revenue", "ratio"]
     return _write_experiment(args, "greedy-vs-opt", config, cols, rows)
 
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--out", required=True)
     rm.add_argument("--epsilon", type=float, required=True)
     rm.add_argument("--H", type=float, required=True)
-    rm.add_argument("--delta", type=float, default=None)
     rm.add_argument("--cover-kind", default="multiplicative", choices=["multiplicative", "monotone_tail"])
     rm.set_defaults(func=_cmd_round_menu)
 

@@ -199,6 +199,9 @@ def overfit_experiment(
     disabled): the LP fits the sample at least as well as the closed-form
     naive menu.
     """
+    for name, n in (("sample_n", sample_n), ("eval_n", eval_n)):
+        if n < 1:
+            raise ValidationError(f"{name} must be at least 1, not {n}")
     params = OverfitProductParams(m=m, delta=delta)
     sampler = OverfitProductSampler(params, seed)
     S = sampler.draw(sample_n, np.random.default_rng(seed))

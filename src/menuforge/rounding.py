@@ -4,7 +4,8 @@ guarantee.
 Naively snapping every menu entry to a grid can destroy revenue: a tiny
 allocation loss or price increase chases away buyers making knife's-edge
 choices.  The transform here therefore discounts prices more, and scales
-allocations down less, the higher the entry's price level:
+allocations down less, the higher the entry's price level.  It runs at one
+resolution eps in (0, 1), with level width delta = sqrt(eps):
 
 * entries are split into price levels k = 1..K, level k holding prices in
   ((1+delta)^(k-1), (1+delta)^k], with K the smallest integer such that
@@ -37,48 +38,38 @@ from .covers import CoverSpec, round_lottery
 
 @dataclass(frozen=True)
 class RoundingParams:
-    """Knobs of the level construction.
+    """The resolution of the level construction.
 
-    delta defaults to sqrt(epsilon), the balance point between the
-    multiplicative level loss and the number of levels.  The cover is the
-    ``cover_kind`` grid at the same epsilon and H: the multiplicative grid
-    by default, or monotone_tail when every valuation to be served is
-    monotone.
+    epsilon lies in (0, 1) and sets the level width delta = sqrt(epsilon),
+    the balance point between the multiplicative level loss and the number
+    of levels.  The cover is the ``cover_kind`` grid at the same epsilon
+    and H: the multiplicative grid by default, or monotone_tail when every
+    valuation to be served is monotone.  The (epsilon, H, cover_kind)
+    checks are :class:`CoverSpec`'s.
     """
 
     epsilon: float
     H: float
-    delta: float | None = None
     cover_kind: str = "multiplicative"
 
     def __post_init__(self):
-        if not math.isfinite(self.H):
-            raise ValidationError(f"H must be finite, not {self.H}")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ValidationError("epsilon must lie in [0, 1)")
-        d = self.resolved_delta
-        if not (0.0 <= d < 1.0):
-            raise ValidationError("delta must lie in [0, 1)")
-        if self.H > 1.0 and d == 0.0:
-            raise ValidationError("delta = 0 needs H <= 1 (no finite level count otherwise)")
-        if self.H < 1.0:
-            raise ValidationError("H must be at least 1")
+        self.cover_spec(1)
 
     @property
-    def resolved_delta(self) -> float:
-        return math.sqrt(self.epsilon) if self.delta is None else self.delta
+    def delta(self) -> float:
+        return math.sqrt(self.epsilon)
 
     @property
     def K(self) -> int:
         """Smallest integer with (1+delta)^K >= H."""
         if self.H <= 1.0:
             return 0
-        return max(1, math.ceil(math.log(self.H) / math.log1p(self.resolved_delta) - 1e-12))
+        return max(1, math.ceil(math.log(self.H) / math.log1p(self.delta) - 1e-12))
 
     def level(self, price):
         """Smallest k >= 1 with price <= (1+delta)^k, elementwise, for prices in (0, H].
 
-        A scalar price gives a Python int, an array of prices an int array.
+        Returns an int array of the prices' shape, 0-d for a scalar price.
         Degenerate H <= 1 has a single level 0 (no level scaling at all).
         """
         p = np.asarray(price, dtype=float)
@@ -88,10 +79,8 @@ class RoundingParams:
             raise ValidationError(f"price {p.max()} exceeds H={self.H}")
         K = self.K
         if K == 0:
-            k = np.zeros(p.shape, dtype=int)
-        else:
-            k = np.clip(np.ceil(np.log(p) / math.log1p(self.resolved_delta) - 1e-12), 1, K).astype(int)
-        return int(k) if k.ndim == 0 else k
+            return np.zeros(p.shape, dtype=int)
+        return np.clip(np.ceil(np.log(p) / math.log1p(self.delta) - 1e-12), 1, K).astype(int)
 
     def cover_spec(self, m: int) -> CoverSpec:
         return CoverSpec(self.cover_kind, self.epsilon, m, self.H)
@@ -105,7 +94,7 @@ def guarantee_bound(params: RoundingParams) -> tuple[float, float]:
     asymptotics: multiplicative = (1-delta)(1-eps)^K, additive = (2K+1) eps.
     """
     K = params.K
-    mult = (1.0 - params.resolved_delta) * (1.0 - params.epsilon) ** K
+    mult = (1.0 - params.delta) * (1.0 - params.epsilon) ** K
     add = (2 * K + 1) * params.epsilon
     return mult, add
 
@@ -119,8 +108,6 @@ def round_menu(menu: Menu, params: RoundingParams) -> Menu:
     all surviving lotteries are level-scaled cover points.
     """
     k = params.level(menu.prices)
-    if params.epsilon == 0.0:
-        return menu
     eps = params.epsilon
     K = params.K
     # Python's float powers, as guarantee_bound takes them (np.power differs in

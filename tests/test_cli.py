@@ -361,14 +361,51 @@ def test_greedy_vs_opt_argument_out_of_range_exits_3_naming_it(tmp_path, capsys,
     assert message in capsys.readouterr().err and not out.exists()
 
 
-def test_round_menu_at_epsilon_0_checks_the_prices_against_H(tmp_path, capsys):
+def test_greedy_vs_opt_from_a_file_echoes_the_instance(tmp_path):
+    inputs = _subcommand_inputs(tmp_path)  # hs.txt: 4 sets over m=6
+    out = tmp_path / "g.csv"
+    argv = ["experiment", "greedy-vs-opt", "--hitting-set", inputs["{hs.txt}"], "--m", "0", "--n-sets", "99"]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    header = out.read_text().splitlines()
+    assert "# m=6" in header and "# n_sets=4" in header
+
+
+@pytest.mark.parametrize("flag, name", [("--sample-n", "sample_n"), ("--eval-n", "eval_n")])
+def test_overfit_draw_count_of_0_exits_3_naming_it(tmp_path, capsys, monkeypatch, flag, name):
+    def no_draws(self, n, rng):
+        raise AssertionError("drew before checking the draw counts")
+
+    monkeypatch.setattr(mf.OverfitProductSampler, "_draw", no_draws)
+    out = tmp_path / "o.csv"
+    argv = ["experiment", "overfit", "--no-lp", "--m", "8", "--seeds", "0", flag, "0", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"{name} must be at least 1" in capsys.readouterr().err and not out.exists()
+
+
+def test_round_menu_checks_the_prices_against_H(tmp_path, capsys):
     inputs = _subcommand_inputs(tmp_path)  # its menu's top price is 3.7
     out = tmp_path / "r.json"
-    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0", "--delta", "0.5", "--out", str(out)]
+    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0.1", "--out", str(out)]
     assert cli.main(argv + ["--H", "3"]) == cli.EXIT_VALIDATION == 3
     assert "exceeds H=3.0" in capsys.readouterr().err and not out.exists()
     assert cli.main(argv + ["--H", "4"]) == cli.EXIT_OK
-    assert mf.load_menu(out) == mf.load_menu(inputs["{menu.json}"])
+
+
+def test_round_menu_at_epsilon_0_exits_3_naming_epsilon(tmp_path, capsys):
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "r.json"
+    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0", "--H", "4", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "epsilon must lie in (0, 1)" in capsys.readouterr().err and not out.exists()
+
+
+def test_round_menu_has_no_delta_option(tmp_path):
+    inputs = _subcommand_inputs(tmp_path)
+    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0.1", "--H", "4", "--delta", "0.5",
+            "--out", str(tmp_path / "r.json")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

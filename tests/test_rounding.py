@@ -2,6 +2,7 @@
 level discipline, closure, and the Hoeffding sample-size rule."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,16 +19,28 @@ def _random_menu(rng, k, m, H):
 
 
 def test_k_examples():
-    assert RoundingParams(epsilon=0.04, H=16.0, delta=0.5).K == 7   # 1.5^7 >= 16 > 1.5^6
-    assert RoundingParams(epsilon=0.04, H=16.0, delta=0.2).K == 16  # 1.2^16 >= 16 > 1.2^15
-    assert RoundingParams(epsilon=0.0, H=1.0, delta=0.0).K == 0
+    assert RoundingParams(epsilon=0.25, H=16.0).K == 7   # delta 0.5: 1.5^7 >= 16 > 1.5^6
+    assert RoundingParams(epsilon=0.04, H=16.0).K == 16  # delta 0.2: 1.2^16 >= 16 > 1.2^15
+    assert RoundingParams(epsilon=0.04, H=1.0).K == 0
 
 
 def test_guarantee_bound_examples():
-    assert mf.guarantee_bound(RoundingParams(epsilon=0.0, H=1.0, delta=0.0)) == (1.0, 0.0)
-    mult, add = mf.guarantee_bound(RoundingParams(epsilon=0.01, H=16.0, delta=0.5))
-    assert add == pytest.approx(15 * 0.01)  # K=7 -> (2K+1) eps
-    assert mult == pytest.approx(0.5 * 0.99 ** 7)
+    assert mf.guarantee_bound(RoundingParams(epsilon=0.04, H=1.0)) == pytest.approx((0.8, 0.04))  # K=0
+    mult, add = mf.guarantee_bound(RoundingParams(epsilon=0.25, H=16.0))
+    assert add == pytest.approx(15 * 0.25)  # K=7 -> (2K+1) eps
+    assert mult == pytest.approx(0.5 * 0.75 ** 7)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"epsilon": 0.0, "H": 1.0}, "epsilon must lie in (0, 1)"),
+    ({"epsilon": 1.0, "H": 4.0}, "epsilon must lie in (0, 1)"),
+    ({"epsilon": 0.1, "H": math.inf}, "H must be finite, not inf"),
+    ({"epsilon": 0.1, "H": 0.5}, "H must be at least 1"),
+    ({"epsilon": 0.1, "H": 4.0, "cover_kind": "hexagonal"}, "unknown cover kind 'hexagonal'"),
+])
+def test_rounding_params_reject_what_a_cover_spec_rejects(kwargs, message):
+    with pytest.raises(mf.ValidationError, match=re.escape(message)):
+        RoundingParams(**kwargs)
 
 
 def test_guarantee_bound_monotone_in_epsilon():
@@ -40,13 +53,12 @@ def test_guarantee_bound_monotone_in_epsilon():
 
 
 def test_level_function():
-    rp = RoundingParams(epsilon=0.04, H=16.0, delta=0.2)
+    rp = RoundingParams(epsilon=0.04, H=16.0)
     assert rp.level(0.5) == 1
     assert rp.level(1.0) == 1
     assert rp.level(1.2) == 1
     assert rp.level(1.21) == 2
     assert rp.level(16.0) == rp.K
-    assert type(rp.level(1.21)) is int
     assert rp.level(np.array([0.5, 1.2, 1.21, 16.0])).tolist() == [1, 1, 2, rp.K]
     for bad in (0.0, np.nan, 17.0, np.array([1.0, 0.0])):
         with pytest.raises(mf.ValidationError):
@@ -71,7 +83,7 @@ def test_round_menu_tiny_epsilon_is_nearly_identity():
 
 def test_round_menu_top_level_formula():
     eps, H = 0.04, 16.0
-    rp = RoundingParams(epsilon=eps, H=H, delta=0.2)
+    rp = RoundingParams(epsilon=eps, H=H)
     K = rp.K
     menu = mf.Menu([[1.0, 0.0]], [H])
     out = mf.round_menu(menu, rp)
@@ -97,8 +109,8 @@ def test_round_menu_rejects_a_non_lottery(lottery):
 
 def test_round_menu_proof_bound_fuzz():
     # q' >= (1-delta)(1-eps)^K p - (2K+1) eps per (menu, valuation) pair
-    eps, delta, H = 0.04, 0.2, 16.0
-    rp = RoundingParams(epsilon=eps, H=H, delta=delta)
+    H = 16.0
+    rp = RoundingParams(epsilon=0.04, H=H)
     mult, add = mf.guarantee_bound(rp)
     rng = np.random.default_rng(42)
     for _ in range(200):
@@ -113,8 +125,8 @@ def test_round_menu_proof_bound_fuzz():
 
 
 def test_round_menu_monotone_cover_proof_bound():
-    eps, delta, H = 0.04, 0.2, 8.0
-    rp = RoundingParams(epsilon=eps, H=H, delta=delta, cover_kind="monotone_tail")
+    H = 8.0
+    rp = RoundingParams(epsilon=0.04, H=H, cover_kind="monotone_tail")
     mult, add = mf.guarantee_bound(rp)
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -129,7 +141,7 @@ def test_round_menu_monotone_cover_proof_bound():
 
 def _reference_round_menu(menu, rp):
     """round_menu one entry at a time, each level from math.log: the oracle."""
-    eps, K, d = rp.epsilon, rp.K, rp.resolved_delta
+    eps, K, d = rp.epsilon, rp.K, rp.delta
     lotteries, prices = [], []
     for x, p in zip(menu.lotteries, menu.prices.tolist()):
         k = min(K, max(1, math.ceil(math.log(p) / math.log1p(d) - 1e-12)))
@@ -151,7 +163,7 @@ def test_round_menu_closure_lotteries_are_scaled_cover_points():
         eps = (0.05, (0.1 / 3) ** 2)[trial // 2 % 2]  # the pipeline rounds t=100 fits at (0.1/3)^2
         H = (8.0, 16.0)[trial // 4 % 2]
         rp = RoundingParams(epsilon=eps, H=H, cover_kind=cover_kind)
-        d = rp.resolved_delta
+        d = rp.delta
         m, k = int(rng.integers(1, 7)), int(rng.integers(0, 12))
         L = rng.dirichlet(np.ones(m), size=k) * rng.random((k, 1))
         boundaries = [(1 + d) ** j for j in range(rp.K) if (1 + d) ** j <= H]
@@ -173,7 +185,7 @@ def test_round_menu_closure_lotteries_are_scaled_cover_points():
 def test_round_menu_determinism():
     rng = np.random.default_rng(5)
     menu = _random_menu(rng, 5, 3, 16.0)
-    rp = RoundingParams(epsilon=0.04, H=16.0, delta=0.2)
+    rp = RoundingParams(epsilon=0.04, H=16.0)
     a = mf.round_menu(menu, rp)
     b = mf.round_menu(menu, rp)
     assert a == b
@@ -181,8 +193,8 @@ def test_round_menu_determinism():
 
 def test_level_discipline():
     # rounded price of a level-k entry < rounded price of any level-(k+2) entry
-    eps, delta, H = 0.01, 0.1, 16.0
-    rp = RoundingParams(epsilon=eps, H=H, delta=delta)
+    eps, H = 0.01, 16.0
+    rp = RoundingParams(epsilon=eps, H=H)
     rng = np.random.default_rng(11)
     for _ in range(300):
         menu = _random_menu(rng, 8, 2, H)
@@ -202,7 +214,7 @@ def test_level_discipline():
 
 def test_dropped_entries_only_at_negligible_prices():
     eps, H = 0.04, 16.0
-    rp = RoundingParams(epsilon=eps, H=H, delta=0.2)
+    rp = RoundingParams(epsilon=eps, H=H)
     mult, add = mf.guarantee_bound(rp)
     menu = mf.Menu([[1.0], [1.0]], [0.05, 8.0])
     out = mf.round_menu(menu, rp)
