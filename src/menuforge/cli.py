@@ -10,6 +10,10 @@ only on its seed and the configuration, so a long sweep can be split into
 processes over disjoint ``--seeds`` ranges whose data rows, concatenated,
 are the rows of the whole range.
 
+``pipeline`` reads its run from one JSON config: an inline distribution
+under "dist", "t", "epsilon", "H" and optionally "cover_kind", "seed" and
+"mode".  Only ``--t`` and ``--seed`` override it, so one config serves a sweep.
+
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O, 5 solver failure,
 6 infeasible construction or exhausted combinatorial budget.
 """
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -50,6 +53,7 @@ from .lp import BudgetExceededError, LPError, build_lp, dump_lp, extract_menu, s
 from .maxrev import brute_force_k_menu, greedy_k_item_menu, reduce_hitting_set
 from .pipeline import (
     PipelineConfig,
+    doubling_bands,
     item_pricing_baseline,
     lower_bound_experiment,
     overfit_experiment,
@@ -183,37 +187,17 @@ def _cmd_cover_round(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    where = f"pipeline config {args.config}"
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise ValidationError(f"pipeline config {args.config} must be a JSON object")
-    dist_spec = raw.get("dist")
-    if args.dist:
-        dist_spec = args.dist
-    if dist_spec is None:
-        raise ValidationError("pipeline config needs a 'dist' entry or --dist")
-    if isinstance(dist_spec, str):
-        source = load_distribution(dist_spec)
-    else:
-        source = distribution_from_json(dist_spec)
-
-    def setting(key: str, convert, default=None):
-        """The command-line value, else the config's, else ``default``."""
-        if getattr(args, key) is not None:
-            return getattr(args, key)
-        return json_field(raw, key, f"pipeline config {args.config}", convert) if key in raw else default
-
-    fields = {
-        "t": setting("t", json_int),
-        "epsilon": setting("epsilon", json_float),
-        "H": setting("H", json_float),
-        "cover_kind": setting("cover_kind", str, "multiplicative"),
-        "seed": setting("seed", json_int, 0),
-        "mode": setting("mode", str, "sample_and_round"),
-    }
-    missing = [k for k in ("t", "epsilon", "H") if fields[k] is None]
-    if missing:
-        raise ValidationError(f"pipeline config lacks {missing}")
+        raise ValidationError(f"{where} must be a JSON object")
+    source = json_field(raw, "dist", where, distribution_from_json)
+    flags = {key: value for key, value in (("t", args.t), ("seed", args.seed)) if value is not None}
+    raw = {"cover_kind": "multiplicative", "seed": 0, "mode": "sample_and_round", **raw, **flags}
+    converters = {"t": json_int, "epsilon": json_float, "H": json_float,
+                  "cover_kind": str, "seed": json_int, "mode": str}
+    fields = {key: json_field(raw, key, where, convert) for key, convert in converters.items()}
     cfg = PipelineConfig(**fields)
     sampler = source if isinstance(source, Sampler) else ExplicitSampler(source, cfg.seed)
     menu = sample_and_round(sampler, cfg)
@@ -269,7 +253,7 @@ def _cmd_experiment_baseline(args) -> int:
         H = args.H if args.H is not None else max(1.0, float(dist.values.max()))
         _, rev = item_pricing_baseline(dist, H=H)
         emax = expected_max_value(dist)
-        bound = emax / (2.0 * max(1, math.ceil(math.log2(max(H, 2.0)))))
+        bound = emax / (2.0 * max(1, doubling_bands(H)))
         rows.append([seed, rev, emax, bound])
 
     config = {"dist": args.dist, "n": args.n}
@@ -359,18 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
             c.add_argument("--lottery", required=True, help="comma-separated probabilities")
             c.set_defaults(func=_cmd_cover_round)
 
-    pl = sub.add_parser("pipeline", help="sample, fit by LP, round into a cover")
-    pl.add_argument("--config", required=True)
+    pl = sub.add_parser("pipeline", help="sample, fit by LP, round into a cover, all as a JSON config says")
+    pl.add_argument("--config", required=True, help="the run: \"dist\" (an inline distribution object), "
+                    "\"t\", \"epsilon\", \"H\", \"cover_kind\", \"seed\" and \"mode\"")
     pl.add_argument("--out", required=True)
     pl.add_argument("--report")
-    pl.add_argument("--dist", help="override the config's distribution (path)")
-    pl.add_argument("--t", type=int)
-    pl.add_argument("--epsilon", type=float)
-    pl.add_argument("--H", type=float)
-    pl.add_argument("--cover-kind", choices=["multiplicative", "monotone_tail"])
+    pl.add_argument("--t", type=int, help="sample size, overriding the config's \"t\"")
     pl.add_argument("--seed", type=int,
                     help="seed of the t draws, overriding the config's \"seed\"; a sampler's own \"seed\" has no effect")
-    pl.add_argument("--mode", choices=["naive", "sample_and_round"])
     pl.set_defaults(func=_cmd_pipeline)
 
     ex = sub.add_parser("experiment", help="seeded experiment suites, CSV out")

@@ -442,8 +442,11 @@ def load_hitting_set(path, H: float) -> HittingSetInstance:
     m, n = int(header[0]), int(header[1])
     if len(lines) - 1 != n:
         raise ValidationError(f"header declares {n} sets, file has {len(lines) - 1}")
-    sets = [tuple(int(tok) - 1 for tok in ln.split()) for ln in lines[1:]]
-    return HittingSetInstance(tuple(sets), m=m, H=H)
+    sets = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
+    outside = [e for s in sets for e in s if not 1 <= e <= m]
+    if outside:
+        raise ValidationError(f"item {outside[0]} lies outside the items 1..{m}")
+    return HittingSetInstance(tuple(tuple(e - 1 for e in s) for s in sets), m=m, H=H)
 
 
 class MonotoneUniformSampler(Sampler):

@@ -80,11 +80,14 @@ class PipelineConfig:
         an overall target epsilon takes eps_round = (epsilon / ceil(log2
         H))^2, the constant-1 instantiation of that composition.
         """
-        levels = max(1, math.ceil(math.log2(max(self.H, 2.0))))
-        eps_round = (self.epsilon / levels) ** 2
+        eps_round = (self.epsilon / max(1, doubling_bands(self.H))) ** 2
         return RoundingParams(epsilon=eps_round, H=self.H, cover_kind=self.cover_kind)
 
     def validate_sampler(self, sampler: Sampler) -> None:
+        """Reject, before any draw, a sampler whose values may exceed H or
+        that a monotone_tail cover does not certify."""
+        if sampler.H > self.H:
+            raise ValidationError(f"the sampler's H={sampler.H} exceeds the pipeline's H={self.H}")
         if self.cover_kind == "monotone_tail" and sampler.tag != "monotone":
             raise ValidationError(
                 "monotone_tail covers are only certified for monotone valuations; "
@@ -112,10 +115,16 @@ def sample_and_round(sampler: Sampler, cfg: PipelineConfig) -> Menu:
     return round_menu(menu, cfg.rounding_params())
 
 
+def doubling_bands(H: float) -> int:
+    """ceil(log2 H) for H >= 1, the number of doubling bands [2^(j-1), 2^j]
+    that cover [1, H]; 0 at H = 1.  An H whose log2 lies at most 1e-12
+    above an integer k counts as 2^k, so float noise adds no band."""
+    return math.ceil(math.log2(H) - 1e-12)
+
+
 def doubling_prices(H: float) -> list[float]:
     """1, 2, 4, ..., 2^ceil(log2 H)."""
-    top = max(0, math.ceil(math.log2(H) - 1e-12))
-    return [float(2 ** j) for j in range(top + 1)]
+    return [float(2 ** j) for j in range(doubling_bands(H) + 1)]
 
 
 def uniform_price_menu(m: int, price: float) -> Menu:

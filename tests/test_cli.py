@@ -245,9 +245,10 @@ def test_json_numbers_that_are_not_finite_numbers_exit_3(tmp_path, capsys, sourc
 def test_pipeline_monotone_cover_on_a_decreasing_support_exits_3(tmp_path, capsys):
     dist = {"type": "explicit", "params": {"support": [[3.0, 1.0], [2.0, 1.5]], "weights": [0.5, 0.5],
                                            "tag": "monotone"}}
-    config = _malformed(tmp_path, json.dumps({"dist": dist, "t": 4, "epsilon": 0.1, "H": 4.0}))
+    config = _malformed(tmp_path, json.dumps(
+        {"dist": dist, "t": 4, "epsilon": 0.1, "H": 4.0, "cover_kind": "monotone_tail"}))
     out = tmp_path / "menu.json"
-    argv = ["pipeline", "--config", config, "--cover-kind", "monotone_tail", "--out", str(out)]
+    argv = ["pipeline", "--config", config, "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert "decreasing" in capsys.readouterr().err and not out.exists()
 
@@ -268,14 +269,16 @@ def test_malformed_seeds_exit_3_quoting_the_spec(tmp_path, capsys, spec):
 
 def _subcommand_inputs(tmp_path):
     """Tiny input files for the subcommand cases, keyed by placeholder."""
-    paths = {name: tmp_path / name for name in ("menu.json", "dist.json", "mono.json", "config.json", "hs.txt")}
+    names = ("menu.json", "dist.json", "mono.json", "config.json", "naive.json", "hs.txt")
+    paths = {name: tmp_path / name for name in names}
     mf.save_menu(mf.Menu([[0.5, 0.5], [1.0, 0.0], [0.3, 0.6]], [1.25, 2.0, 3.7]), paths["menu.json"])
     dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 2.0]]), np.full(3, 1 / 3))
     paths["dist.json"].write_text(json.dumps(dist.to_json_dict()))
     mono = {"type": "monotone_uniform", "params": {"m": 3, "H": 8.0}, "seed": 3}
     paths["mono.json"].write_text(json.dumps(mono))
-    paths["config.json"].write_text(json.dumps(
-        {"dist": mono, "t": 12, "epsilon": 0.1, "H": 8.0, "cover_kind": "monotone_tail", "seed": 2}))
+    config = {"dist": mono, "t": 12, "epsilon": 0.1, "H": 8.0, "cover_kind": "monotone_tail", "seed": 2}
+    paths["config.json"].write_text(json.dumps(config))
+    paths["naive.json"].write_text(json.dumps({**config, "mode": "naive"}))
     paths["hs.txt"].write_text("6 4\n1 2\n2 3 4\n5\n1 6\n")
     return {"{" + name + "}": str(path) for name, path in paths.items()}
 
@@ -288,7 +291,7 @@ SUBCOMMANDS = {
                      "--lottery", "0.2,0.3,0.4"], ["--out"]),
     "reduce-hitting-set": (["reduce-hitting-set", "--in", "{hs.txt}", "--H", "4", "--k", "2"], ["--out"]),
     "pipeline-sample-and-round": (["pipeline", "--config", "{config.json}"], ["--out", "--report"]),
-    "pipeline-naive": (["pipeline", "--config", "{config.json}", "--mode", "naive"], ["--out", "--report"]),
+    "pipeline-naive": (["pipeline", "--config", "{naive.json}"], ["--out", "--report"]),
     "overfit-no-lp": (["experiment", "overfit", "--no-lp", "--m", "8", "--sample-n", "30", "--eval-n", "200",
                        "--seeds", "0:2"], ["--out"]),
     "baseline": (["experiment", "baseline", "--dist", "{mono.json}", "--n", "200", "--seeds", "0:2"], ["--out"]),
@@ -311,6 +314,31 @@ def test_subcommand_exits_0_and_reruns_byte_identically(tmp_path, name):
     assert all(written[0]) and written[1] == written[0]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dist", "{mono.json}"),
+    ("--epsilon", "0.1"),
+    ("--H", "8"),
+    ("--cover-kind", "multiplicative"),
+    ("--mode", "naive"),
+])
+def test_pipeline_has_no_flag_for_a_config_field(tmp_path, flag, value):
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    argv = ["pipeline", "--config", inputs["{config.json}"], flag, inputs.get(value, value), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2 and not out.exists()
+
+
+def test_pipeline_dist_given_as_a_path_exits_3_naming_dist(tmp_path, capsys):
+    inputs = _subcommand_inputs(tmp_path)
+    config = json.loads(Path(inputs["{config.json}"]).read_text())
+    path = _malformed(tmp_path, json.dumps({**config, "dist": inputs["{mono.json}"]}))
+    out = tmp_path / "out.json"
+    assert cli.main(["pipeline", "--config", path, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert 'field "dist": distribution must be a JSON object' in capsys.readouterr().err and not out.exists()
+
+
 def test_pipeline_report_counts_the_written_menu(tmp_path):
     inputs = _subcommand_inputs(tmp_path)
     out, report = tmp_path / "menu.json", tmp_path / "report.csv"
@@ -323,7 +351,7 @@ def test_pipeline_report_counts_the_written_menu(tmp_path):
 @pytest.mark.parametrize("H", ["inf", "nan"])
 @pytest.mark.parametrize("argv", [
     ["round-menu", "--menu", "{menu.json}", "--epsilon", "0.1", "--out", "{out}"],
-    ["pipeline", "--config", "{config.json}", "--out", "{out}"],
+    ["cover", "enumerate", "--kind", "monotone_tail", "--epsilon", "0.1", "--m", "2", "--out", "{out}"],
     ["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "3", "--lottery", "0.2,0.3,0.4"],
     ["cover", "enumerate", "--kind", "additive", "--epsilon", "0.1", "--m", "2", "--out", "{out}"],
     ["experiment", "lowerbound", "--seeds", "0", "--out", "{out}"],
@@ -406,6 +434,38 @@ def test_round_menu_has_no_delta_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def _hitting_set_file(text, message, name):
+    argv = ["reduce-hitting-set", "--in", "{bad}", "--H", "4", "--k", "2"]
+    return pytest.param(argv, text, message, id=name)
+
+
+def _json_dist(dist, message, name):
+    return pytest.param(["evaluate", "--menu", "{menu.json}", "--dist", "{bad}"], json.dumps(dist), message, id=name)
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    _hitting_set_file("", "empty hitting-set file", "hitting-set-empty-file"),
+    _hitting_set_file("6\n1 2\n", 'first line must be "m n"', "hitting-set-bad-header"),
+    _hitting_set_file("3 2\n1 2\n", "header declares 2 sets, file has 1", "hitting-set-count"),
+    _hitting_set_file("3 1\n2 2\n", "duplicate item inside a set", "hitting-set-duplicate-item"),
+    _hitting_set_file("3 1\n1 4\n", "item 4 lies outside the items 1..3", "hitting-set-item-out-of-range"),
+    _json_dist({"type": "hitting_set", "params": {"sets": [[0], []], "m": 2, "H": 4.0}}, "empty set in family",
+               "hitting-set-empty-set"),
+    _json_dist({"type": "gaussian", "params": {}}, "unknown distribution type 'gaussian'", "unknown-dist-type"),
+    pytest.param(["evaluate", "--menu", "{menu.json}", "--dist", "{mono.json}"], "",
+                 "does not describe an explicit distribution", id="evaluate-sampler"),
+    pytest.param(["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "2",
+                  "--lottery", "0.2,0.3,0.4"], "", "lottery has 3 coordinates, spec says m=2", id="cover-round-m"),
+    pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"], '{"m": 2, "entries": {}}',
+                 'menu field "entries" must be a list', id="menu-entries-not-a-list"),
+])
+def test_malformed_input_exits_3_naming_the_fault(tmp_path, capsys, argv, text, message):
+    inputs = {**_subcommand_inputs(tmp_path), "{bad}": _malformed(tmp_path, text)}
+    out = tmp_path / "out"
+    assert cli.main([inputs.get(tok, tok) for tok in argv] + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -94,15 +94,48 @@ def test_lower_bound_menu_earns_what_the_module_docstring_says_at_the_cli_defaul
     assert (round(ratios.min(), 2), round(ratios.max(), 2), round(ratios.mean(), 2)) == (0.64, 1.00, 0.85)
 
 
-@pytest.mark.parametrize("mode", ["naive", "sample_and_round"])
-def test_pipeline_H_under_1_exits_3_before_the_lp(tmp_path, capsys, monkeypatch, mode):
+def _forbid_the_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP ran before the config was checked")
 
     monkeypatch.setattr(pipeline, "solve_lp", no_lp)
+
+
+def _pipeline_error(tmp_path, capsys, monkeypatch, config):
+    """The error ``pipeline`` prints for ``config``, after checking that it
+    exits 3 before any LP runs and writes no menu."""
+    _forbid_the_lp(monkeypatch)
+    path, out = tmp_path / "config.json", tmp_path / "menu.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["pipeline", "--config", str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["naive", "sample_and_round"])
+def test_pipeline_H_under_1_exits_3_before_the_lp(tmp_path, capsys, monkeypatch, mode):
     dist = {"type": "explicit", "params": {"support": [[1.0, 2.0], [3.0, 0.5]], "weights": [0.5, 0.5]}}
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dist": dist, "t": 8, "epsilon": 0.1, "H": 0.5, "mode": mode}))
-    out = tmp_path / "menu.json"
-    assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == cli.EXIT_VALIDATION
-    assert "H must be at least 1, not 0.5" in capsys.readouterr().err and not out.exists()
+    config = {"dist": dist, "t": 8, "epsilon": 0.1, "H": 0.5, "mode": mode}
+    assert "H must be at least 1, not 0.5" in _pipeline_error(tmp_path, capsys, monkeypatch, config)
+
+
+@pytest.mark.parametrize("mode", ["naive", "sample_and_round"])
+def test_pipeline_H_under_the_samplers_H_exits_3_before_the_lp(tmp_path, capsys, monkeypatch, mode):
+    dist = {"type": "monotone_uniform", "params": {"m": 3, "H": 16.0}}
+    config = {"dist": dist, "t": 8, "epsilon": 0.1, "H": 8.0, "mode": mode}
+    err = _pipeline_error(tmp_path, capsys, monkeypatch, config)
+    assert "the sampler's H=16.0 exceeds the pipeline's H=8.0" in err
+
+
+def test_sample_and_round_rejects_a_monotone_cover_of_an_untagged_sampler(monkeypatch):
+    _forbid_the_lp(monkeypatch)
+    sampler = mf.OverfitProductSampler(mf.OverfitProductParams(m=4, delta=0.1), seed=0)  # tagged nonneg
+    cfg = mf.PipelineConfig(t=8, epsilon=0.1, H=2.0, cover_kind="monotone_tail")
+    with pytest.raises(mf.ValidationError, match="sampler is tagged 'nonneg'"):
+        mf.sample_and_round(sampler, cfg)
+
+
+def test_pipeline_monotone_cover_of_an_untagged_distribution_exits_3_before_the_lp(tmp_path, capsys, monkeypatch):
+    dist = {"type": "overfit", "params": {"m": 4, "delta": 0.1}}
+    config = {"dist": dist, "t": 8, "epsilon": 0.1, "H": 2.0, "cover_kind": "monotone_tail"}
+    assert "sampler is tagged 'nonneg'" in _pipeline_error(tmp_path, capsys, monkeypatch, config)
