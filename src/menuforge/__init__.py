@@ -55,7 +55,6 @@ from .lp import (
     MenuLP,
     brute_force_optimal,
     build_lp,
-    dump_lp,
     extract_menu,
     solve_lp,
 )

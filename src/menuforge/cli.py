@@ -13,6 +13,7 @@ are the rows of the whole range.
 ``pipeline`` reads its run from one JSON config: an inline distribution
 under "dist", "t", "epsilon", "H" and optionally "cover_kind", "seed" and
 "mode".  Only ``--t`` and ``--seed`` override it, so one config serves a sweep.
+A config, distribution or menu field that no reader reads is a validation error.
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O, 5 solver failure,
 6 infeasible construction or exhausted combinatorial budget.
@@ -33,6 +34,7 @@ from .core import (
     json_field,
     json_float,
     json_int,
+    json_known_fields,
     load_menu,
     save_menu,
 )
@@ -49,7 +51,7 @@ from .distributions import (
     load_distribution,
     load_hitting_set,
 )
-from .lp import BudgetExceededError, LPError, build_lp, dump_lp, extract_menu, solve_lp
+from .lp import BudgetExceededError, LPError, build_lp, extract_menu, solve_lp
 from .maxrev import brute_force_k_menu, greedy_k_item_menu, reduce_hitting_set
 from .pipeline import (
     PipelineConfig,
@@ -135,13 +137,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_solve_lp(args) -> int:
     dist = _load_dist_arg(args.dist)
-    lp = build_lp(dist)
-    sol = solve_lp(lp)
+    sol = solve_lp(build_lp(dist))
     menu = extract_menu(sol)
     save_menu(menu, args.out)
-    if args.dump_lp:
-        with open(args.dump_lp, "w", encoding="utf-8") as fh:
-            dump_lp(lp, fh)
     print(
         f"objective {_fmt(sol.objective)} entries {menu.size} "
         f"rounds {sol.rounds} ic_rows_kept {sol.ic_rows_kept} ic_rows_purged {sol.ic_rows_purged}"
@@ -190,13 +188,12 @@ def _cmd_pipeline(args) -> int:
     where = f"pipeline config {args.config}"
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where} must be a JSON object")
+    converters = {"t": json_int, "epsilon": json_float, "H": json_float,
+                  "cover_kind": str, "seed": json_int, "mode": str}
+    json_known_fields(raw, ("dist", *converters), where)
     source = json_field(raw, "dist", where, distribution_from_json)
     flags = {key: value for key, value in (("t", args.t), ("seed", args.seed)) if value is not None}
     raw = {"cover_kind": "multiplicative", "seed": 0, "mode": "sample_and_round", **raw, **flags}
-    converters = {"t": json_int, "epsilon": json_float, "H": json_float,
-                  "cover_kind": str, "seed": json_int, "mode": str}
     fields = {key: json_field(raw, key, where, convert) for key, convert in converters.items()}
     cfg = PipelineConfig(**fields)
     sampler = source if isinstance(source, Sampler) else ExplicitSampler(source, cfg.seed)
@@ -295,9 +292,7 @@ def _cmd_experiment_greedy(args) -> int:
 def _cmd_reduce_hitting_set(args) -> int:
     inst = load_hitting_set(args.infile, H=args.H)
     problem = reduce_hitting_set(inst, args.k)
-    payload = problem.dist.to_json_dict()
-    payload["params"]["k"] = args.k
-    _write_json(args.out, payload)
+    _write_json(args.out, problem.dist.to_json_dict())
     print(f"wrote {problem.dist.n} valuations over m={problem.dist.m} items")
     return EXIT_OK
 
@@ -316,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     lp = sub.add_parser("solve-lp", help="optimal menu for an explicit distribution by LP")
     lp.add_argument("--dist", required=True)
     lp.add_argument("--out", required=True)
-    lp.add_argument("--dump-lp", help="also write the LP in sparse text form")
     lp.set_defaults(func=_cmd_solve_lp)
 
     rm = sub.add_parser("round-menu", help="round a menu into a lottery cover")

@@ -81,6 +81,15 @@ def json_field(d, key: str, where: str, convert):
         raise ValidationError(f'{where} field "{key}": {exc}') from None
 
 
+def json_known_fields(d, known, where: str) -> None:
+    """Raise :class:`ValidationError` naming the first field of ``d`` outside ``known``."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = [key for key in d if key not in known]
+    if unknown:
+        raise ValidationError(f'{where} has the unknown field "{unknown[0]}"')
+
+
 def json_int(value) -> int:
     """A count or seed read from JSON: an integral number, as an int.
 
@@ -237,6 +246,7 @@ class Menu:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Menu":
+        json_known_fields(d, ("m", "entries"), "menu")
         m = json_field(d, "m", "menu", json_int)
         if m < 1:
             raise ValidationError(f'menu field "m" is {m}; a menu needs at least one item')
@@ -246,6 +256,7 @@ class Menu:
         L = np.zeros((len(ents), m))
         P = np.zeros(len(ents))
         for i, e in enumerate(ents):
+            json_known_fields(e, ("lottery", "price"), f"menu entry {i}")
             x = json_field(e, "lottery", f"menu entry {i}", json_floats)
             if x.shape != (m,):
                 raise DimensionMismatchError(f"entry {i} has a lottery of shape {x.shape}, menu declares m={m}")

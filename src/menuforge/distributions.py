@@ -23,7 +23,9 @@ The parametric families:
   construction needs that sparsity.  Its candidate sets come from the
   same k-set draw as the spread sampler's.
 * hitting-set valuations: value H on a given set, 1 elsewhere, one
-  valuation per set; the MAXREV reduction instances.
+  valuation per set; the MAXREV reduction instances.  They are read from
+  one form only, the 1-based text file of :func:`load_hitting_set`;
+  ``reduce-hitting-set`` writes them out as an explicit distribution.
 * ``MonotoneUniformSampler``: sorted i.i.d. uniforms on [1, H], a
   generator of monotone valuations for the tail-probability covers.
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import ValidationError, json_field, json_float, json_floats, json_int, sample_count
+from .core import ValidationError, json_field, json_float, json_floats, json_int, json_known_fields, sample_count
 
 VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
@@ -431,18 +433,26 @@ def hitting_set_valuations(inst: HittingSetInstance) -> ExplicitDistribution:
 
 def load_hitting_set(path, H: float) -> HittingSetInstance:
     """Plain text format: first line "m n", then one line of space-separated
-    1-based item indices per set."""
+    1-based item indices per set.  Blank lines and lines starting with "#"
+    are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValidationError("empty hitting-set file")
-    header = lines[0].split()
+
+    def integer(no: int, tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValidationError(f"{path} line {no}: {tok!r} is not an integer") from None
+
+    (head_no, header), rows = lines[0], lines[1:]
     if len(header) != 2:
         raise ValidationError('first line must be "m n"')
-    m, n = int(header[0]), int(header[1])
-    if len(lines) - 1 != n:
-        raise ValidationError(f"header declares {n} sets, file has {len(lines) - 1}")
-    sets = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
+    m, n = (integer(head_no, tok) for tok in header)
+    if len(rows) != n:
+        raise ValidationError(f"header declares {n} sets, file has {len(rows)}")
+    sets = [tuple(integer(no, tok) for tok in tokens) for no, tokens in rows]
     outside = [e for s in sets for e in s if not 1 <= e <= m]
     if outside:
         raise ValidationError(f"item {outside[0]} lies outside the items 1..{m}")
@@ -464,6 +474,11 @@ class MonotoneUniformSampler(Sampler):
         return V
 
 
+# the "params" fields each distribution type reads
+_PARAMS = {"explicit": ("support", "weights", "tag", "H"), "overfit": ("m", "delta"), "equal_revenue": ("m", "H"),
+           "sparse_subsample": ("m", "H", "K"), "monotone_uniform": ("m", "H")}
+
+
 def distribution_from_json(d: dict):
     """Build a distribution or sampler from its JSON description.
 
@@ -476,10 +491,15 @@ def distribution_from_json(d: dict):
     its ``--seeds``, so descriptions that differ only in that seed give
     identical outputs.  Counts and seeds must be integral numbers; every
     other number, in a field or an array, must be a finite number, not a
-    boolean or a string.
+    boolean or a string.  A field that no reader reads, say a misspelled
+    one, is an error.
     """
     kind = json_field(d, "type", "distribution", str)
+    json_known_fields(d, ("type", "params", "seed"), "distribution")
+    if kind not in _PARAMS:
+        raise ValidationError(f"unknown distribution type {kind!r}")
     params = d.get("params", {})
+    json_known_fields(params, _PARAMS[kind], f"{kind} distribution params")
     seed = json_field(d, "seed", "distribution", json_int) if "seed" in d else 0
 
     def field(key: str, convert):
@@ -500,12 +520,8 @@ def distribution_from_json(d: dict):
     if kind == "sparse_subsample":
         spread = EqualRevenueSpreadParams(field("m", json_int), field("H", json_float))
         return sparse_subsample(spread, field("K", json_int), seed)
-    if kind == "hitting_set":
-        sets = field("sets", lambda v: tuple(tuple(json_int(e) for e in s) for s in v))
-        return hitting_set_valuations(HittingSetInstance(sets, field("m", json_int), field("H", json_float)))
-    if kind == "monotone_uniform":
-        return MonotoneUniformSampler(field("m", json_int), field("H", json_float), seed)
-    raise ValidationError(f"unknown distribution type {kind!r}")
+    # the one type left: monotone_uniform
+    return MonotoneUniformSampler(field("m", json_int), field("H", json_float), seed)
 
 
 def load_distribution(path):

@@ -28,7 +28,9 @@ goes back to the pool and can be separated again, so the certificate
 still covers every IC row.  The relaxation lives in one HiGHS model
 (scipy's bundled handle), so every round warm-starts from the previous
 basis.  The accuracy is fixed: HiGHS feasibility tolerances of 1e-9
-(FEAS_TOL) and an objective within 1e-7 of the optimum.
+(FEAS_TOL) and an objective within 1e-7 of the optimum.  For a cross-check
+by a second solver, :class:`MenuLP` also gives the whole program in
+``scipy.optimize.linprog``'s form; there is no other export.
 
 :func:`brute_force_optimal` is an independent grid-search oracle: it
 enumerates small menus whose entries come from finite price and lottery
@@ -42,7 +44,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,8 +96,9 @@ class MenuLP:
     Only the IR and mass rows are stored (``fixed``, right-hand sides
     ``b_fixed``).  :meth:`ic_rows` builds any IC rows from ``values`` and
     :meth:`ic_violations` evaluates all of them at a point; ``A_ub`` and
-    ``b_ub`` assemble the whole program on first read and keep it.
-    :func:`solve_lp` and :func:`dump_lp` read neither.
+    ``b_ub`` assemble the whole program on first read and keep it, in
+    the form a second solver such as ``scipy.optimize.linprog`` takes;
+    :func:`solve_lp` reads neither.
     """
 
     n: int
@@ -415,31 +417,6 @@ def extract_menu(sol: LPSolution) -> Menu:
         if not (np.all(z <= DEDUP_TOL) or np.any(np.abs(pairs[kept] - z).max(axis=1) <= DEDUP_TOL)):
             kept.append(i)
     return Menu(pairs[kept, :-1], pairs[kept, -1])
-
-
-def dump_lp(lp: MenuLP, out: TextIO) -> None:
-    """Write the LP in sparse text form to the text stream ``out``.
-
-    The form is for cross-checking against external solvers.  First line:
-    "maximize" and the objective coefficients.  Then one line per
-    constraint row of ``A_ub``, "col:value ... <= b" over the row's stored
-    entries (0-based column indices), then "bounds" and the variable
-    bounds.  Each line is written as it is made, and the IC rows are built
-    one truthful type at a time, so neither the text nor ``A_ub`` is ever
-    held whole.
-    """
-    out.write("maximize " + " ".join(f"{v:.17g}" for v in lp.objective) + "\n")
-
-    def emit(A: sp.csr_matrix, b: np.ndarray) -> None:
-        for r in range(A.shape[0]):
-            row = slice(A.indptr[r], A.indptr[r + 1])
-            terms = [f"{c}:{v:.17g}" for c, v in zip(A.indices[row], A.data[row])]
-            out.write(" ".join(terms + ["<=", f"{b[r]:.17g}"]) + "\n")
-
-    for i in range(lp.n):
-        emit(lp.ic_rows(np.arange(i * (lp.n - 1), (i + 1) * (lp.n - 1))), np.zeros(lp.n - 1))
-    emit(lp.fixed, lp.b_fixed)
-    out.write("bounds " + " ".join(f"[{lo:.17g},{hi:.17g}]" for lo, hi in zip(lp.lower, lp.upper)) + "\n")
 
 
 def _grid_pairs(m: int, price_grid, lottery_grid) -> tuple[np.ndarray, np.ndarray]:

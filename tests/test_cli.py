@@ -297,7 +297,7 @@ SUBCOMMANDS = {
     "baseline": (["experiment", "baseline", "--dist", "{mono.json}", "--n", "200", "--seeds", "0:2"], ["--out"]),
     "greedy-vs-opt-random": (["experiment", "greedy-vs-opt", "--seeds", "0:2"], ["--out"]),
     "greedy-vs-opt-file": (["experiment", "greedy-vs-opt", "--hitting-set", "{hs.txt}"], ["--out"]),
-    "solve-lp-dump-lp": (["solve-lp", "--dist", "{dist.json}"], ["--out", "--dump-lp"]),
+    "solve-lp": (["solve-lp", "--dist", "{dist.json}"], ["--out"]),
 }
 
 
@@ -337,6 +337,17 @@ def test_pipeline_dist_given_as_a_path_exits_3_naming_dist(tmp_path, capsys):
     out = tmp_path / "out.json"
     assert cli.main(["pipeline", "--config", path, "--out", str(out)]) == cli.EXIT_VALIDATION
     assert 'field "dist": distribution must be a JSON object' in capsys.readouterr().err and not out.exists()
+
+
+def test_reduce_hitting_set_output_is_the_explicit_distribution_solve_lp_and_evaluate_read(tmp_path):
+    inputs = _subcommand_inputs(tmp_path)  # hs.txt: 4 sets over m=6, 1-based
+    dist, menu = tmp_path / "dist.json", tmp_path / "menu.json"
+    argv = ["reduce-hitting-set", "--in", inputs["{hs.txt}"], "--H", "4", "--k", "2", "--out", str(dist)]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = mf.hitting_set_valuations(mf.load_hitting_set(inputs["{hs.txt}"], H=4.0))
+    assert json.loads(dist.read_text()) == want.to_json_dict()  # no "k": no reader reads one
+    assert cli.main(["solve-lp", "--dist", str(dist), "--out", str(menu)]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--menu", str(menu), "--dist", str(dist)]) == cli.EXIT_OK
 
 
 def test_pipeline_report_counts_the_written_menu(tmp_path):
@@ -451,15 +462,32 @@ def _json_dist(dist, message, name):
     _hitting_set_file("3 2\n1 2\n", "header declares 2 sets, file has 1", "hitting-set-count"),
     _hitting_set_file("3 1\n2 2\n", "duplicate item inside a set", "hitting-set-duplicate-item"),
     _hitting_set_file("3 1\n1 4\n", "item 4 lies outside the items 1..3", "hitting-set-item-out-of-range"),
-    _json_dist({"type": "hitting_set", "params": {"sets": [[0], []], "m": 2, "H": 4.0}}, "empty set in family",
-               "hitting-set-empty-set"),
+    _hitting_set_file("x 2\n1\n2\n", "line 1: 'x' is not an integer", "hitting-set-header-not-an-integer"),
+    _hitting_set_file("# two sets\n3 2\n\n1 a\n3\n", "line 4: 'a' is not an integer",
+                      "hitting-set-item-not-an-integer"),
     _json_dist({"type": "gaussian", "params": {}}, "unknown distribution type 'gaussian'", "unknown-dist-type"),
+    _json_dist({"type": "hitting_set", "params": {"sets": [[0, 1], [2]], "m": 3, "H": 4.0}},
+               "unknown distribution type 'hitting_set'", "hitting-set-dist-type"),
+    _json_dist({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0]}, "Tag": "monotone"},
+               'distribution has the unknown field "Tag"', "dist-unknown-field"),
+    _json_dist({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0], "Tag": "monotone"}},
+               'explicit distribution params has the unknown field "Tag"', "dist-params-unknown-field"),
+    pytest.param(["cover", "enumerate", "--kind", "additive", "--epsilon", "0.1", "--m", "0"], "",
+                 "m must be at least 1", id="cover-enumerate-m-0"),
+    pytest.param(["experiment", "lowerbound", "--K", "0", "--seeds", "0"], "", "K must be at least 1",
+                 id="lowerbound-K-0"),
     pytest.param(["evaluate", "--menu", "{menu.json}", "--dist", "{mono.json}"], "",
                  "does not describe an explicit distribution", id="evaluate-sampler"),
     pytest.param(["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "2",
                   "--lottery", "0.2,0.3,0.4"], "", "lottery has 3 coordinates, spec says m=2", id="cover-round-m"),
     pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"], '{"m": 2, "entries": {}}',
                  'menu field "entries" must be a list', id="menu-entries-not-a-list"),
+    pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"],
+                 '{"m": 2, "Entries": [{"lottery": [1.0, 0.0], "price": 1.5}]}',
+                 'menu has the unknown field "Entries"', id="menu-unknown-field"),
+    pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"],
+                 '{"m": 2, "entries": [{"lottery": [1.0, 0.0], "price": 1.5, "prices": 2.0}]}',
+                 'menu entry 0 has the unknown field "prices"', id="menu-entry-unknown-field"),
 ])
 def test_malformed_input_exits_3_naming_the_fault(tmp_path, capsys, argv, text, message):
     inputs = {**_subcommand_inputs(tmp_path), "{bad}": _malformed(tmp_path, text)}

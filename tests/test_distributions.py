@@ -209,6 +209,12 @@ def test_hitting_set_text_round_trip(tmp_path):
     assert back == mf.HittingSetInstance(((0, 2), (1,), (0, 1, 3)), m=4, H=8.0)
 
 
+def test_hitting_set_instance_rejects_an_empty_set():
+    # the text file cannot write an empty set, but the instance still checks
+    with pytest.raises(mf.ValidationError, match="empty set in family"):
+        mf.HittingSetInstance(((0,), ()), m=2, H=4.0)
+
+
 def test_monotone_sampler_invariants():
     sampler = mf.MonotoneUniformSampler(6, 4.0, seed=2)
     V = sampler.draw(10_000)
@@ -281,7 +287,7 @@ def _replaced(spec, path, value):
     ({"type": "monotone_uniform", "params": {"m": 3, "H": 4.0}}, ("params", "m")),
     ({"type": "monotone_uniform", "params": {"m": 3, "H": 4.0}, "seed": 0}, ("seed",)),
     ({"type": "sparse_subsample", "params": {"m": 6, "H": 4.0, "K": 1}}, ("params", "K")),
-    ({"type": "hitting_set", "params": {"m": 3, "H": 4.0, "sets": [[0, 1]]}}, ("params", "sets", 0, 1)),
+    ({"type": "overfit", "params": {"m": 3, "delta": 0.2}}, ("params", "m")),
 ])
 def test_distribution_json_counts_must_be_integral(spec, path):
     mf.distribution_from_json(_replaced(spec, path, 2.0))  # an integral number reads as an int
@@ -295,7 +301,8 @@ def test_distribution_json_counts_must_be_integral(spec, path):
     ({"type": "overfit", "params": {"m": 3, "delta": 0.2}}, ("params", "delta")),
     ({"type": "equal_revenue", "params": {"m": 6, "H": 4.0}}, ("params", "H")),
     ({"type": "sparse_subsample", "params": {"m": 6, "H": 4.0, "K": 1}}, ("params", "H")),
-    ({"type": "hitting_set", "params": {"m": 3, "H": 4.0, "sets": [[0, 1]]}}, ("params", "H")),
+    ({"type": "explicit", "params": {"support": [[1.0, 2.0], [2.0, 1.0]], "weights": [0.5, 0.5]}},
+     ("params", "support", 1, 0)),
     ({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0], "H": 4.0}}, ("params", "H")),
     ({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0]}}, ("params", "support", 0, 1)),
     ({"type": "explicit", "params": {"support": [[1.0, 2.0]], "weights": [1.0]}}, ("params", "weights", 0)),

@@ -1,7 +1,6 @@
 """The optimal-menu LP against structure counts, known optima, and the
 grid-search oracle."""
 
-import io
 import itertools
 import json
 import math
@@ -379,51 +378,12 @@ def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):
     dist = tmp_path / "dist.json"
     d = _uniform_dist([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
     dist.write_text(json.dumps(d.to_json_dict()))
-    dump = tmp_path / "lp.txt"
-    argv = ["solve-lp", "--dist", str(dist), "--out", str(tmp_path / "menu.json"), "--dump-lp", str(dump)]
+    argv = ["solve-lp", "--dist", str(dist), "--out", str(tmp_path / "menu.json")]
     assert cli.main(argv) == 0
     words = capsys.readouterr().out.split()
     assert words[0] == "objective" and words[2] == "entries"
     assert words[4:6] == ["rounds", "1"]
     assert words[6:] == ["ic_rows_kept", "12", "ic_rows_purged", "0"]
-    assert dump.read_text() == _dump_text(mf.build_lp(d))
-
-
-def _dump_text(lp):
-    buf = io.StringIO()
-    mf.dump_lp(lp, buf)
-    return buf.getvalue()
-
-
-def test_dump_lp_parses_back_to_the_lp():
-    rng = np.random.default_rng(6)
-    lp = mf.build_lp(_uniform_dist(rng.integers(0, 4, (5, 3)).astype(float)))
-    lines = _dump_text(lp).strip().splitlines()
-    objective = np.array([float(t) for t in lines[0].split()[1:]])
-    rows, cols, data, rhs = [], [], [], []
-    for r, line in enumerate(lines[1:-1]):
-        terms, bound = line.split("<=")
-        for term in terms.split():
-            c, v = term.split(":")
-            rows.append(r); cols.append(int(c)); data.append(float(v))
-        rhs.append(float(bound))
-    A = sp.csr_matrix((data, (rows, cols)), shape=(len(rhs), objective.size))
-    assert np.array_equal(objective, lp.objective)
-    assert np.array_equal(np.array(rhs), lp.b_ub)
-    assert (A != lp.A_ub).nnz == 0
-    assert len(data) == lp.A_ub.nnz
-
-
-def test_dump_lp_shape():
-    d = _uniform_dist([[1.0], [2.0]])
-    lp = mf.build_lp(d)
-    text = _dump_text(lp)
-    assert "A_ub" not in vars(lp)  # the dump builds its rows on demand
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("maximize ")
-    # 2 IC + 2 IR + 2 mass rows, plus objective and bounds lines
-    assert len(lines) == 1 + 6 + 1
-    assert lines[-1].startswith("bounds ")
 
 
 def test_solve_lp_cli_has_no_tolerance_option(tmp_path, capsys):
@@ -435,3 +395,15 @@ def test_solve_lp_cli_has_no_tolerance_option(tmp_path, capsys):
         cli.main(["solve-lp", "--dist", str(dist), "--out", str(out), "--tol", "1e-7"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err and not out.exists()
+
+
+def test_solve_lp_cli_has_no_dump_option(tmp_path, capsys):
+    # the LP is exported only as MenuLP's scipy form, so --dump-lp is a
+    # usage error
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]).to_json_dict()))
+    out, dump = tmp_path / "menu.json", tmp_path / "lp.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-lp", "--dist", str(dist), "--out", str(out), "--dump-lp", str(dump)])
+    assert exc.value.code == 2
+    assert "--dump-lp" in capsys.readouterr().err and not out.exists() and not dump.exists()

@@ -94,6 +94,12 @@ def test_lower_bound_menu_earns_what_the_module_docstring_says_at_the_cli_defaul
     assert (round(ratios.min(), 2), round(ratios.max(), 2), round(ratios.mean(), 2)) == (0.64, 1.00, 0.85)
 
 
+def test_lower_bound_menu_needs_the_construction_metadata():
+    dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.5, 0.5]))
+    with pytest.raises(mf.ValidationError, match="lacks per-point"):
+        mf.lower_bound_menu(dist)
+
+
 def _forbid_the_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP ran before the config was checked")
@@ -110,6 +116,21 @@ def _pipeline_error(tmp_path, capsys, monkeypatch, config):
     assert cli.main(["pipeline", "--config", str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
     assert not out.exists()
     return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t", 0, "t must be at least 1"),
+    ("epsilon", 1.5, "epsilon must lie in (0, 1)"),
+    ("mode", "greedy", "unknown mode 'greedy'"),
+    ("cover_kind", "additive", "pipeline covers are multiplicative or monotone_tail"),
+    ("cover-kind", "monotone_tail", 'has the unknown field "cover-kind"'),
+])
+def test_pipeline_config_field_out_of_range_or_unknown_exits_3_before_the_lp(
+    tmp_path, capsys, monkeypatch, field, value, message
+):
+    dist = {"type": "monotone_uniform", "params": {"m": 3, "H": 8.0}}
+    config = {"dist": dist, "t": 8, "epsilon": 0.1, "H": 8.0, field: value}
+    assert message in _pipeline_error(tmp_path, capsys, monkeypatch, config)
 
 
 @pytest.mark.parametrize("mode", ["naive", "sample_and_round"])

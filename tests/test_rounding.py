@@ -63,6 +63,9 @@ def test_level_function():
     for bad in (0.0, np.nan, 17.0, np.array([1.0, 0.0])):
         with pytest.raises(mf.ValidationError):
             rp.level(bad)
+    # H = 1 has no levels to scale by: every price is level 0
+    flat = RoundingParams(epsilon=0.04, H=1.0)
+    assert flat.level(np.array([0.5, 1.0])).tolist() == [0, 0] and flat.level(1.0).shape == ()
 
 
 def test_round_menu_tiny_epsilon_is_nearly_identity():
