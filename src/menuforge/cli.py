@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 usage, 3 validation, 4 I/O, 5 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,6 +49,7 @@ from .distributions import (
     distribution_from_json,
     expected_max_value,
     explicit_from_samples,
+    hitting_set_valuations,
     load_distribution,
     load_hitting_set,
 )
@@ -290,14 +292,17 @@ def _cmd_experiment_greedy(args) -> int:
 
 
 def _cmd_reduce_hitting_set(args) -> int:
-    inst = load_hitting_set(args.infile, H=args.H)
-    problem = reduce_hitting_set(inst, args.k)
-    _write_json(args.out, problem.dist.to_json_dict())
-    print(f"wrote {problem.dist.n} valuations over m={problem.dist.m} items")
+    dist = hitting_set_valuations(load_hitting_set(args.infile, H=args.H))
+    _write_json(args.out, dist.to_json_dict())
+    print(f"wrote {dist.n} valuations over m={dist.m} items")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and each subcommand's function reads the module's names
+    when it runs."""
     p = argparse.ArgumentParser(prog="menuforge", description=__doc__)
     p.add_argument("--version", action="version", version=f"menuforge {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -390,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     rh = sub.add_parser("reduce-hitting-set", help="hitting-set instance to MAXREV valuations")
     rh.add_argument("--in", dest="infile", required=True)
     rh.add_argument("--H", type=float, required=True)
-    rh.add_argument("--k", type=int, required=True)
     rh.add_argument("--out", required=True)
     rh.set_defaults(func=_cmd_reduce_hitting_set)
 
@@ -398,8 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code.
+
+    A usage error exits 2 through argparse.  The parser is built on the
+    first call only, so in-process callers that run many commands pay for
+    it once.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, ValueError) as exc:

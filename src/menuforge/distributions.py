@@ -41,6 +41,7 @@ as one (n, m) call, and each output row depends on its own doubles only.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -331,8 +332,23 @@ class EqualRevenueSpreadSampler(Sampler):
         return V, sets, z
 
 
-_CANDIDATE_BLOCK = 64      # most candidate sets drawn at once for one point
+_CANDIDATE_BLOCK = 64      # most candidate sets in one block of a point's stream
 _CANDIDATE_CAP = 10_000    # candidates a point may try before the construction fails
+_CANDIDATE_DRAW = 256      # fewest candidates drawn into sparse_subsample's pool at once
+
+
+def _block_ends() -> tuple:
+    """Where the blocks of a point's candidate stream end: blocks of 1, 2,
+    4, ... candidates, then ``_CANDIDATE_BLOCK`` each, the last cut at
+    ``_CANDIDATE_CAP``."""
+    ends, b = [0], 1
+    while ends[-1] < _CANDIDATE_CAP:
+        ends.append(min(ends[-1] + b, _CANDIDATE_CAP))
+        b = min(2 * b, _CANDIDATE_BLOCK)
+    return tuple(ends[1:])
+
+
+_BLOCK_ENDS = _block_ends()
 
 
 def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> ExplicitDistribution:
@@ -342,13 +358,22 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
     That is the half-overlap condition the lower-bound menu needs.  The
     K scales z come first from the stream seeded with ``seed``.  Then
     point i's set is drawn uniformly among the k-sets that meet every
-    accepted set in fewer than m/6 items: uniform candidate k-sets are
-    drawn in blocks, their overlaps with the accepted sets are counted
-    in one product, and the first compatible candidate is kept.  A
-    point's first block holds one candidate and each further block
-    twice as many, up to ``_CANDIDATE_BLOCK``: when m is large next to K
-    nearly every first candidate is compatible, and the points follow
-    the family's i.i.d. law.
+    accepted set in fewer than m/6 items: it is the first compatible one
+    of the point's candidates, uniform k-sets read in order from the
+    stream.  The candidates are grouped in blocks, the first of one
+    candidate and each further one twice as large, up to
+    ``_CANDIDATE_BLOCK``: when m is large next to K nearly every first
+    candidate is compatible, and the points follow the family's i.i.d.
+    law.  The block holding the kept candidate is used up, so the next
+    point's candidates start at that block's end (``_BLOCK_ENDS``).
+
+    Candidate j of the whole stream is the j-th group of m uniforms
+    after the scales, however the k-set draw ``_uniform_k_sets`` is
+    chunked, so the candidates are drawn ``_CANDIDATE_DRAW`` or more at
+    a time into a pool of indicator rows, and each point tests a window of
+    ``_CANDIDATE_BLOCK`` pool rows at a time against the accepted sets in
+    one product.  A draw drops the pool rows before the window, so the
+    pool holds at most ``_CANDIDATE_BLOCK + _CANDIDATE_DRAW`` rows.
 
     Raises :class:`IntersectionPropertyError` when some point finds no
     compatible candidate among ``_CANDIDATE_CAP``.
@@ -359,27 +384,31 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
     threshold = m / 6.0
     rng = np.random.default_rng(seed)
     z = _draw_scales(rng, params.levels, K)
-    sets = np.empty((K, k), dtype=int)
     accepted = np.zeros((K, m))  # indicator rows of the accepted sets
+    pool, lo = np.empty((0, m)), 0  # indicator rows of candidates lo, lo + 1, ... of the stream
+    start = 0  # the stream position of the point's first candidate
     for i in range(K):
-        tried, b = 0, 1
-        while tried < _CANDIDATE_CAP:
-            b = min(b, _CANDIDATE_CAP - tried)
-            cand = _uniform_k_sets(rng, b, m, k)
-            ind = np.zeros((b, m))
-            ind[np.arange(b)[:, None], cand] = 1.0
-            ok = np.flatnonzero((ind @ accepted[:i].T < threshold).all(axis=1))
+        for j in range(0, _CANDIDATE_CAP, _CANDIDATE_BLOCK):
+            pos, w = start + j, min(_CANDIDATE_BLOCK, _CANDIDATE_CAP - j)
+            short = pos + w - (lo + len(pool))
+            if short > 0:
+                n = max(short, _CANDIDATE_DRAW)
+                ind = np.zeros((n, m))
+                ind[np.arange(n)[:, None], _uniform_k_sets(rng, n, m, k)] = 1.0
+                pool, lo = np.concatenate([pool, ind])[pos - lo:], pos
+            window = pool[pos - lo:pos - lo + w]
+            ok = np.flatnonzero((window @ accepted[:i].T < threshold).all(axis=1))
             if ok.size:
-                sets[i], accepted[i] = cand[ok[0]], ind[ok[0]]
+                accepted[i] = window[ok[0]]
+                start += _BLOCK_ENDS[bisect.bisect_right(_BLOCK_ENDS, j + int(ok[0]))]
                 break
-            tried += b
-            b = min(2 * b, _CANDIDATE_BLOCK)
         else:
             raise IntersectionPropertyError(
                 f"accepted only {i} of {K} points after {_CANDIDATE_CAP} candidates each "
                 f"(m={m}, k={k}, threshold {threshold})"
             )
     V = np.where(accepted > 0, 2.0 ** z[:, None], 1.0)
+    sets = np.nonzero(accepted)[1].reshape(K, k).astype(int)  # each row's k items, ascending
     return ExplicitDistribution(
         V,
         np.full(K, 1.0 / K),

@@ -65,6 +65,29 @@ def test_lowerbound_defaults_write_ten_rows_and_rerun_identically(tmp_path):
     assert rc == cli.EXIT_OK and second.read_bytes() == first.read_bytes()
 
 
+def test_lowerbound_default_rows_are_pinned(tmp_path):
+    # seed, lb_menu_revenue, item_baseline_revenue, ratio at m=30, H=8, K=20
+    pinned = [
+        [0, 2.2, 2.4, 0.91666666666666641],
+        [1, 1.9, 2.0, 0.94999999999999984],
+        [2, 1.65, 2.0, 0.82499999999999984],
+        [3, 1.65, 2.0, 0.82499999999999996],
+        [4, 2.55, 3.6, 0.70833333333333337],
+        [5, 2.05, 2.4, 0.85416666666666652],
+        [6, 2.1, 2.4, 0.87500000000000011],
+        [7, 2.4, 3.2, 0.75000000000000022],
+        [8, 1.75, 2.0, 0.87499999999999989],
+        [9, 2.4, 3.2, 0.74999999999999989],
+    ]
+    rc, out = _lowerbound(tmp_path, "lb.csv")
+    assert rc == cli.EXIT_OK
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "seed,lb_menu_revenue,item_baseline_revenue,ratio" and len(lines) == 1 + len(pinned)
+    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    for row, want in zip(rows, pinned):
+        assert row == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_lowerbound_per_point_flag_changes_nothing(tmp_path):
     _, plain = _lowerbound(tmp_path, "plain.csv", "--seeds", "3:6")
     rc, flagged = _lowerbound(tmp_path, "flagged.csv", "--seeds", "3:6", "--per-point")
@@ -115,6 +138,45 @@ def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
         written.append([out.read_bytes() for out in outs])
     assert written[1] == written[0]
+
+
+def _main_alone(argv):
+    """Exit code, printed text and standard error of one command run in a
+    process of its own, so with a parser nothing else has used."""
+    script = ("import sys\nfrom menuforge import cli\n"
+              "try:\n    rc = cli.main(sys.argv[1:])\nexcept SystemExit as exc:\n    rc = exc.code\n"
+              "sys.exit(rc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_parser_is_built_once_and_every_command_reads_only_its_own_line(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    config = _subcommand_inputs(tmp_path)["{config.json}"]
+    commands = [
+        ["pipeline", "--config", config, "--t", "5", "--out", "{dir}/t5.json", "--report", "{dir}/t5.csv"],
+        ["pipeline", "--config", config, "--out", "{dir}/t.json", "--report", "{dir}/t.csv"],
+        ["pipeline", "--config", config, "--epsilon", "0.2", "--out", "{dir}/usage.json"],
+        ["experiment", "lowerbound", "--seeds", "0:3", "--out", "{dir}/lb.csv"],
+    ]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir(), alone.mkdir()
+
+    def in_process(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out.replace(str(together), str(alone)), captured.err
+
+    got = [in_process([tok.replace("{dir}", str(together)) for tok in argv]) for argv in commands]
+    want = [_main_alone([tok.replace("{dir}", str(alone)) for tok in argv]) for argv in commands]
+    assert [rc for rc, _, _ in want] == [0, 0, 2, 0] and got == want
+    files = sorted(p.name for p in alone.iterdir())
+    assert files == sorted(p.name for p in together.iterdir()) == ["lb.csv", "t.csv", "t.json", "t5.csv", "t5.json"]
+    assert all((together / name).read_bytes() == (alone / name).read_bytes() for name in files)
 
 
 def test_lowerbound_without_enough_sparse_sets_exits_6(tmp_path, capsys):
@@ -289,7 +351,7 @@ SUBCOMMANDS = {
                          "--H", "2"], ["--out"]),
     "cover-round": (["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "3", "--H", "4",
                      "--lottery", "0.2,0.3,0.4"], ["--out"]),
-    "reduce-hitting-set": (["reduce-hitting-set", "--in", "{hs.txt}", "--H", "4", "--k", "2"], ["--out"]),
+    "reduce-hitting-set": (["reduce-hitting-set", "--in", "{hs.txt}", "--H", "4"], ["--out"]),
     "pipeline-sample-and-round": (["pipeline", "--config", "{config.json}"], ["--out", "--report"]),
     "pipeline-naive": (["pipeline", "--config", "{naive.json}"], ["--out", "--report"]),
     "overfit-no-lp": (["experiment", "overfit", "--no-lp", "--m", "8", "--sample-n", "30", "--eval-n", "200",
@@ -342,7 +404,7 @@ def test_pipeline_dist_given_as_a_path_exits_3_naming_dist(tmp_path, capsys):
 def test_reduce_hitting_set_output_is_the_explicit_distribution_solve_lp_and_evaluate_read(tmp_path):
     inputs = _subcommand_inputs(tmp_path)  # hs.txt: 4 sets over m=6, 1-based
     dist, menu = tmp_path / "dist.json", tmp_path / "menu.json"
-    argv = ["reduce-hitting-set", "--in", inputs["{hs.txt}"], "--H", "4", "--k", "2", "--out", str(dist)]
+    argv = ["reduce-hitting-set", "--in", inputs["{hs.txt}"], "--H", "4", "--out", str(dist)]
     assert cli.main(argv) == cli.EXIT_OK
     want = mf.hitting_set_valuations(mf.load_hitting_set(inputs["{hs.txt}"], H=4.0))
     assert json.loads(dist.read_text()) == want.to_json_dict()  # no "k": no reader reads one
@@ -367,7 +429,7 @@ def test_pipeline_report_counts_the_written_menu(tmp_path):
     ["cover", "enumerate", "--kind", "additive", "--epsilon", "0.1", "--m", "2", "--out", "{out}"],
     ["experiment", "lowerbound", "--seeds", "0", "--out", "{out}"],
     ["experiment", "greedy-vs-opt", "--seeds", "0", "--out", "{out}"],
-    ["reduce-hitting-set", "--in", "{hs.txt}", "--k", "2", "--out", "{out}"],
+    ["reduce-hitting-set", "--in", "{hs.txt}", "--out", "{out}"],
 ])
 def test_a_non_finite_H_exits_3_naming_H(tmp_path, capsys, argv, H):
     inputs = _subcommand_inputs(tmp_path)
@@ -447,8 +509,17 @@ def test_round_menu_has_no_delta_option(tmp_path):
     assert exc.value.code == 2
 
 
+def test_reduce_hitting_set_has_no_k_option(tmp_path):
+    # the budget k belongs to a MAXREV problem, not to the valuations the command writes
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "hs.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce-hitting-set", "--in", inputs["{hs.txt}"], "--H", "4", "--k", "1", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+
+
 def _hitting_set_file(text, message, name):
-    argv = ["reduce-hitting-set", "--in", "{bad}", "--H", "4", "--k", "2"]
+    argv = ["reduce-hitting-set", "--in", "{bad}", "--H", "4"]
     return pytest.param(argv, text, message, id=name)
 
 
@@ -498,7 +569,7 @@ def test_malformed_input_exits_3_naming_the_fault(tmp_path, capsys, argv, text, 
 
 @pytest.mark.parametrize("argv", [
     ["pipeline", "--config", "{missing}"],
-    ["reduce-hitting-set", "--in", "{missing}", "--H", "4", "--k", "2"],
+    ["reduce-hitting-set", "--in", "{missing}", "--H", "4"],
     ["round-menu", "--menu", "{missing}", "--epsilon", "0.1", "--H", "4"],
 ])
 def test_missing_input_file_exits_4(tmp_path, argv):

@@ -1,5 +1,7 @@
 """Samplers and parametric families: determinism, laws, class invariants."""
 
+import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -379,6 +381,90 @@ def test_sparse_subsample_does_not_depend_on_the_block_size(monkeypatch):
     _same_bytes(got.meta["z"], want.meta["z"])
 
 
+def _block_loop_sparse_subsample(params, K, seed, used=None):
+    """The candidate loop that ``sparse_subsample`` replaced, as the
+    reference for its stream: each point draws blocks of 1, 2, 4, ..., 64,
+    64, ... candidates until one is compatible, at most 10,000.  ``used``
+    collects how many candidates each point looked at."""
+    m, k = params.m, params.k
+    threshold = m / 6.0
+    rng = np.random.default_rng(seed)
+    z = _draw_scales(rng, params.levels, K)
+    sets = np.empty((K, k), dtype=int)
+    accepted = np.zeros((K, m))
+    for i in range(K):
+        tried, b = 0, 1
+        while tried < 10_000:
+            b = min(b, 10_000 - tried)
+            cand = _uniform_k_sets(rng, b, m, k)
+            ind = np.zeros((b, m))
+            ind[np.arange(b)[:, None], cand] = 1.0
+            ok = np.flatnonzero((ind @ accepted[:i].T < threshold).all(axis=1))
+            if ok.size:
+                sets[i], accepted[i] = cand[ok[0]], ind[ok[0]]
+                if used is not None:
+                    used.append(tried + int(ok[0]) + 1)
+                break
+            tried += b
+            b = min(2 * b, 64)
+        else:
+            raise mf.IntersectionPropertyError(
+                f"accepted only {i} of {K} points after 10000 candidates each (m={m}, k={k}, threshold {threshold})"
+            )
+    return np.where(accepted > 0, 2.0 ** z[:, None], 1.0), sets, z
+
+
+def _outcome(construct):
+    """A construction's arrays, or the text of its IntersectionPropertyError."""
+    try:
+        return construct()
+    except mf.IntersectionPropertyError as exc:
+        return str(exc)
+
+
+def test_sparse_subsample_reads_the_block_loops_stream(monkeypatch):
+    used, infeasible = [], 0
+    grid = list(itertools.product((6, 12, 30, 60, 90), (1, 3, 5, 8, 20, 30), range(3)))
+    # one row per k-set draw block: the pool's draws are split at every row
+    one_row = list(itertools.product((6, 12, 30), (3, 8, 25), range(2)))
+    for block_cells, cases in ((core._BLOCK_CELLS, grid), (1, one_row)):
+        monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
+        for m, K, seed in cases:
+            params = mf.EqualRevenueSpreadParams(m, 8.0)
+            want = _outcome(lambda: _block_loop_sparse_subsample(params, K, seed, used))
+            got = _outcome(lambda: mf.sparse_subsample(params, K, seed))
+            if isinstance(want, str):
+                infeasible += 1
+                assert got == want
+            else:
+                for a, b in zip((got.values, got.meta["sets"], got.meta["z"]), want):
+                    _same_bytes(a, b)
+    # the grid holds infeasible instances and points that read past the 127
+    # candidates of the doubling blocks, into the blocks of 64
+    assert infeasible >= 10 and max(used) > 1000
+
+
+def test_sparse_subsample_outputs_are_pinned():
+    # SHA-256 of the little-endian int64 bytes of the sets, then of the scales
+    pinned = [
+        "caad1dae468d1dc6b917b22fdb68296a0ac5025dbc549d6bd8b066713cb63a25",
+        "90ea927733606c3f593b225196d236c9fa82b471a1a3c2a00a8d1ec98f10ae06",
+        "49956d0a024820af1d99eaf28480930c5af664fd47d08503f27ec015acc56ca7",
+        "c0d32300078ca1706cceb6b7872b979d4dbc2c356969bb9baa3e7365f90a4cdd",
+        "e2ae1f32d6e6e1b8baed519620ef11fa8f898c3769d04c9fc62c48f6ba9cf564",
+        "d24f8ff778c121eea0a9e35d6d94ec0208c309a7e38e3bc64dc701d59b0c13d1",
+        "3800f3258f125c7617f8ccccb368ffa54023ba5dd93ddef6d85bc6c63995a863",
+        "7ccefd080f17b3814b408354beac1a4aaddaf80b128e6470fe83c56ed3df650c",
+        "7e634bb6a926639cdc462e709a05436438c662da28ac3affeb2ef9eaf690b126",
+        "c1d2cbbfd0156ec9a81fcf603673f274d73cf8e7090776b35666022f563b6c05",
+    ]
+    params = mf.EqualRevenueSpreadParams(30, 8.0)
+    for seed, digest in enumerate(pinned):
+        d = mf.sparse_subsample(params, 20, seed)
+        data = d.meta["sets"].astype("<i8").tobytes() + d.meta["z"].astype("<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, seed
+
+
 def _peak_bytes(draw):
     tracemalloc.start()
     try:
@@ -401,6 +487,20 @@ def test_sampler_draws_hold_their_output_plus_one_block():
         # the draws are 51 MB, 33 MB (values, sets and scales) and 4 MB; one block is 1 MB
         out_bytes = sum(a.nbytes for a in out) if isinstance(out, tuple) else out.nbytes
         assert peak < 1.25 * out_bytes
+
+
+def test_sparse_subsample_holds_its_output_plus_a_bounded_candidate_window():
+    params = mf.EqualRevenueSpreadParams(30, 8.0)
+    # seed 0 at K=30 reads 23,820 candidates, 5.7 MB as indicator rows;
+    # at K=40 one point reads all 10,000 of its candidates and fails
+    for K in (30, 40):
+        peak, out = _peak_bytes(lambda: _outcome(lambda: mf.sparse_subsample(params, K, seed=0)))
+        assert isinstance(out, str) == (K == 40)
+        out_bytes = 0 if K == 40 else out.values.nbytes + out.weights.nbytes + sum(
+            a.nbytes for a in out.meta.values())
+        accepted = K * params.m * 8
+        # the pool's 320 indicator rows are 77 KB; its draws and copies take a few times that
+        assert peak < out_bytes + accepted + 1_000_000, K
 
 
 @pytest.mark.parametrize("n", [2.5, True, np.bool_(True), "3", 0, -1])
