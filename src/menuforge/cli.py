@@ -175,7 +175,13 @@ def _cmd_cover_enumerate(args) -> int:
 
 
 def _cmd_cover_round(args) -> int:
-    x = np.array([float(tok) for tok in args.lottery.split(",")])
+    coords = []
+    for tok in args.lottery.split(","):
+        try:
+            coords.append(float(tok))
+        except ValueError:
+            raise ValidationError(f"--lottery {args.lottery!r}: {tok!r} is not a number") from None
+    x = np.array(coords)
     spec = _cover_spec(args)
     if x.size != spec.m:
         raise ValidationError(f"lottery has {x.size} coordinates, spec says m={spec.m}")
@@ -255,7 +261,8 @@ def _cmd_experiment_baseline(args) -> int:
         bound = emax / (2.0 * max(1, doubling_bands(H)))
         rows.append([seed, rev, emax, bound])
 
-    config = {"dist": args.dist, "n": args.n}
+    config = {"dist": args.dist, "n": args.n,
+              "H": args.H if args.H is not None else "each seed's largest value (at least 1)"}
     cols = ["seed", "baseline_revenue", "expected_max_value", "guarantee"]
     return _write_experiment(args, "baseline", config, cols, rows)
 

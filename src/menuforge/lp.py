@@ -265,17 +265,10 @@ def _ic_row(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _nearest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) for the k smallest finite entries of each row i of ``dist``,
-    ties to the lower j; a row with fewer finite entries gives them all.
-    Overwrites ``dist``."""
-    rows = np.arange(dist.shape[0])
-    I, J = [], []
-    for _ in range(k):
-        j = dist.argmin(axis=1)
-        hit = np.isfinite(dist[rows, j])
-        I.append(rows[hit])
-        J.append(j[hit])
-        dist[rows, j] = np.inf
-    return np.concatenate(I), np.concatenate(J)
+    ties to the lower j; a row with fewer finite entries gives them all."""
+    J = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    hit = np.isfinite(np.take_along_axis(dist, J, axis=1))
+    return np.broadcast_to(np.arange(dist.shape[0])[:, None], J.shape)[hit], J[hit]
 
 
 def _neighbour_ic_rows(lp: MenuLP) -> np.ndarray:
@@ -284,30 +277,20 @@ def _neighbour_ic_rows(lp: MenuLP) -> np.ndarray:
     v_j <= v_i in every coordinate; a row can appear twice.
 
     Nearest is in squared Euclidean distance, ties to the lower index.
-    Dominance is tested exactly, one coordinate at a time, but only on
-    the pairs that pass two necessary conditions read off the n x n Gram
-    matrix: sum_l v_jl <= sum_l v_il and, values being nonnegative,
-    v_j . v_j <= v_i . v_j.  No (n, n, m) array is built.
+    The dominance mask is built one coordinate at a time, so no (n, n, m)
+    array is built.
     """
-    n = lp.n
     V = lp.values
-    gram = V @ V.T
     sq = np.einsum("ij,ij->i", V, V)
-    dist = sq[:, None] + sq[None, :] - 2.0 * gram
+    dist = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
     np.fill_diagonal(dist, np.inf)
-    total = V.sum(axis=1)
-    # flat indices i*n + j; the relative slack covers rounding in the two
-    # dot products
-    pairs = np.flatnonzero((total <= total[:, None]) & (gram >= sq * (1.0 - 1e-9)))
-    I, J = np.divmod(pairs, n)
-    dominated = I != J
-    for col in V.T:
-        dominated &= col[J] <= col[I]
-    below = np.full((n, n), np.inf)
-    below.flat[pairs[dominated]] = dist.flat[pairs[dominated]]
+    dominated = np.ones_like(dist, dtype=bool)
+    for col in V.T.copy():  # contiguous columns: about half the time at m=64
+        dominated &= col[None, :] <= col[:, None]
+    below = np.where(dominated, dist, np.inf)
     near = _nearest(dist, SEED_NEIGHBOURS)
     down = _nearest(below, DOWN_NEIGHBOURS)
-    return np.concatenate([_ic_row(n, *near), _ic_row(n, *down)])
+    return np.concatenate([_ic_row(lp.n, *near), _ic_row(lp.n, *down)])
 
 
 def _purge(streak: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -448,6 +448,24 @@ def test_baseline_H_that_is_not_finite_or_under_1_exits_3_naming_H(tmp_path, cap
     assert "H must be" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("H, echo, bands", [
+    ("16", "# H=16", 4),
+    # monotone m=3 draws on [1, 8]: each seed's largest value lies in (4, 8)
+    (None, "# H=each seed's largest value (at least 1)", 3),
+])
+def test_baseline_echoes_H_and_its_guarantee_uses_that_H(tmp_path, H, echo, bands):
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "b.csv"
+    argv = ["experiment", "baseline", "--dist", inputs["{mono.json}"], "--n", "50", "--seeds", "0:3"]
+    assert cli.main(argv + (["--H", H] if H else []) + ["--out", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    assert echo in lines
+    header = lines.index("seed,baseline_revenue,expected_max_value,guarantee")
+    for row in lines[header + 1:]:
+        _, _, emax, guarantee = map(float, row.split(","))
+        assert guarantee == emax / (2.0 * bands)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--m", "0", "m must be at least 1"),
     ("--m", "-3", "m must be at least 1"),
@@ -551,6 +569,8 @@ def _json_dist(dist, message, name):
                  "does not describe an explicit distribution", id="evaluate-sampler"),
     pytest.param(["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "2",
                   "--lottery", "0.2,0.3,0.4"], "", "lottery has 3 coordinates, spec says m=2", id="cover-round-m"),
+    pytest.param(["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "2",
+                  "--lottery", "0.5,x"], "", "--lottery '0.5,x': 'x' is not a number", id="cover-round-lottery-token"),
     pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"], '{"m": 2, "entries": {}}',
                  'menu field "entries" must be a list', id="menu-entries-not-a-list"),
     pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"],

@@ -263,6 +263,26 @@ def _seed_pairs(lp):
     return pairs
 
 
+def _check_seed_definition(V):
+    """Assert that the seed holds each type of support V against its
+    SEED_NEIGHBOURS nearest types (stable sort, ties to the lower index) and
+    its DOWN_NEIGHBOURS nearest dominated types; return the seed's pairs, the
+    number of types with an exact distance tie at the last nearest neighbour
+    and the number with fewer than DOWN_NEIGHBOURS dominated types."""
+    k, k_down = lp_module.SEED_NEIGHBOURS, lp_module.DOWN_NEIGHBOURS
+    pairs = _seed_pairs(mf.build_lp(_uniform_dist(V)))
+    ties = short = 0
+    for a in range(V.shape[0]):
+        dist = ((V - V[a]) ** 2).sum(axis=1)
+        dist[a] = np.inf
+        others = [j for j in np.argsort(dist, kind="stable").tolist() if j != a]
+        dominated = [j for j in others if np.all(V[j] <= V[a])]
+        assert pairs[a] == set(others[:k] + dominated[:k_down]), a
+        ties += len(others) > k and dist[others[k - 1]] == dist[others[k]]
+        short += len(dominated) < k_down
+    return pairs, ties, short
+
+
 def test_seed_holds_each_type_against_its_nearest_dominated_types():
     assert (lp_module.SEED_NEIGHBOURS, lp_module.DOWN_NEIGHBOURS) == (5, 2)
     # types 1-5 sit close to type 0 but each beats it in one coordinate,
@@ -270,16 +290,27 @@ def test_seed_holds_each_type_against_its_nearest_dominated_types():
     # nearest; type 8 dominates no type
     V = np.array([[5.0, 5.0], [5.1, 4.96], [4.93, 5.12], [5.22, 4.91], [4.88, 5.17], [5.3, 4.97],
                   [4.0, 4.0], [3.0, 3.0], [1.0, 1.0]])
-    lp = mf.build_lp(_uniform_dist(V))
-    pairs = _seed_pairs(lp)
+    pairs, _, _ = _check_seed_definition(V)
     assert pairs[0] == {1, 2, 3, 4, 5, 6, 7}
-    for i in range(lp.n):
-        dist = ((V - V[i]) ** 2).sum(axis=1)
-        dist[i] = np.inf
-        others = np.argsort(dist, kind="stable")
-        dominated = [j for j in others if j != i and np.all(V[j] <= V[i])]
-        assert pairs[i] == set(others[:5].tolist()) | set(dominated[:2])
     assert len(pairs[8]) == 5
+
+
+def _guard_supports():
+    """Seeded supports for the seed's definition: monotone, box and
+    integer-valued (exact distance ties, repeated rows), m in {1, 2, 5, 8}."""
+    for seed, m in itertools.product(range(3), (1, 2, 5, 8)):
+        rng = np.random.default_rng([29, seed, m])
+        n = int(rng.integers(2, 61))
+        yield mf.MonotoneUniformSampler(m, 8.0, 0).draw(n, rng)
+        yield rng.uniform(0.0, 3.0, size=(n, m))
+        yield rng.integers(0, 4, size=(n, m)).astype(float)
+
+
+def test_seed_rows_are_the_stable_sort_and_dominance_definition():
+    counts = np.array([_check_seed_definition(V)[1:] for V in _guard_supports()])
+    # the grid holds exact ties at the k-th neighbour and types with fewer
+    # than DOWN_NEIGHBOURS dominated types
+    assert np.all(counts.sum(axis=0) > 0)
 
 
 def test_purge_keeps_rows_added_in_the_last_two_rounds():
