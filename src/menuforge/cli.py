@@ -3,7 +3,9 @@
 One process per run, validate-then-run (no partial outputs), reruns with
 identical configuration produce byte-identical artifacts.  Numbers are
 written with 17 significant digits and '.' decimals regardless of locale.
-Experiment subcommands emit CSV with one row per seed; the run
+Experiment subcommands emit CSV with one row per seed, except
+``experiment baseline`` on an explicit distribution: it has no draws to
+seed, so it writes one row with an empty seed field.  The run
 configuration is echoed into every CSV as leading comment lines.
 Experiments run their seeds in order, one after another.  Each row depends
 only on its seed and the configuration, so a long sweep can be split into
@@ -39,7 +41,7 @@ from .core import (
     load_menu,
     save_menu,
 )
-from .covers import CoverSpec, enumerate_cover, round_lottery
+from .covers import COVER_KINDS, CoverSpec, enumerate_cover, round_lottery
 from .distributions import (
     ExplicitDistribution,
     ExplicitSampler,
@@ -62,8 +64,9 @@ from .pipeline import (
     lower_bound_experiment,
     overfit_experiment,
     sample_and_round,
+    support_bound,
 )
-from .rounding import RoundingParams, round_menu
+from .rounding import MENU_COVER_KINDS, RoundingParams, round_menu
 
 EXIT_OK = 0
 EXIT_VALIDATION = 3
@@ -247,22 +250,20 @@ def _cmd_experiment_lowerbound(args) -> int:
 
 def _cmd_experiment_baseline(args) -> int:
     source = load_distribution(args.dist)
+    seeds = _parse_seeds(args.seeds)
+    config = {"dist": args.dist}
+    if isinstance(source, ExplicitDistribution):
+        scored = [("", source)]
+    else:
+        config["n"] = args.n
+        scored = ((seed, explicit_from_samples(source.draw(args.n, np.random.default_rng(seed)),
+                                               tag=source.tag, H=source.H)) for seed in seeds)
     rows = []
-    for seed in _parse_seeds(args.seeds):
-        if isinstance(source, ExplicitDistribution):
-            dist = source
-        else:
-            rng = np.random.default_rng(seed)
-            dist = explicit_from_samples(source.draw(args.n, rng), tag=source.tag, H=source.H)
-        # prices start at 1, so a support below 1 gets the single price 1
-        H = args.H if args.H is not None else max(1.0, float(dist.values.max()))
-        _, rev = item_pricing_baseline(dist, H=H)
+    for seed, dist in scored:
+        _, rev = item_pricing_baseline(dist)
         emax = expected_max_value(dist)
-        bound = emax / (2.0 * max(1, doubling_bands(H)))
-        rows.append([seed, rev, emax, bound])
+        rows.append([seed, rev, emax, emax / (2.0 * max(1, doubling_bands(support_bound(dist))))])
 
-    config = {"dist": args.dist, "n": args.n,
-              "H": args.H if args.H is not None else "each seed's largest value (at least 1)"}
     cols = ["seed", "baseline_revenue", "expected_max_value", "guarantee"]
     return _write_experiment(args, "baseline", config, cols, rows)
 
@@ -330,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--out", required=True)
     rm.add_argument("--epsilon", type=float, required=True)
     rm.add_argument("--H", type=float, required=True)
-    rm.add_argument("--cover-kind", default="multiplicative", choices=["multiplicative", "monotone_tail"])
+    rm.add_argument("--cover-kind", default="multiplicative", choices=MENU_COVER_KINDS)
     rm.set_defaults(func=_cmd_round_menu)
 
     cov = sub.add_parser("cover", help="enumerate a cover or round one lottery")
     covsub = cov.add_subparsers(dest="cover_command", required=True)
     for name in ("enumerate", "round"):
         c = covsub.add_parser(name)
-        c.add_argument("--kind", required=True, choices=["additive", "multiplicative", "monotone_tail"])
+        c.add_argument("--kind", required=True, choices=COVER_KINDS)
         c.add_argument("--epsilon", type=float, required=True)
         c.add_argument("--m", type=int, required=True)
         c.add_argument("--H", type=float, default=1.0)
@@ -382,9 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     lb.set_defaults(func=_cmd_experiment_lowerbound)
 
     ba = exsub.add_parser("baseline")
-    ba.add_argument("--dist", required=True, help="a sampler's own \"seed\" has no effect; --seeds seeds the draws")
-    ba.add_argument("--n", type=int, default=1000, help="draws per seed for sampler inputs")
-    ba.add_argument("--H", type=float)
+    ba.add_argument("--dist", required=True,
+                    help="an explicit distribution is scored once, as it is; a sampler is scored on --n draws "
+                         "per seed, --seeds seeding them (its own \"seed\" has no effect)")
+    ba.add_argument("--n", type=int, default=1000, help="draws per seed for sampler inputs; unused on explicit ones")
     ba.add_argument("--seeds", default="0:10")
     ba.add_argument("--out", required=True)
     ba.set_defaults(func=_cmd_experiment_baseline)

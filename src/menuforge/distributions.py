@@ -302,13 +302,8 @@ def _uniform_k_sets(rng: np.random.Generator, n: int, m: int, k: int) -> np.ndar
 def _draw_scales(rng: np.random.Generator, levels: int, n: int) -> np.ndarray:
     """z with Pr[z=x] = 2^-x for x < levels and the residual at the top."""
     u = rng.random(n)
-    # inverse CDF over cumulative thresholds 1/2, 3/4, ...
-    z = np.full(n, levels, dtype=int)
-    cum = 0.0
-    for x in range(1, levels):
-        cum += 2.0 ** -x
-        z[(u >= cum - 2.0 ** -x) & (u < cum)] = x
-    return z
+    # inverse CDF: z - 1 counts the cumulative thresholds 1/2, 3/4, ... at or below u
+    return np.searchsorted(1.0 - 2.0 ** -np.arange(1.0, levels), u, side="right") + 1
 
 
 class EqualRevenueSpreadSampler(Sampler):
@@ -517,11 +512,11 @@ def distribution_from_json(d: dict):
     their ``"seed"`` chooses its points.  A sampler's ``"seed"`` seeds only
     its own stream, which no CLI command draws from: ``pipeline`` draws
     from the config's ``seed`` and ``experiment baseline`` from each of
-    its ``--seeds``, so descriptions that differ only in that seed give
-    identical outputs.  Counts and seeds must be integral numbers; every
-    other number, in a field or an array, must be a finite number, not a
-    boolean or a string.  A field that no reader reads, say a misspelled
-    one, is an error.
+    its ``--seeds`` (an explicit distribution it scores once, undrawn), so
+    descriptions that differ only in that seed give identical outputs.
+    Counts and seeds must be integral numbers; every other number, in a
+    field or an array, must be a finite number, not a boolean or a string.
+    A field that no reader reads, say a misspelled one, is an error.
     """
     kind = json_field(d, "type", "distribution", str)
     json_known_fields(d, ("type", "params", "seed"), "distribution")

@@ -10,7 +10,7 @@ Baselines and experiments:
 
 * item-pricing baseline: the best of the doubling uniform-price menus
   M^1, M^2, M^4, ..., guaranteed a 1/(2 ceil(log2 H)) fraction of the
-  expected maximum item value;
+  expected maximum item value, H the support's own largest value;
 * overfitting experiment: the product family on which the sample-optimal
   menu (items at 2 plus one support lottery per sampled type) earns its
   full sample surplus but collapses on fresh draws while the trivial
@@ -43,7 +43,7 @@ from .distributions import (
     sparse_subsample,
 )
 from .lp import build_lp, extract_menu, solve_lp
-from .rounding import RoundingParams, round_menu
+from .rounding import MENU_COVER_KINDS, RoundingParams, round_menu
 
 PIPELINE_MODES = ("naive", "sample_and_round")
 
@@ -70,7 +70,7 @@ class PipelineConfig:
             raise ValidationError(f"H must be at least 1, not {self.H}")
         if self.mode not in PIPELINE_MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.cover_kind not in ("multiplicative", "monotone_tail"):
+        if self.cover_kind not in MENU_COVER_KINDS:
             raise ValidationError("pipeline covers are multiplicative or monotone_tail")
 
     def rounding_params(self) -> RoundingParams:
@@ -132,22 +132,24 @@ def uniform_price_menu(m: int, price: float) -> Menu:
     return Menu(np.eye(m), np.full(m, float(price)))
 
 
-def item_pricing_baseline(dist: ExplicitDistribution, H: float) -> tuple[Menu, float]:
+def support_bound(dist: ExplicitDistribution) -> float:
+    """H of a distribution: its largest value, or 1, the lowest doubling
+    price, when every value lies below 1."""
+    return max(1.0, float(dist.values.max()))
+
+
+def item_pricing_baseline(dist: ExplicitDistribution) -> tuple[Menu, float]:
     """Exact best of the doubling uniform-price menus on an explicit
-    distribution.
+    distribution, at the prices 1, 2, ..., 2^ceil(log2 H) of its own
+    bound H = :func:`support_bound` (a higher price sells to no one).
 
     For supports in [1, H] the winner extracts at least
     expected_max_value / (2 ceil(log2 H)): the doubling prices cut [1, H]
     into ceil(log2 H) bands and the band menus' revenues add up to at
-    least half the expected maximum value.  H must be finite and at least
-    1, the lowest doubling price.
+    least half the expected maximum value.
     """
-    if not math.isfinite(H):
-        raise ValidationError(f"H must be finite, not {H}")
-    if H < 1:
-        raise ValidationError(f"H must be at least 1, not {H}")
     best_menu, best_rev = None, -1.0
-    for p in doubling_prices(H):
+    for p in doubling_prices(support_bound(dist)):
         menu = uniform_price_menu(dist.m, p)
         rev = expected_revenue(menu, dist)
         if rev > best_rev + 1e-15:
@@ -155,10 +157,10 @@ def item_pricing_baseline(dist: ExplicitDistribution, H: float) -> tuple[Menu, f
     return best_menu, best_rev
 
 
-def item_pricing_from_samples(sampler: Sampler, H: float, n: int, seed: int) -> Menu:
+def item_pricing_from_samples(sampler: Sampler, n: int, seed: int) -> Menu:
     """Empirical winner among the doubling menus on n fresh draws."""
     V = sampler.draw(n, np.random.default_rng(seed))
-    return item_pricing_baseline(explicit_from_samples(V), H)[0]
+    return item_pricing_baseline(explicit_from_samples(V))[0]
 
 
 def naive_overfit_menu(samples) -> Menu:
@@ -250,9 +252,6 @@ class LowerBoundReport:
     lb_menu_revenue: float
     item_baseline_revenue: float
     ratio: float
-    K: int
-    m: int
-    H: float
 
 
 def lower_bound_experiment(m: int, H: float, K: int, seed: int) -> LowerBoundReport:
@@ -266,12 +265,5 @@ def lower_bound_experiment(m: int, H: float, K: int, seed: int) -> LowerBoundRep
     params = EqualRevenueSpreadParams(m=m, H=H)
     dist = sparse_subsample(params, K, seed)
     lb = expected_revenue(lower_bound_menu(dist), dist)
-    _, base = item_pricing_baseline(dist, H=H)
-    return LowerBoundReport(
-        lb_menu_revenue=lb,
-        item_baseline_revenue=base,
-        ratio=lb / base if base > 0 else float("inf"),
-        K=K,
-        m=m,
-        H=H,
-    )
+    _, base = item_pricing_baseline(dist)
+    return LowerBoundReport(lb, base, lb / base if base > 0 else float("inf"))

@@ -35,6 +35,9 @@ import numpy as np
 from .core import Menu, ValidationError
 from .covers import CoverSpec, round_lottery
 
+# the covers a menu is rounded into: the two certified on [1, H]^m
+MENU_COVER_KINDS = ("multiplicative", "monotone_tail")
+
 
 @dataclass(frozen=True)
 class RoundingParams:
@@ -102,20 +105,24 @@ def guarantee_bound(params: RoundingParams) -> tuple[float, float]:
 def round_menu(menu: Menu, params: RoundingParams) -> Menu:
     """Map a menu into the cover-restricted family, all entries at once.
 
-    Requires every price in (0, H]; the lotteries are valid, as the
-    :class:`Menu` constructor checks them.  Entries whose adjusted price
-    is not positive are dropped (the implicit zero entry replaces them);
-    all surviving lotteries are level-scaled cover points.
+    Requires every price at most H; the lotteries are valid, as the
+    :class:`Menu` constructor checks them.  Price-0 entries are dropped
+    first: a :class:`Menu` gives them the zero lottery, so they repeat the
+    implicit zero entry.  Entries whose adjusted price is not positive are
+    dropped too (the implicit zero entry replaces them); all surviving
+    lotteries are level-scaled cover points.
     """
-    k = params.level(menu.prices)
+    sold = menu.prices > 0
+    L, P = menu.lotteries[sold], menu.prices[sold]
+    k = params.level(P)
     eps = params.epsilon
     K = params.K
     # Python's float powers, as guarantee_bound takes them (np.power differs in
     # the last ulp on some), for the levels present only: K can run to millions
     levels, at = np.unique(k, return_inverse=True)
     shrink = np.array([(1.0 - eps) ** (K - j) for j in levels.tolist()])
-    lotteries = round_lottery(shrink[at, None] * menu.lotteries, params.cover_spec(menu.m))
-    prices = np.floor((1.0 - eps) ** K * menu.prices / eps) * eps - 2 * k * eps
+    lotteries = round_lottery(shrink[at, None] * L, params.cover_spec(menu.m))
+    prices = np.floor((1.0 - eps) ** K * P / eps) * eps - 2 * k * eps
     keep = prices > 0
     return Menu(lotteries[keep], prices[keep])
 

@@ -104,6 +104,35 @@ def _data_rows(path):
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][1:]
 
 
+def _baseline_rows(tmp_path, dist, *flags):
+    """The header comments and the data rows of one ``experiment baseline`` CSV."""
+    out = tmp_path / "baseline.csv"
+    assert cli.main(["experiment", "baseline", "--dist", dist, *flags, "--out", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    header = lines.index("seed,baseline_revenue,expected_max_value,guarantee")
+    return lines[:header], lines[header + 1:]
+
+
+def test_baseline_sampler_rows_are_pinned(tmp_path):
+    # seed, baseline_revenue, expected_max_value, guarantee: monotone m=5, H=8, 200 draws per seed
+    _, rows = _baseline_rows(tmp_path, _monotone(tmp_path), "--n", "200", "--seeds", "0:3")
+    assert rows == [
+        "0,3.9799999999999995,6.8747970242906309,1.1457995040484386",
+        "1,3.9599999999999995,6.8492664134634769,1.1415444022439127",
+        "2,3.9399999999999995,6.9066646427057306,1.1511107737842885",
+    ]
+
+
+def test_baseline_explicit_rows_are_pinned(tmp_path):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"type": "explicit", "params": {
+        "support": [[1.0, 2.0], [3.0, 0.5], [2.0, 2.0], [1.5, 1.0]], "weights": [0.25, 0.25, 0.25, 0.25]}}))
+    # no draws, so one row, no seed and no draw count
+    comments, rows = _baseline_rows(tmp_path, str(dist), "--seeds", "0:2")
+    assert rows == [",1.5,2.125,0.53125"]
+    assert not any(line.startswith("# n=") for line in comments)
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "lowerbound"],
     ["experiment", "baseline", "--dist", "{mono.json}", "--n", "2000"],
@@ -439,31 +468,25 @@ def test_a_non_finite_H_exits_3_naming_H(tmp_path, capsys, argv, H):
     assert f"H must be finite, not {H}" in capsys.readouterr().err and not out.exists()
 
 
-@pytest.mark.parametrize("H", ["inf", "0", "-1", "nan"])
-def test_baseline_H_that_is_not_finite_or_under_1_exits_3_naming_H(tmp_path, capsys, H):
+def test_baseline_has_no_H_option(tmp_path):
+    # the doubling prices stop at each scored distribution's own largest value
     inputs = _subcommand_inputs(tmp_path)
     out = tmp_path / "b.csv"
-    argv = ["experiment", "baseline", "--dist", inputs["{mono.json}"], "--n", "50", "--seeds", "0", "--H", H]
-    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_VALIDATION
-    assert "H must be" in capsys.readouterr().err and not out.exists()
+    argv = ["experiment", "baseline", "--dist", inputs["{mono.json}"], "--seeds", "0", "--H", "4"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
 
 
-@pytest.mark.parametrize("H, echo, bands", [
-    ("16", "# H=16", 4),
-    # monotone m=3 draws on [1, 8]: each seed's largest value lies in (4, 8)
-    (None, "# H=each seed's largest value (at least 1)", 3),
-])
-def test_baseline_echoes_H_and_its_guarantee_uses_that_H(tmp_path, H, echo, bands):
+def test_baseline_guarantee_uses_each_seeds_largest_value(tmp_path):
+    # monotone m=3 draws on [1, 8]: each seed's largest value lies in (4, 8), so 3 doubling bands
     inputs = _subcommand_inputs(tmp_path)
-    out = tmp_path / "b.csv"
-    argv = ["experiment", "baseline", "--dist", inputs["{mono.json}"], "--n", "50", "--seeds", "0:3"]
-    assert cli.main(argv + (["--H", H] if H else []) + ["--out", str(out)]) == cli.EXIT_OK
-    lines = out.read_text().splitlines()
-    assert echo in lines
-    header = lines.index("seed,baseline_revenue,expected_max_value,guarantee")
-    for row in lines[header + 1:]:
+    comments, rows = _baseline_rows(tmp_path, inputs["{mono.json}"], "--n", "50", "--seeds", "0:3")
+    assert "# n=50" in comments and not any(line.startswith("# H=") for line in comments)
+    assert len(rows) == 3
+    for row in rows:
         _, _, emax, guarantee = map(float, row.split(","))
-        assert guarantee == emax / (2.0 * bands)
+        assert guarantee == emax / (2.0 * 3)
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -508,6 +531,24 @@ def test_round_menu_checks_the_prices_against_H(tmp_path, capsys):
     assert cli.main(argv + ["--H", "3"]) == cli.EXIT_VALIDATION == 3
     assert "exceeds H=3.0" in capsys.readouterr().err and not out.exists()
     assert cli.main(argv + ["--H", "4"]) == cli.EXIT_OK
+
+
+def test_round_menu_drops_a_zero_entry_as_evaluate_reads_it(tmp_path, capsys):
+    # a price-0 entry holds the zero lottery, which the implicit zero entry repeats
+    inputs = _subcommand_inputs(tmp_path)
+    menu = mf.load_menu(inputs["{menu.json}"])
+    with_zero = tmp_path / "with_zero.json"
+    mf.save_menu(mf.Menu(np.vstack((menu.lotteries, [0.0, 0.0])), np.append(menu.prices, 0.0)), with_zero)
+    rounded = {}
+    for name, path in (("plain", inputs["{menu.json}"]), ("with_zero", str(with_zero))):
+        out = tmp_path / f"{name}-rounded.json"
+        argv = ["round-menu", "--menu", path, "--epsilon", "0.1", "--H", "4", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        rounded[name] = out.read_bytes()
+        assert cli.main(["evaluate", "--menu", path, "--dist", inputs["{dist.json}"]]) == cli.EXIT_OK
+    assert rounded["with_zero"] == rounded["plain"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "entries 3 -> 3" and printed[2] == "entries 4 -> 3" and printed[1] == printed[3]
 
 
 def test_round_menu_at_epsilon_0_exits_3_naming_epsilon(tmp_path, capsys):

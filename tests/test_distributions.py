@@ -117,6 +117,25 @@ def test_draw_scales_residual_at_top():
     assert np.all(z == 1)
 
 
+def test_draw_scales_is_the_inverse_cdf_of_the_halving_law():
+    # z = x where 1 - 2^(1-x) <= u < 1 - 2^-x for x < levels, the top level above
+    for levels in range(1, 12):
+        for seed in range(3):
+            u = np.random.default_rng(seed).random(2000)
+            cut = 1.0 - 2.0 ** -np.arange(1, levels)
+            u[: 2 * cut.size] = np.concatenate((cut, np.nextafter(cut, 0.0)))  # on and just below each cut
+            want = np.full(u.size, levels)
+            for x in range(levels - 1, 0, -1):
+                want[u < 1.0 - 2.0 ** -x] = x
+
+            class Replay:
+                def random(self, n):
+                    return u[:n]
+
+            z = _draw_scales(Replay(), levels, u.size)
+            assert z.dtype == np.int64 and np.array_equal(z, want)
+
+
 def test_uniform_k_sets_are_sorted_distinct_and_uniform_over_pairs():
     n = 15000
     sets = _uniform_k_sets(np.random.default_rng(0), n, 6, 2)

@@ -57,13 +57,27 @@ def test_overfit_lp_fits_the_whole_sample(monkeypatch):
 def test_item_pricing_from_samples_picks_the_baseline_menu_on_its_draws():
     for seed in range(3):
         sampler = mf.MonotoneUniformSampler(4, 8.0, seed=0)
-        menu = mf.item_pricing_from_samples(sampler, 8.0, 500, seed)
+        menu = mf.item_pricing_from_samples(sampler, 500, seed)
         V = sampler.draw(500, np.random.default_rng(seed))
-        want, _ = mf.item_pricing_baseline(mf.explicit_from_samples(V), H=8.0)
+        want, _ = mf.item_pricing_baseline(mf.explicit_from_samples(V))
         assert menu == want
-        prices = mf.doubling_prices(8.0)
+        prices = mf.doubling_prices(V.max())
         means = [mf.revenue_batch(mf.uniform_price_menu(4, p), V).mean() for p in prices]
         assert menu == mf.uniform_price_menu(4, prices[int(np.argmax(means))])
+
+
+def test_item_pricing_baseline_prices_up_to_the_support_bound():
+    # largest value 3: prices 1, 2 and 4; a higher doubling price sells to no one
+    d = mf.ExplicitDistribution(np.array([[3.0, 1.0], [2.5, 2.5], [1.0, 1.5]]), np.array([0.2, 0.5, 0.3]))
+    menu, rev = mf.item_pricing_baseline(d)
+    assert pipeline.support_bound(d) == 3.0
+    revs = [mf.expected_revenue(mf.uniform_price_menu(2, p), d) for p in mf.doubling_prices(64.0)]
+    assert revs[3:] == [0.0, 0.0, 0.0, 0.0] and rev == max(revs)
+    assert menu == mf.uniform_price_menu(2, mf.doubling_prices(64.0)[int(np.argmax(revs))])
+    # every value below 1: the single price 1
+    low = mf.ExplicitDistribution(np.array([[0.5, 0.25]]), np.array([1.0]))
+    assert pipeline.support_bound(low) == 1.0
+    assert mf.item_pricing_baseline(low) == (mf.uniform_price_menu(2, 1.0), 0.0)
 
 
 def test_naive_overfit_menu_sells_items_at_2_and_each_unit_support_at_1():
