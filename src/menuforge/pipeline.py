@@ -3,8 +3,14 @@
 The sample-and-round pipeline draws t valuations from a black box, solves
 the menu LP on the empirical distribution, and pushes the optimal menu
 through the level-rounding transform so that the output lives in a small
-cover family.  Fitting the sample exactly and then projecting onto the
-cover is what prevents the fitted menu from memorizing the sample.
+cover family.  On the overfitting family (m=64, delta=0.1, 200 sampled
+types, seeds 0-4, 100k fresh draws from the stream [seed, 1]) the LP
+menu earns 1.090 per buyer on its sample and 1.007 on fresh draws, where
+the price-1 menu earns 0.999.  Rounded through the multiplicative cover
+at H=2 it keeps all its entries (100.6 on average) and earns 0.509 fresh
+at epsilon 0.1 and 0.904 at epsilon 0.01: the rounding does not guard
+against memorizing this family, whose zero values lie outside the
+cover's certified class [1, H]^m.
 
 Baselines and experiments:
 
@@ -19,9 +25,10 @@ Baselines and experiments:
   with one entry per support point (uniform lottery on the point's set at
   price 2^(z-1)) extracts about half the expected maximum value once the
   sets are pairwise sparse; in the paper's asymptotic regime that beats
-  every small item-pricing menu.  At desk scale it does not: at the CLI
-  defaults (m=30, H=8, K=20, seeds 0:200) it earns 0.64 to 1.00 times the
-  doubling item-pricing baseline, 0.85 on average.
+  every small item-pricing menu.  At the CLI defaults (m=30, H=8, K=20)
+  it does not: over seeds 0:200 it earns 0.64 to 1.00 times the doubling
+  item-pricing baseline, 0.85 on average, and 0.71 to 0.95 over seeds
+  0:5.  Past the flip, at m=90, H=64, K=128, seeds 0:5 give 1.36 to 1.60.
 """
 
 from __future__ import annotations

@@ -48,7 +48,8 @@ class RoundingParams:
     of levels.  The cover is the ``cover_kind`` grid at the same epsilon
     and H: the multiplicative grid by default, or monotone_tail when every
     valuation to be served is monotone.  The (epsilon, H, cover_kind)
-    checks are :class:`CoverSpec`'s.
+    checks are :class:`CoverSpec`'s, and the cover must be one of
+    ``MENU_COVER_KINDS``: the guarantee is stated for no other.
     """
 
     epsilon: float
@@ -57,6 +58,10 @@ class RoundingParams:
 
     def __post_init__(self):
         self.cover_spec(1)
+        if self.cover_kind not in MENU_COVER_KINDS:
+            raise ValidationError(
+                f"menus round into the multiplicative or monotone_tail cover, not {self.cover_kind!r}"
+            )
 
     @property
     def delta(self) -> float:

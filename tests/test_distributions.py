@@ -10,7 +10,7 @@ import pytest
 
 import menuforge as mf
 from menuforge import core
-from menuforge.distributions import _draw_scales, _uniform_k_sets
+from menuforge.distributions import _draw_scales, _write_k_sets
 
 
 def test_explicit_from_samples_keeps_duplicates():
@@ -138,8 +138,12 @@ def test_draw_scales_is_the_inverse_cdf_of_the_halving_law():
 
 def test_uniform_k_sets_are_sorted_distinct_and_uniform_over_pairs():
     n = 15000
-    sets = _uniform_k_sets(np.random.default_rng(0), n, 6, 2)
+    rows = np.zeros((n, 6))
+    _write_k_sets(np.random.default_rng(0), rows, 2, np.ones((n, 1)))
+    assert set(np.unique(rows)) == {0.0, 1.0} and np.all(rows.sum(axis=1) == 2)
+    sets = np.nonzero(rows)[1].reshape(n, 2)  # each row's items, ascending
     assert sets.shape == (n, 2)
+    _same_bytes(sets, _whole_batch_k_sets(np.random.default_rng(0), n, 6, 2))
     assert np.all(sets[:, 0] < sets[:, 1])  # sorted, hence distinct
     assert sets.min() >= 0 and sets.max() < 6
     freq = np.bincount(sets[:, 0] * 6 + sets[:, 1], minlength=36) / n
@@ -381,9 +385,13 @@ def test_blocked_draws_match_the_whole_batch_formulas(monkeypatch):
                 got = mf.EqualRevenueSpreadSampler(spread, 0).draw_with_meta(n, np.random.default_rng(n))
                 for a, b in zip(got, _whole_batch_spread(np.random.default_rng(n), n, spread)):
                     _same_bytes(a, b)
+                values = np.arange(2.0, n + 2.0)[:, None]  # a value of its own for each row
                 for k in (1, 10, 30):
-                    got = _uniform_k_sets(np.random.default_rng(n), n, 30, k)
-                    _same_bytes(got, _whole_batch_k_sets(np.random.default_rng(n), n, 30, k))
+                    got = np.ones((n, 30))
+                    _write_k_sets(np.random.default_rng(n), got, k, values)
+                    want = np.ones((n, 30))
+                    want[np.arange(n)[:, None], _whole_batch_k_sets(np.random.default_rng(n), n, 30, k)] = values
+                    _same_bytes(got, want)
             if m == 5:
                 got = mf.MonotoneUniformSampler(5, 8.0, 0).draw(n, np.random.default_rng(n))
                 _same_bytes(got, _whole_batch_monotone(np.random.default_rng(n), n, 5, 8.0))
@@ -415,7 +423,7 @@ def _block_loop_sparse_subsample(params, K, seed, used=None):
         tried, b = 0, 1
         while tried < 10_000:
             b = min(b, 10_000 - tried)
-            cand = _uniform_k_sets(rng, b, m, k)
+            cand = _whole_batch_k_sets(rng, b, m, k)
             ind = np.zeros((b, m))
             ind[np.arange(b)[:, None], cand] = 1.0
             ok = np.flatnonzero((ind @ accepted[:i].T < threshold).all(axis=1))
@@ -444,7 +452,7 @@ def _outcome(construct):
 def test_sparse_subsample_reads_the_block_loops_stream(monkeypatch):
     used, infeasible = [], 0
     grid = list(itertools.product((6, 12, 30, 60, 90), (1, 3, 5, 8, 20, 30), range(3)))
-    # one row per k-set draw block: the pool's draws are split at every row
+    # one row per k-set writer block: the pool's writes are split at every row
     one_row = list(itertools.product((6, 12, 30), (3, 8, 25), range(2)))
     for block_cells, cases in ((core._BLOCK_CELLS, grid), (1, one_row)):
         monkeypatch.setattr(core, "_BLOCK_CELLS", block_cells)
@@ -499,11 +507,13 @@ def test_sampler_draws_hold_their_output_plus_one_block():
     cases = [
         lambda: mf.OverfitProductSampler(mf.OverfitProductParams(64, 0.1), 0).draw(n),
         lambda: mf.EqualRevenueSpreadSampler(mf.EqualRevenueSpreadParams(30, 8.0), 0).draw_with_meta(n),
+        lambda: mf.EqualRevenueSpreadSampler(mf.EqualRevenueSpreadParams(30, 8.0), 0).draw(n),
         lambda: mf.MonotoneUniformSampler(5, 8.0, 0).draw(n),
     ]
     for draw in cases:
         peak, out = _peak_bytes(draw)
-        # the draws are 51 MB, 33 MB (values, sets and scales) and 4 MB; one block is 1 MB
+        # the draws are 51 MB, 33 MB (values, sets and scales), 24 MB (values only)
+        # and 4 MB; one block is 1 MB
         out_bytes = sum(a.nbytes for a in out) if isinstance(out, tuple) else out.nbytes
         assert peak < 1.25 * out_bytes
 

@@ -108,6 +108,16 @@ def test_lower_bound_menu_earns_what_the_module_docstring_says_at_the_cli_defaul
     assert (round(ratios.min(), 2), round(ratios.max(), 2), round(ratios.mean(), 2)) == (0.64, 1.00, 0.85)
 
 
+def test_lower_bound_menu_beats_item_pricing_past_the_flip():
+    # the docstring and the lowerbound help: 1.36 to 1.60 at m=90, H=64, K=128 and
+    # 0.71 to 0.95 at the defaults, seeds 0:5 each
+    past = [mf.lower_bound_experiment(90, 64.0, 128, seed).ratio for seed in range(5)]
+    assert all(r > 1 for r in past)
+    assert (round(min(past), 2), round(max(past), 2)) == (1.36, 1.60)
+    defaults = [mf.lower_bound_experiment(30, 8.0, 20, seed).ratio for seed in range(5)]
+    assert (round(min(defaults), 2), round(max(defaults), 2)) == (0.71, 0.95)
+
+
 def test_lower_bound_menu_needs_the_construction_metadata():
     dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.5, 0.5]))
     with pytest.raises(mf.ValidationError, match="lacks per-point"):

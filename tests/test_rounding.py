@@ -43,6 +43,12 @@ def test_rounding_params_reject_what_a_cover_spec_rejects(kwargs, message):
         RoundingParams(**kwargs)
 
 
+def test_rounding_params_refuse_a_cover_the_guarantee_does_not_certify():
+    # the additive cover is a valid CoverSpec, but no menu guarantee is stated for it
+    with pytest.raises(mf.ValidationError, match="monotone_tail cover, not 'additive'"):
+        RoundingParams(0.1, 4.0, "additive")
+
+
 def test_guarantee_bound_monotone_in_epsilon():
     H = 8.0
     prev_mult, prev_add = 1.0, 0.0
