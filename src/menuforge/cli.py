@@ -66,7 +66,7 @@ from .pipeline import (
     sample_and_round,
     support_bound,
 )
-from .rounding import MENU_COVER_KINDS, RoundingParams, round_menu
+from .rounding import CERTIFIED_TAGS, RoundingParams, round_menu
 
 EXIT_OK = 0
 EXIT_VALIDATION = 3
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--out", required=True)
     rm.add_argument("--epsilon", type=float, required=True)
     rm.add_argument("--H", type=float, required=True)
-    rm.add_argument("--cover-kind", default="multiplicative", choices=MENU_COVER_KINDS)
+    rm.add_argument("--cover-kind", default="multiplicative", choices=list(CERTIFIED_TAGS))
     rm.set_defaults(func=_cmd_round_menu)
 
     cov = sub.add_parser("cover", help="enumerate a cover or round one lottery")
@@ -394,7 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--out", required=True)
     ba.set_defaults(func=_cmd_experiment_baseline)
 
-    gr = exsub.add_parser("greedy-vs-opt")
+    gr = exsub.add_parser("greedy-vs-opt", description=(
+        "greedy_revenue and oracle_revenue are hit-count scores, 1 + (H-1) f for an item set hitting a "
+        "fraction f of the sets, not revenues: below full coverage they exceed the revenue H f that the "
+        "item menu pricing every item at H earns, and they equal it at f = 1. With 40 sets of 1-3 items "
+        "over m=24, k=1, H=4 and seeds 0:4, greedy scores 1.45-1.60 where its menu earns 0.60-0.80."))
     gr.add_argument("--hitting-set", help="instance file; otherwise random instances per seed")
     gr.add_argument("--m", type=int, default=10)
     gr.add_argument("--n-sets", type=int, default=8)

@@ -29,15 +29,9 @@ Conventions used throughout the package:
   prices into that product, ``[L | -P] @ [V_block | 1].T``, one BLAS
   call per block instead of a product and a pass over all K * rows
   utilities; the (rows, m+1) value block it copies the buyers into
-  costs fewer cells than that pass only when K > m.  Where BLAS runs one
-  thread per call (``OPENBLAS_NUM_THREADS=1``) the blocks are scored by
-  two workers, the calling thread and one helper thread that the call
-  starts and joins before it returns; otherwise, or when the process's
-  affinity mask holds one CPU (``taskset`` sets it), by the calling
-  thread alone.  No thread outlives a call.
-  Every worker writes into buffers the calling thread allocated, so the
-  working memory is O(workers * block * K), whatever the number of
-  buyers or of CPUs, and the output is the same for every worker count;
+  costs fewer cells than that pass only when K > m.  Which threads score
+  the blocks, and the memory they use, is stated once, in ``_choose``'s
+  docstring;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 
@@ -46,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import chain
 
@@ -385,19 +379,28 @@ def _choose(menu: Menu, V) -> np.ndarray:
     price tie-break against the zero entry.  A block holds
     ``max(1, _BLOCK_CELLS // K)`` rows.
 
-    At most ``_MAX_WORKERS`` workers score the blocks: the calling thread
-    and ``_MAX_WORKERS - 1`` helper threads, started here and joined
-    before the call returns, each claiming its next block from one shared
-    iterator; an exception raised in a helper is raised again here.
-    Every worker's buffers are allocated here, in the calling thread,
-    before any block is scored, and the workers write into them and into
-    disjoint slices of the result, so the working memory is
-    O(workers * block * K), independent of the number of rows n and of
-    the host's CPU count.
+    Threads: at most ``_MAX_WORKERS`` workers score the blocks, each
+    claiming its next block from one shared iterator.  That is two where
+    BLAS runs one thread per call (``OPENBLAS_NUM_THREADS=1``), else one.
+    A call with one block, in a process whose affinity mask holds one CPU
+    (``taskset`` sets it), or where BLAS may run several threads per call,
+    runs in the calling thread alone.  Otherwise the calling thread is one
+    worker and the rest run in a ``ThreadPoolExecutor`` that lives for
+    this call only: leaving its block joins them, so no thread outlives
+    the call, and an exception raised in a helper is raised again here.
     Block boundaries and each block's arithmetic do not depend on the
-    worker count, so neither does the result.  A call with one block, in
-    a process whose affinity mask holds one CPU, or where BLAS may run
-    several threads per call, runs in the calling thread alone.
+    worker count, so neither does the result.
+
+    Memory: every worker's buffers are allocated here, in the calling
+    thread, before any block is scored, and the workers write into them
+    and into disjoint slices of the result, so the working memory is
+    O(workers * block * K), independent of the number of rows n and of
+    the host's CPU count.  Letting each worker allocate its own scratch
+    would delete ``_block_buffers``, but that variant read 1.0-2.8 MB
+    more peak RSS on the ``sweep`` benchmark in 8 of 8 run pairs (2
+    vCPUs, one BLAS thread), for a cause not isolated (a 100k-row K=5
+    loop alone showed no difference), so the calling thread keeps
+    allocating it.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     n, K, m = V.shape[0], menu.size, menu.m
@@ -418,24 +421,14 @@ def _choose(menu: Menu, V) -> np.ndarray:
     workers = max(1, min(len(blocks), _cpus(), _MAX_WORKERS))
     buffers = [_block_buffers(K, rows, w.dtype, m if fold else None) for _ in range(workers)]
     score = partial(_score_blocks, iter(blocks), L, P, w, pick, V, idx, rows)
-    errors = []
-
-    def helper(b):
-        try:
-            score(b)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper, args=(b,), name="menuforge-kernel") for b in buffers[1:]]
-    for t in helpers:
-        t.start()
-    try:
+    if workers == 1:
         score(buffers[0])
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+        return idx
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="menuforge-kernel") as pool:
+        helpers = [pool.submit(score, b) for b in buffers[1:]]
+        score(buffers[0])
+    for f in helpers:
+        f.result()
     return idx
 
 

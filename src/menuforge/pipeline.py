@@ -50,7 +50,7 @@ from .distributions import (
     sparse_subsample,
 )
 from .lp import build_lp, extract_menu, solve_lp
-from .rounding import MENU_COVER_KINDS, RoundingParams, round_menu
+from .rounding import CERTIFIED_TAGS, RoundingParams, round_menu
 
 PIPELINE_MODES = ("naive", "sample_and_round")
 
@@ -77,7 +77,7 @@ class PipelineConfig:
             raise ValidationError(f"H must be at least 1, not {self.H}")
         if self.mode not in PIPELINE_MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.cover_kind not in MENU_COVER_KINDS:
+        if self.cover_kind not in CERTIFIED_TAGS:
             raise ValidationError("pipeline covers are multiplicative or monotone_tail")
 
     def rounding_params(self) -> RoundingParams:
@@ -91,13 +91,14 @@ class PipelineConfig:
         return RoundingParams(epsilon=eps_round, H=self.H, cover_kind=self.cover_kind)
 
     def validate_sampler(self, sampler: Sampler) -> None:
-        """Reject, before any draw, a sampler whose values may exceed H or
-        that a monotone_tail cover does not certify."""
+        """Reject, before any draw, a sampler whose values may exceed H or,
+        when the run rounds, whose tag the cover does not certify."""
         if sampler.H > self.H:
             raise ValidationError(f"the sampler's H={sampler.H} exceeds the pipeline's H={self.H}")
-        if self.cover_kind == "monotone_tail" and sampler.tag != "monotone":
+        certified = CERTIFIED_TAGS[self.cover_kind]
+        if self.mode == "sample_and_round" and sampler.tag not in certified:
             raise ValidationError(
-                "monotone_tail covers are only certified for monotone valuations; "
+                f"{self.cover_kind} covers are only certified for {' or '.join(certified)} valuations; "
                 f"sampler is tagged {sampler.tag!r}"
             )
 

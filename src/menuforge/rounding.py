@@ -20,9 +20,20 @@ per-buyer payment obeys
 
     Rev(rounded, v) >= (1-delta) (1-eps)^K Rev(original, v) - (2K+1) eps
 
-for every valuation in the cover's certified class.  Entries whose
-adjusted price drops to zero or below are dropped; their original price
-was already inside the additive loss budget.
+for every valuation in the cover's certified class (``CERTIFIED_TAGS``).
+Entries whose adjusted price drops to zero or below are dropped; their
+original price was already inside the additive loss budget.
+
+Precondition: the levels partition (1, H], so the bound is proved only
+for menus whose prices are at least 1.  ``RoundingParams.level`` puts
+every price up to 1+delta into level 1, an LP entry priced below 1
+included, and for such menus the bound is not proved and can fail: in
+the strict xfail
+``tests/test_rounding.py::test_round_menu_keeps_the_guarantee_on_a_pinned_lp_tie``
+a buyer tied between an entry at 0.6528 and one at 0.0630 moves to the
+cheaper one and pays 0.0556 against a bound of 0.4444.  The benchmark's
+``fit_large`` workload counts such buyers on LP menus as
+``rounding.guarantee_violations``.
 """
 
 from __future__ import annotations
@@ -35,8 +46,9 @@ import numpy as np
 from .core import Menu, ValidationError
 from .covers import CoverSpec, round_lottery
 
-# the covers a menu is rounded into: the two certified on [1, H]^m
-MENU_COVER_KINDS = ("multiplicative", "monotone_tail")
+# the covers a menu is rounded into, each with the value-range tags of the
+# valuations its guarantee is certified for: [1, H]^m, and monotone ones
+CERTIFIED_TAGS = {"multiplicative": ("bounded", "monotone"), "monotone_tail": ("monotone",)}
 
 
 @dataclass(frozen=True)
@@ -48,8 +60,8 @@ class RoundingParams:
     of levels.  The cover is the ``cover_kind`` grid at the same epsilon
     and H: the multiplicative grid by default, or monotone_tail when every
     valuation to be served is monotone.  The (epsilon, H, cover_kind)
-    checks are :class:`CoverSpec`'s, and the cover must be one of
-    ``MENU_COVER_KINDS``: the guarantee is stated for no other.
+    checks are :class:`CoverSpec`'s, and the cover must be a key of
+    ``CERTIFIED_TAGS``: the guarantee is stated for no other.
     """
 
     epsilon: float
@@ -58,9 +70,9 @@ class RoundingParams:
 
     def __post_init__(self):
         self.cover_spec(1)
-        if self.cover_kind not in MENU_COVER_KINDS:
+        if self.cover_kind not in CERTIFIED_TAGS:
             raise ValidationError(
-                f"menus round into the multiplicative or monotone_tail cover, not {self.cover_kind!r}"
+                f"menus round into the {' or '.join(CERTIFIED_TAGS)} cover, not {self.cover_kind!r}"
             )
 
     @property
@@ -98,8 +110,10 @@ def guarantee_bound(params: RoundingParams) -> tuple[float, float]:
     """The exact constants of the per-valuation guarantee.
 
     Returns (multiplicative, additive) such that the rounded menu earns at
-    least multiplicative * Rev(M, v) - additive for every certified v. No
-    asymptotics: multiplicative = (1-delta)(1-eps)^K, additive = (2K+1) eps.
+    least multiplicative * Rev(M, v) - additive for every certified v,
+    provided every price of M is at least 1 (see the module docstring: the
+    bound is not proved for a menu with cheaper entries). No asymptotics:
+    multiplicative = (1-delta)(1-eps)^K, additive = (2K+1) eps.
     """
     K = params.K
     mult = (1.0 - params.delta) * (1.0 - params.epsilon) ** K
@@ -111,7 +125,10 @@ def round_menu(menu: Menu, params: RoundingParams) -> Menu:
     """Map a menu into the cover-restricted family, all entries at once.
 
     Requires every price at most H; the lotteries are valid, as the
-    :class:`Menu` constructor checks them.  Price-0 entries are dropped
+    :class:`Menu` constructor checks them.  The per-valuation bound of
+    :func:`guarantee_bound` holds for every certified valuation when every
+    price is at least 1; entries priced below 1 land in level 1 and void
+    the proof (see the module docstring).  Price-0 entries are dropped
     first: a :class:`Menu` gives them the zero lottery, so they repeat the
     implicit zero entry.  Entries whose adjusted price is not positive are
     dropped too (the implicit zero entry replaces them); all surviving

@@ -438,3 +438,31 @@ def test_solve_lp_cli_has_no_dump_option(tmp_path, capsys):
         cli.main(["solve-lp", "--dist", str(dist), "--out", str(out), "--dump-lp", str(dump)])
     assert exc.value.code == 2
     assert "--dump-lp" in capsys.readouterr().err and not out.exists() and not dump.exists()
+
+
+def _spread_support(seed):
+    """The JSON description of the K-point spread support at (m, H, K) = (30, 64, 20)."""
+    return {"type": "sparse_subsample", "params": {"m": 30, "H": 64.0, "K": 20}, "seed": seed}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_spread_support_lp_beats_both_constructions_and_its_menu_earns_the_objective(seed):
+    dist = mf.distribution_from_json(_spread_support(seed))
+    sol = mf.solve_lp(mf.build_lp(dist))
+    lower_bound = mf.expected_revenue(mf.lower_bound_menu(dist), dist)
+    _, item_pricing = mf.item_pricing_baseline(dist)
+    assert sol.objective >= lower_bound - 1e-7
+    assert sol.objective >= item_pricing - 1e-7
+    assert abs(mf.expected_revenue(mf.extract_menu(sol), dist) - sol.objective) <= 1e-7
+
+
+def test_spread_support_runs_through_solve_lp_and_evaluate(tmp_path, capsys):
+    dist, menu = tmp_path / "dist.json", tmp_path / "menu.json"
+    dist.write_text(json.dumps(_spread_support(1)))
+    assert cli.main(["solve-lp", "--dist", str(dist), "--out", str(menu)]) == 0
+    words = capsys.readouterr().out.split()
+    assert words[0] == "objective" and abs(float(words[1]) - 5.945044642099) < 1e-9
+    objective = float(words[1])
+    assert cli.main(["evaluate", "--menu", str(menu), "--dist", str(dist)]) == 0
+    words = capsys.readouterr().out.split()
+    assert words[0] == "expected_revenue" and abs(float(words[1]) - objective) <= 1e-7

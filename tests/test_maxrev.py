@@ -242,3 +242,27 @@ def test_two_level_validation():
     d = mf.explicit_from_samples(np.array([[1.0, 2.0], [1.0, 3.0]]))
     with pytest.raises(mf.ValidationError):
         mf.KMenuProblem(d, 1, 1.0, 3.0)
+
+
+def _greedy_score_and_revenue(sets, m):
+    """The greedy item menu's hit-count score and its expected revenue on the
+    {1,H} reduction of ``sets`` at H=4, k=1, and its hit fraction."""
+    problem = mf.reduce_hitting_set(mf.HittingSetInstance(tuple(sets), m=m, H=4.0), 1)
+    menu, score = mf.greedy_k_item_menu(problem)
+    hit = weighted_sum(problem.dist.weights, problem.sets[:, menu.lotteries.argmax(axis=1)].any(axis=1))
+    return score, mf.expected_revenue(menu, problem.dist), hit
+
+
+def test_greedy_vs_opt_score_bounds_the_greedy_menus_revenue_with_equality_at_full_coverage():
+    # the greedy-vs-opt experiment's greedy_revenue column is this score:
+    # 1 + (H-1) f against the item menu's revenue H f, for hit fraction f
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        sets = [tuple(sorted(rng.choice(24, size=int(rng.integers(1, 4)), replace=False).tolist()))
+                for _ in range(40)]
+        score, revenue, hit = _greedy_score_and_revenue(sets, 24)
+        assert hit < 1
+        assert score == pytest.approx(1 + 3 * hit) and revenue == pytest.approx(4 * hit)
+        assert score > revenue + 0.5  # 1.45-1.60 against 0.60-0.80
+    score, revenue, hit = _greedy_score_and_revenue([(0, 1), (1, 2), (1,)], 3)
+    assert hit == 1 and score == revenue == 4.0

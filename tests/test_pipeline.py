@@ -184,3 +184,42 @@ def test_pipeline_monotone_cover_of_an_untagged_distribution_exits_3_before_the_
     dist = {"type": "overfit", "params": {"m": 4, "delta": 0.1}}
     config = {"dist": dist, "t": 8, "epsilon": 0.1, "H": 2.0, "cover_kind": "monotone_tail"}
     assert "sampler is tagged 'nonneg'" in _pipeline_error(tmp_path, capsys, monkeypatch, config)
+
+
+def test_sample_and_round_rejects_the_multiplicative_cover_of_an_untagged_sampler_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the sampler was drawn before the config was checked")
+
+    monkeypatch.setattr(mf.OverfitProductSampler, "draw", no_draw)
+    sampler = mf.OverfitProductSampler(mf.OverfitProductParams(m=8, delta=0.1), seed=0)  # values 0-2, tagged nonneg
+    cfg = mf.PipelineConfig(t=50, epsilon=0.1, H=2.0)
+    assert cfg.cover_kind == "multiplicative"
+    with pytest.raises(mf.ValidationError, match="multiplicative covers are only certified for bounded or monotone "
+                                                 "valuations; sampler is tagged 'nonneg'"):
+        mf.sample_and_round(sampler, cfg)
+
+
+_UNCERTIFIED_CONFIGS = {
+    "overfit": {"dist": {"type": "overfit", "params": {"m": 8, "delta": 0.1}}, "t": 50, "epsilon": 0.1, "H": 2.0},
+    "untagged_explicit": {
+        "dist": {"type": "explicit", "params": {"support": [[1.0, 2.0], [3.0, 0.5], [2.0, 2.0], [1.5, 1.0]],
+                                                "weights": [0.25, 0.25, 0.25, 0.25]}},
+        "t": 40, "epsilon": 0.1, "H": 4.0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNCERTIFIED_CONFIGS))
+def test_pipeline_multiplicative_cover_of_an_untagged_distribution_exits_3_before_the_lp(
+    tmp_path, capsys, monkeypatch, name
+):
+    assert "sampler is tagged 'nonneg'" in _pipeline_error(tmp_path, capsys, monkeypatch, _UNCERTIFIED_CONFIGS[name])
+
+
+def test_pipeline_naive_mode_runs_on_an_untagged_distribution(tmp_path, capsys):
+    # naive mode never rounds, so no cover has to certify the sampler
+    path, out = tmp_path / "config.json", tmp_path / "menu.json"
+    path.write_text(json.dumps({**_UNCERTIFIED_CONFIGS["overfit"], "mode": "naive"}))
+    assert cli.main(["pipeline", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "menu entries 13\n"
+    assert mf.load_menu(out).size == 13
