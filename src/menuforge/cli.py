@@ -165,7 +165,7 @@ def _cover_spec(args) -> CoverSpec:
 
 
 def _cmd_cover_enumerate(args) -> int:
-    enum = enumerate_cover(_cover_spec(args), budget=args.budget)
+    enum = enumerate_cover(_cover_spec(args))
     payload: dict = {"count": enum.count, "exact_count": enum.exact_count}
     if enum.lotteries is None:
         payload["lotteries"] = None
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--H", type=float, default=1.0)
         c.add_argument("--out")
         if name == "enumerate":
-            c.add_argument("--budget", type=int, default=1_000_000)
             c.set_defaults(func=_cmd_cover_enumerate)
         else:
             c.add_argument("--lottery", required=True, help="comma-separated probabilities")

@@ -182,7 +182,8 @@ class Menu:
     constructor copies its inputs, checks every entry (a finite,
     nonnegative price, a lottery that passes :func:`check_lotteries`, and
     a zero price only on the zero lottery, so "free" allocations cannot
-    occur) and freezes the copies.
+    occur) and freezes the copies; the caller's arrays stay writable,
+    unlike those an ``ExplicitDistribution`` keeps.
     """
 
     __slots__ = ("lotteries", "prices")
@@ -244,7 +245,7 @@ class Menu:
         m = json_field(d, "m", "menu", json_int)
         if m < 1:
             raise ValidationError(f'menu field "m" is {m}; a menu needs at least one item')
-        ents = d.get("entries", [])
+        ents = json_field(d, "entries", "menu", lambda entries: entries)
         if not isinstance(ents, list):
             raise ValidationError('menu field "entries" must be a list')
         L = np.zeros((len(ents), m))

@@ -43,7 +43,6 @@ as one (n, m) call, and each output row depends on its own doubles only.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -72,6 +71,10 @@ class ExplicitDistribution:
     1e-12).  ``meta`` optionally carries per-point construction data (the
     set S and scale z of the equal-revenue spread family) that the
     lower-bound menu needs.
+
+    A float64 array passed as values or weights is kept, not copied, and
+    made read-only, the caller's object included, so a large sample batch
+    takes no second copy; :class:`~menuforge.core.Menu` copies its inputs.
     """
 
     values: np.ndarray          # (n, m)
@@ -144,7 +147,8 @@ def explicit_from_samples(samples, tag: str = "nonneg", H: float = float("inf"))
     """Uniform empirical distribution over drawn valuations.
 
     Duplicates are kept as separate points, so the result has exactly one
-    support row per sample.
+    support row per sample.  A float64 (n, m) array ``S`` is kept as the
+    support, not copied, so ``explicit_from_samples(S)`` makes ``S`` read-only.
     """
     V = np.asarray(samples, dtype=float)
     if V.ndim == 1:
@@ -329,23 +333,11 @@ class EqualRevenueSpreadSampler(Sampler):
         return V, sets.reshape(-1, self.params.k), z
 
 
+# a power of two: the doubling blocks then fill the first _CANDIDATE_BLOCK - 1
+# candidates, and a candidate c among them ends its block at 2^bit_length(c + 1) - 1
 _CANDIDATE_BLOCK = 64      # most candidate sets in one block of a point's stream
 _CANDIDATE_CAP = 10_000    # candidates a point may try before the construction fails
 _CANDIDATE_DRAW = 256      # fewest candidates drawn into sparse_subsample's pool at once
-
-
-def _block_ends() -> tuple:
-    """Where the blocks of a point's candidate stream end: blocks of 1, 2,
-    4, ... candidates, then ``_CANDIDATE_BLOCK`` each, the last cut at
-    ``_CANDIDATE_CAP``."""
-    ends, b = [0], 1
-    while ends[-1] < _CANDIDATE_CAP:
-        ends.append(min(ends[-1] + b, _CANDIDATE_CAP))
-        b = min(2 * b, _CANDIDATE_BLOCK)
-    return tuple(ends[1:])
-
-
-_BLOCK_ENDS = _block_ends()
 
 
 def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> ExplicitDistribution:
@@ -362,15 +354,14 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
     ``_CANDIDATE_BLOCK``: when m is large next to K nearly every first
     candidate is compatible, and the points follow the family's i.i.d.
     law.  The block holding the kept candidate is used up, so the next
-    point's candidates start at that block's end (``_BLOCK_ENDS``).
+    point's candidates start at that block's end.
 
     Candidate j of the whole stream is the j-th group of m uniforms
     after the scales, however the k-set writer ``_write_k_sets`` is
     chunked, so the candidates are written ``_CANDIDATE_DRAW`` or more at
-    a time into a pool of indicator rows, and each point tests a window of
-    ``_CANDIDATE_BLOCK`` pool rows at a time against the accepted sets in
-    one product.  A draw drops the pool rows before the window, so the
-    pool holds at most ``_CANDIDATE_BLOCK + _CANDIDATE_DRAW`` rows.
+    a time into a pool of at most ``_CANDIDATE_BLOCK + _CANDIDATE_DRAW``
+    indicator rows.  The doubling blocks are tested against the accepted
+    sets in one product, then each later block in its own.
 
     Raises :class:`IntersectionPropertyError` when some point finds no
     compatible candidate among ``_CANDIDATE_CAP``.
@@ -382,23 +373,23 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
     rng = np.random.default_rng(seed)
     z = _draw_scales(rng, params.levels, K)
     accepted = np.zeros((K, m))  # indicator rows of the accepted sets
-    pool, lo = np.empty((0, m)), 0  # indicator rows of candidates lo, lo + 1, ... of the stream
-    start = 0  # the stream position of the point's first candidate
+    pool = np.empty((0, m))  # indicator rows of the point's candidates, from its first one on
     for i in range(K):
-        for j in range(0, _CANDIDATE_CAP, _CANDIDATE_BLOCK):
-            pos, w = start + j, min(_CANDIDATE_BLOCK, _CANDIDATE_CAP - j)
-            short = pos + w - (lo + len(pool))
-            if short > 0:
-                n = max(short, _CANDIDATE_DRAW)
-                ind = np.zeros((n, m))
-                _write_k_sets(rng, ind, k, np.ones((n, 1)))
-                pool, lo = np.concatenate([pool, ind])[pos - lo:], pos
-            window = pool[pos - lo:pos - lo + w]
-            ok = np.flatnonzero((window @ accepted[:i].T < threshold).all(axis=1))
+        tried, w = 0, _CANDIDATE_BLOCK - 1  # the doubling blocks 1 + 2 + ... + _CANDIDATE_BLOCK / 2
+        while tried < _CANDIDATE_CAP:
+            w = min(w, _CANDIDATE_CAP - tried)
+            if len(pool) < w:
+                ind = np.zeros((max(w - len(pool), _CANDIDATE_DRAW), m))
+                _write_k_sets(rng, ind, k, np.ones((len(ind), 1)))
+                pool = np.concatenate([pool, ind])
+            ok = np.flatnonzero((pool[:w] @ accepted[:i].T < threshold).all(axis=1))
             if ok.size:
-                accepted[i] = window[ok[0]]
-                start += _BLOCK_ENDS[bisect.bisect_right(_BLOCK_ENDS, j + int(ok[0]))]
+                c = int(ok[0])
+                accepted[i] = pool[c]
+                # the point uses up c's block
+                pool = pool[(1 << (c + 1).bit_length()) - 1 if tried == 0 else w:]
                 break
+            pool, tried, w = pool[w:], tried + w, _CANDIDATE_BLOCK
         else:
             raise IntersectionPropertyError(
                 f"accepted only {i} of {K} points after {_CANDIDATE_CAP} candidates each "

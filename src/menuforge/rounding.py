@@ -160,11 +160,15 @@ def sample_size_for_cover(cover_count_log: float, H: float, epsilon: float, fail
         t = ceil( H^2 / (2 eps^2) * (log|N| + ln(2 / failure_prob)) )
 
     with ``cover_count_log`` = log|N| (natural log) and ``failure_prob``
-    in (0, 1).
+    in (0, 1), all finite, as is the count.
     """
+    if not all(map(math.isfinite, (cover_count_log, H, epsilon))):
+        raise ValidationError("cover_count_log, H and epsilon must be finite")
     if cover_count_log < 0 or epsilon <= 0 or H <= 0:
         raise ValidationError("inputs must be positive (cover_count_log >= 0)")
     if not (0 < failure_prob < 1):
         raise ValidationError("failure_prob must lie in (0, 1)")
     raw = (H * H) / (2.0 * epsilon * epsilon) * (cover_count_log + math.log(2.0 / failure_prob))
+    if not math.isfinite(raw):
+        raise ValidationError(f"the sample size overflows: H={H}, epsilon={epsilon}")
     return int(math.ceil(raw - 1e-12))

@@ -577,6 +577,16 @@ def test_reduce_hitting_set_has_no_k_option(tmp_path):
     assert exc.value.code == 2 and not out.exists()
 
 
+def test_cover_enumerate_has_no_budget_option(tmp_path):
+    # the command enumerates within enumerate_cover's default budget
+    out = tmp_path / "cover.json"
+    argv = ["cover", "enumerate", "--kind", "additive", "--epsilon", "0.5", "--m", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--budget", "10", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK and out.exists()
+
+
 def _hitting_set_file(text, message, name):
     argv = ["reduce-hitting-set", "--in", "{bad}", "--H", "4"]
     return pytest.param(argv, text, message, id=name)
@@ -614,6 +624,8 @@ def _json_dist(dist, message, name):
                   "--lottery", "0.5,x"], "", "--lottery '0.5,x': 'x' is not a number", id="cover-round-lottery-token"),
     pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"], '{"m": 2, "entries": {}}',
                  'menu field "entries" must be a list', id="menu-entries-not-a-list"),
+    pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"], '{"m": 2}',
+                 'menu lacks the field "entries"', id="menu-without-entries"),
     pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"],
                  '{"m": 2, "Entries": [{"lottery": [1.0, 0.0], "price": 1.5}]}',
                  'menu has the unknown field "Entries"', id="menu-unknown-field"),

@@ -270,6 +270,15 @@ def test_menu_json_rejects_bad_entries(tmp_path):
             mf.load_menu(path)
 
 
+def test_menu_json_requires_its_entries():
+    with pytest.raises(mf.ValidationError, match='menu lacks the field "entries"'):
+        mf.Menu.from_json_dict({"m": 2})
+    # an unknown field is still the fault reported first
+    with pytest.raises(mf.ValidationError, match='menu has the unknown field "Entries"'):
+        mf.Menu.from_json_dict({"m": 2, "Entries": []})
+    assert mf.Menu.from_json_dict({"m": 2, "entries": []}) == mf.Menu.empty(2)
+
+
 def _loop_choice(menu, v):
     """The documented rule for one buyer: the tie window, then the higher
     price, then the earlier entry, with the zero entry after every explicit one."""

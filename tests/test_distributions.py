@@ -21,6 +21,20 @@ def test_explicit_from_samples_keeps_duplicates():
     np.testing.assert_allclose(d2.weights, [0.5, 0.5])
 
 
+def test_explicit_distribution_keeps_a_float_array_and_freezes_it():
+    V, w = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 0.5])
+    d = mf.ExplicitDistribution(V, w)
+    assert np.shares_memory(d.values, V) and np.shares_memory(d.weights, w)
+    assert not V.flags.writeable and not w.flags.writeable
+    S = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert np.shares_memory(mf.explicit_from_samples(S).values, S) and not S.flags.writeable
+    # a list is copied into an array of the distribution's own
+    rows = [[1.0, 2.0], [3.0, 4.0]]
+    d = mf.explicit_from_samples(rows)
+    rows[0][0] = 9.0
+    assert d.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_explicit_from_samples_matches_per_sample_mean():
     sampler = mf.OverfitProductSampler(mf.OverfitProductParams(16, 0.2), seed=3)
     V = sampler.draw(200)
@@ -485,11 +499,18 @@ def test_sparse_subsample_outputs_are_pinned():
         "7e634bb6a926639cdc462e709a05436438c662da28ac3affeb2ef9eaf690b126",
         "c1d2cbbfd0156ec9a81fcf603673f274d73cf8e7090776b35666022f563b6c05",
     ]
-    params = mf.EqualRevenueSpreadParams(30, 8.0)
-    for seed, digest in enumerate(pinned):
-        d = mf.sparse_subsample(params, 20, seed)
-        data = d.meta["sets"].astype("<i8").tobytes() + d.meta["z"].astype("<i8").tobytes()
-        assert hashlib.sha256(data).hexdigest() == digest, seed
+    # the samples of the lowerbound flip check at (m, H, K) = (90, 64, 128),
+    # where most points keep their first candidate
+    flip = [
+        "ddfa3c96c63e82cd140216faa263a0f9a73eafc409e00633203d26809b2a2b04",
+        "d78c1a2d34fd0bc4ae289e0adea86c927da8b8325fae1fffd74924a5fa20d7c6",
+    ]
+    for (m, H, K), digests in (((30, 8.0, 20), pinned), ((90, 64.0, 128), flip)):
+        params = mf.EqualRevenueSpreadParams(m, H)
+        for seed, digest in enumerate(digests):
+            d = mf.sparse_subsample(params, K, seed)
+            data = d.meta["sets"].astype("<i8").tobytes() + d.meta["z"].astype("<i8").tobytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (m, H, K, seed)
 
 
 def _peak_bytes(draw):

@@ -283,3 +283,16 @@ def test_sample_size_for_cover_examples():
     for bad in (0.0, 1.0, 5.0):
         with pytest.raises(mf.ValidationError):
             mf.sample_size_for_cover(0.0, 1.0, 0.1, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["cover_count_log", "H", "epsilon"])
+def test_sample_size_for_cover_rejects_non_finite_inputs(field, bad):
+    args = {"cover_count_log": 10.0, "H": 4.0, "epsilon": 0.5, "failure_prob": 0.01, field: bad}
+    with pytest.raises(mf.ValidationError, match="must be finite"):
+        mf.sample_size_for_cover(**args)
+
+
+def test_sample_size_for_cover_rejects_a_count_past_the_floats():
+    with pytest.raises(mf.ValidationError, match="overflows"):
+        mf.sample_size_for_cover(10.0, H=1e200, epsilon=0.5, failure_prob=0.01)
