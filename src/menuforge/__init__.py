@@ -58,16 +58,7 @@ from .lp import (
     extract_menu,
     solve_lp,
 )
-from .maxrev import (
-    KMenuProblem,
-    brute_force_k_menu,
-    derandomize_lotteries,
-    expected_hit_fraction,
-    greedy_k_item_menu,
-    hit_fraction,
-    reduce_hitting_set,
-    revenue_upper_bound,
-)
+from .maxrev import KMenuProblem, brute_force_k_menu, greedy_k_item_menu, reduce_hitting_set
 from .pipeline import (
     LowerBoundReport,
     OverfitReport,

@@ -4,12 +4,16 @@ MAXREV asks for the best menu of at most k entries for an explicit sample
 of valuations.  For two-leveled valuations (every coordinate equal to a
 common low or high value) the problem is max coverage in disguise: a
 valuation is worth chasing exactly when some offered item hits its
-high-value set.  This module makes the equivalence executable:
+high-value set.  This module runs the equivalence for ``experiment
+greedy-vs-opt``:
 
 * hitting-set instances reduce to {1,H}-valued MAXREV instances;
 * greedy item selection achieves the classic (1 - 1/e) coverage factor;
-* lottery menus derandomize to item sets by conditional expectations;
-* an exact coverage upper bound dominates the revenue of every menu.
+* brute force over size-k item sets gives the exact coverage optimum.
+
+The lottery half of the soundness argument (derandomizing a lottery menu
+into an item set, and the coverage bound on any menu's revenue) lives in
+``tests/oracles.py``, beside the tests that check it.
 
 Hit-count accounting: a size-k item set T hitting a weight fraction f of
 the valuations scores low + (high - low) * f, and its item menu prices
@@ -23,6 +27,7 @@ upper-bounds it below full coverage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,12 +56,13 @@ class KMenuProblem:
             raise ValidationError("k must be at least 1")
         if not (self.high > self.low >= 0):
             raise ValidationError("need high > low >= 0")
-        V = self.dist.values
-        on_levels = np.isclose(V, self.low) | np.isclose(V, self.high)
-        if not np.all(on_levels):
+        if np.isclose(self.low, self.high):
+            # every value close to high would read as high, low ones too
+            raise ValidationError(f"levels low={self.low} and high={self.high} are too close to tell apart")
+        if not np.all(self.sets | np.isclose(self.dist.values, self.low)):
             raise ValidationError("valuations are not two-leveled at (low, high)")
 
-    @property
+    @functools.cached_property
     def sets(self) -> np.ndarray:
         """(n, m) boolean matrix of high-valued coordinates."""
         return np.isclose(self.dist.values, self.high)
@@ -145,67 +151,3 @@ def brute_force_k_menu(problem: KMenuProblem) -> tuple[tuple[int, ...], float]:
             best_frac = frac
             best = tuple(int(j) for j in combo)
     return best, _score(problem, best_frac)
-
-
-def derandomize_lotteries(menu: Menu, problem: KMenuProblem) -> np.ndarray:
-    """Fix one item (or the null outcome) per lottery by conditional
-    expectations, never decreasing the expected hit weight.
-
-    Drawing an item j_t from each lottery x_t hits valuation i with
-    probability 1 - prod_t (1 - x_t(S_i)).  Processing lotteries in order
-    and choosing the conditional-expectation-maximizing item keeps the
-    running expectation nondecreasing, so the returned item set hits at
-    least the initial expectation.  Null draws (the partial-lottery
-    residual) are allowed and simply skipped.
-    """
-    S = problem.sets
-    w = problem.dist.weights
-    n, m = S.shape
-    X = menu.lotteries
-    hit_mass = np.clip(X @ S.T, 0.0, 1.0)     # (k, n): x_t(S_i)
-    k = X.shape[0]
-    hit = np.zeros(n, dtype=bool)
-    # suffix[t, i] = prod_{s >= t} (1 - x_s(S_i))
-    suffix = np.ones((k + 1, n))
-    for t in range(k - 1, -1, -1):
-        suffix[t] = suffix[t + 1] * (1.0 - hit_mass[t])
-    chosen: list[int] = []
-    for t in range(k):
-        tail = suffix[t + 1]
-        base = weighted_sum(w, np.where(hit, 1.0, 1.0 - tail))  # choosing null
-        best_val, best_j = base, None
-        support = np.flatnonzero(X[t] > 0)
-        for j in support:
-            new_hit = hit | S[:, j]
-            val = weighted_sum(w, np.where(new_hit, 1.0, 1.0 - tail))
-            if val > best_val + 1e-15:
-                best_val, best_j = val, int(j)
-        if best_j is not None:
-            chosen.append(best_j)
-            hit = hit | S[:, best_j]
-    return np.array(sorted(set(chosen)), dtype=int)
-
-
-def expected_hit_fraction(menu: Menu, problem: KMenuProblem) -> float:
-    """Hit probability under independent draws, one item per lottery."""
-    hm = np.clip(menu.lotteries @ problem.sets.T, 0.0, 1.0)
-    return weighted_sum(problem.dist.weights, 1.0 - np.prod(1.0 - hm, axis=0))
-
-
-def hit_fraction(items, problem: KMenuProblem) -> float:
-    items = np.asarray(list(items), dtype=int)
-    if items.size == 0:
-        return 0.0
-    return weighted_sum(problem.dist.weights, problem.sets[:, items].any(axis=1))
-
-
-def revenue_upper_bound(menu: Menu, problem: KMenuProblem) -> float:
-    """low + (high - low) * avg_i max_t x_t(S_i): dominates the revenue of
-    every menu on a two-leveled instance.
-
-    Per buyer, individual rationality caps the payment by the value of the
-    chosen lottery, which is at most low + (high - low) x_t(S_i) because
-    total lottery mass is at most 1.
-    """
-    best = np.max(np.clip(menu.lotteries @ problem.sets.T, 0.0, 1.0), axis=0, initial=0.0)
-    return float(problem.low + (problem.high - problem.low) * weighted_sum(problem.dist.weights, best))

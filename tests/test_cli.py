@@ -88,6 +88,19 @@ def test_lowerbound_default_rows_are_pinned(tmp_path):
         assert row == pytest.approx(want, rel=0, abs=1e-12)
 
 
+def test_greedy_vs_opt_rows_are_pinned(tmp_path):
+    # instance, greedy_revenue, oracle_revenue, ratio at m=24, 40 sets, k=4, H=4
+    out = tmp_path / "g.csv"
+    argv = ["experiment", "greedy-vs-opt", "--m", "24", "--n-sets", "40", "--k", "4", "--H", "4", "--seeds", "0:2"]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines == [
+        "instance,greedy_revenue,oracle_revenue,ratio",
+        "0,3.625,3.7000000000000002,0.97972972972972971",
+        "1,3.8499999999999996,3.9249999999999998,0.98089171974522293",
+    ]
+
+
 def test_lowerbound_per_point_flag_changes_nothing(tmp_path):
     _, plain = _lowerbound(tmp_path, "plain.csv", "--seeds", "3:6")
     rc, flagged = _lowerbound(tmp_path, "flagged.csv", "--seeds", "3:6", "--per-point")
@@ -495,6 +508,7 @@ def test_baseline_guarantee_uses_each_seeds_largest_value(tmp_path):
     ("--n-sets", "0", "set family is empty"),
     ("--k", "0", "k must be at least 1"),
     ("--H", "1", "H must exceed 1"),
+    ("--H", "1.000001", "low=1.0 and high=1.000001 are too close to tell apart"),
 ])
 def test_greedy_vs_opt_argument_out_of_range_exits_3_naming_it(tmp_path, capsys, flag, value, message):
     out = tmp_path / "g.csv"

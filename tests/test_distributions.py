@@ -35,6 +35,19 @@ def test_explicit_distribution_keeps_a_float_array_and_freezes_it():
     assert d.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_explicit_distribution_copies_a_view_so_its_base_cannot_change_it():
+    S = np.array([1.0, 2.0])
+    d = mf.explicit_from_samples(S)  # read as a (1, m) view of S
+    S[0] = -5.0
+    assert d.values.tolist() == [[1.0, 2.0]] and S.flags.writeable
+    V, w = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.25, 0.75])
+    d = mf.ExplicitDistribution(V[:, ::-1], w[::-1])
+    V[0, 0], w[0] = -7.0, 9.0
+    assert d.values.tolist() == [[2.0, 1.0], [4.0, 3.0]] and d.weights.tolist() == [0.75, 0.25]
+    assert not np.shares_memory(d.values, V) and not np.shares_memory(d.weights, w)
+    assert not d.values.flags.writeable and not d.weights.flags.writeable
+
+
 def test_explicit_from_samples_matches_per_sample_mean():
     sampler = mf.OverfitProductSampler(mf.OverfitProductParams(16, 0.2), seed=3)
     V = sampler.draw(200)

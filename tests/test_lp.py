@@ -456,6 +456,21 @@ def test_spread_support_lp_beats_both_constructions_and_its_menu_earns_the_objec
     assert abs(mf.expected_revenue(mf.extract_menu(sol), dist) - sol.objective) <= 1e-7
 
 
+@pytest.mark.parametrize("dist, objective", [
+    # the 4-point distribution of the CI smoke run
+    ({"type": "explicit", "params": {"support": [[1.0, 2.0], [3.0, 0.5], [2.0, 2.0], [1.5, 1.0]],
+                                     "weights": [0.25, 0.25, 0.25, 0.25]}}, 1.75),
+    (_spread_support(0), 4.878914586308273),
+    (_spread_support(1), 5.945044642099341),
+])
+def test_lp_objective_and_its_menus_revenue_are_pinned(dist, objective):
+    # within solve_lp's documented 1e-7 of the optimum, not byte for byte
+    dist = mf.distribution_from_json(dist)
+    sol = mf.solve_lp(mf.build_lp(dist))
+    assert abs(sol.objective - objective) <= 1e-7
+    assert abs(mf.expected_revenue(mf.extract_menu(sol), dist) - objective) <= 1e-7
+
+
 def test_spread_support_runs_through_solve_lp_and_evaluate(tmp_path, capsys):
     dist, menu = tmp_path / "dist.json", tmp_path / "menu.json"
     dist.write_text(json.dumps(_spread_support(1)))

@@ -10,6 +10,7 @@ import pytest
 import menuforge as mf
 from menuforge import maxrev
 from menuforge.core import weighted_sum
+from oracles import derandomize_lotteries, expected_hit_fraction, hit_fraction, revenue_upper_bound
 
 
 def _random_instance(rng, m, n_sets, H):
@@ -190,7 +191,7 @@ def test_derandomize_point_masses():
     inst = mf.HittingSetInstance(((0,), (2,)), m=3, H=4.0)
     problem = mf.reduce_hitting_set(inst, k=2)
     menu = mf.Menu(np.eye(3)[[0, 2]], np.full(2, 4.0))
-    items = mf.derandomize_lotteries(menu, problem)
+    items = derandomize_lotteries(menu, problem)
     assert set(items.tolist()) == {0, 2}
 
 
@@ -198,10 +199,10 @@ def test_derandomize_uniform_symmetric():
     inst = mf.HittingSetInstance(((0,), (1,)), m=2, H=4.0)
     problem = mf.reduce_hitting_set(inst, k=1)
     menu = mf.Menu(np.array([[0.5, 0.5]]), np.array([1.0]))
-    items = mf.derandomize_lotteries(menu, problem)
+    items = derandomize_lotteries(menu, problem)
     assert len(items) == 1
-    assert mf.hit_fraction(items, problem) == pytest.approx(0.5)
-    assert mf.expected_hit_fraction(menu, problem) == pytest.approx(0.5)
+    assert hit_fraction(items, problem) == pytest.approx(0.5)
+    assert expected_hit_fraction(menu, problem) == pytest.approx(0.5)
 
 
 def test_derandomize_never_below_expectation():
@@ -212,17 +213,17 @@ def test_derandomize_never_below_expectation():
         problem = mf.reduce_hitting_set(_random_instance(rng, m, n_sets, 4.0), k=2)
         L = rng.dirichlet(np.ones(m), size=2) * rng.random((2, 1))
         menu = mf.Menu(L, np.ones(2))
-        items = mf.derandomize_lotteries(menu, problem)
+        items = derandomize_lotteries(menu, problem)
         assert len(items) <= 2
-        assert mf.hit_fraction(items, problem) >= mf.expected_hit_fraction(menu, problem) - 1e-12
+        assert hit_fraction(items, problem) >= expected_hit_fraction(menu, problem) - 1e-12
 
 
 def test_revenue_upper_bound_examples():
     inst = mf.HittingSetInstance(((0,), (0, 1)), m=2, H=4.0)
     problem = mf.reduce_hitting_set(inst, k=2)
-    assert mf.revenue_upper_bound(mf.Menu.empty(2), problem) == pytest.approx(1.0)
+    assert revenue_upper_bound(mf.Menu.empty(2), problem) == pytest.approx(1.0)
     full = mf.Menu(np.array([[1.0, 0.0]]), np.array([4.0]))
-    assert mf.revenue_upper_bound(full, problem) == pytest.approx(4.0)
+    assert revenue_upper_bound(full, problem) == pytest.approx(4.0)
 
 
 def test_revenue_upper_bound_dominates_fuzz():
@@ -234,14 +235,51 @@ def test_revenue_upper_bound_dominates_fuzz():
         k = int(rng.integers(1, 4))
         L = rng.dirichlet(np.ones(m), size=k) * rng.random((k, 1))
         menu = mf.Menu(L, 1.0 + 7.0 * rng.random(k))
-        bound = mf.revenue_upper_bound(menu, problem)
+        bound = revenue_upper_bound(menu, problem)
         assert bound >= mf.expected_revenue(menu, problem.dist) - 1e-12
+
+
+def test_no_lottery_menu_beats_the_brute_force_score_fuzz():
+    # each link of the soundness chain in oracles.py, on random k-lottery menus
+    rng = np.random.default_rng(6)
+    for _ in range(500):
+        m = int(rng.integers(2, 7))
+        k = int(rng.integers(1, 4))
+        problem = mf.reduce_hitting_set(_random_instance(rng, m, int(rng.integers(1, 6)), 8.0), k=k)
+        L = rng.dirichlet(np.ones(m), size=k) * rng.random((k, 1))
+        menu = mf.Menu(L, 1.0 + 7.0 * rng.random(k))
+        bound = revenue_upper_bound(menu, problem)
+        expected = 1.0 + 7.0 * expected_hit_fraction(menu, problem)
+        derandomized = 1.0 + 7.0 * hit_fraction(derandomize_lotteries(menu, problem), problem)
+        _, best = mf.brute_force_k_menu(problem)
+        assert mf.expected_revenue(menu, problem.dist) <= bound + 1e-12
+        assert bound <= expected + 1e-12
+        assert expected <= derandomized + 1e-12
+        assert derandomized <= best + 1e-12
 
 
 def test_two_level_validation():
     d = mf.explicit_from_samples(np.array([[1.0, 2.0], [1.0, 3.0]]))
     with pytest.raises(mf.ValidationError):
         mf.KMenuProblem(d, 1, 1.0, 3.0)
+
+
+def test_levels_too_close_to_tell_apart_are_rejected_naming_both():
+    # at H = 1.000001 every value is close to H, so every set would read as hit
+    inst = mf.HittingSetInstance(((0,), (1,), (2,)), m=4, H=1.000001)
+    with pytest.raises(mf.ValidationError, match=r"low=1\.0 and high=1\.000001"):
+        mf.reduce_hitting_set(inst, k=1)
+
+
+def test_the_high_value_matrix_is_computed_once(monkeypatch):
+    calls = []
+    isclose = np.isclose
+    monkeypatch.setattr(np, "isclose", lambda a, b, *args, **kw: calls.append((a, b)) or isclose(a, b, *args, **kw))
+    problem = mf.reduce_hitting_set(mf.HittingSetInstance(((0, 1), (2,)), m=3, H=4.0), k=1)
+    np.testing.assert_array_equal(problem.sets, [[True, True, False], [False, False, True]])
+    mf.greedy_k_item_menu(problem)
+    mf.brute_force_k_menu(problem)
+    assert sum(a is problem.dist.values and b == 4.0 for a, b in calls) == 1
 
 
 def _greedy_score_and_revenue(sets, m):
