@@ -13,6 +13,8 @@ Three grids are implemented, each certified for a valuation class:
 
 Grid membership is decided in exponent space (store t, compare logs), so
 round-down is idempotent and exact on grid points despite float powers.
+The powers (1-eps)^t are Python's floats, not ``np.power``'s, whose
+last ulp depends on the CPU's SIMD path, so every host rounds alike.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def _floor_to_powers(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
     with np.errstate(divide="ignore"):
         t = np.ceil(np.log(np.where(pos, x, 1.0)) / logb - 1e-11)
     t = np.maximum(t, 0.0)
-    val = np.power(base, t)
+    exps, at = np.unique(t, return_inverse=True)  # Python's powers, for the exponents present
+    val = np.array([base ** e for e in exps.tolist()])[at.reshape(t.shape)]
     return np.where(pos & (t <= tmax), val, 0.0)
 
 
@@ -116,7 +119,7 @@ def grid_values(spec: CoverSpec) -> np.ndarray:
         vals = np.arange(g, -1, -1, dtype=float) * step
         return vals[vals <= 1.0 + 1e-12]
     base = 1.0 - spec.epsilon
-    vals = np.power(base, np.arange(0, _t_max(spec) + 1, dtype=float))
+    vals = np.array([base ** t for t in range(_t_max(spec) + 1)])
     return np.concatenate([vals, [0.0]])
 
 

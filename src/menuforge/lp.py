@@ -17,7 +17,8 @@ componentwise, and adds the most violated IC rows until none outside the
 model is violated.  The dominated rows follow the screening intuition that
 binding IC constraints run downward, from a type to types below it
 (Rochet and Choné, 1998).  Each round reads every IC slack off one
-dense n x n utility matrix, so the IC block is never assembled.  A
+dense n x n utility matrix, whose cell i*n + j is IC row (i, j), so the
+IC block is never assembled.  A
 solution that is optimal for a relaxation and feasible for the full
 program is optimal for the full program, so the loop ends with a
 certificate, not a heuristic stop.  The loop also deletes IC rows that
@@ -88,8 +89,9 @@ class MenuLP:
 
     Variable layout: for support point i, columns i*(m+1) .. i*(m+1)+m-1
     are the allocation x_i and column i*(m+1)+m is the payment p_i.
-    Row order: the n(n-1) IC rows (i truthful vs reporting j, row id
-    i*(n-1) + j - (j > i)), then n IR rows, then n lottery-mass rows.
+    IC row (i, j), i truthful vs reporting j, has id i*n + j, its cell in
+    the utility matrix of :meth:`ic_violations`.  Row order: the n(n-1)
+    IC rows in id order, then n IR rows, then n lottery-mass rows.
     Payments carry the explicit upper bound sum_l v_il, which keeps the
     program bounded.
 
@@ -127,8 +129,7 @@ class MenuLP:
         the column indices come out sorted.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        I, r = np.divmod(ids, self.n - 1)   # the inverse of _ic_row
-        J = r + (r >= I)
+        I, J = np.divmod(ids, self.n)
         m = self.m
         width = m + 1
         block = np.arange(width)
@@ -144,19 +145,19 @@ class MenuLP:
         return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(ids.size, self.num_variables))
 
     def ic_violations(self, x: np.ndarray) -> np.ndarray:
-        """``(A_ub @ x - b_ub)[:num_ic_rows]`` without the IC block.
+        """The (n, n) matrix whose cell i*n + j is IC row (i, j)'s
+        ``A_ub @ x - b_ub``, computed without the IC block.
 
         With U[i, j] = v_i . x_j - p_j, the utility of type i for pair j,
-        row (i, j) reads U[i, j] - U[i, i]; dropping the diagonal leaves
-        the rows in id order.
+        row (i, j) reads U[i, j] - U[i, i], so the diagonal is 0.
         """
         sol = x.reshape(self.n, self.m + 1)
         U = self.values @ sol[:, : self.m].T - sol[:, self.m]
-        return (U - np.diag(U)[:, None])[~np.eye(self.n, dtype=bool)]
+        return U - np.diag(U)[:, None]
 
     @functools.cached_property
     def A_ub(self) -> sp.csr_matrix:
-        return sp.vstack([self.ic_rows(np.arange(self.num_ic_rows)), self.fixed], format="csr")
+        return sp.vstack([self.ic_rows(np.flatnonzero(~np.eye(self.n, dtype=bool))), self.fixed], format="csr")
 
     @functools.cached_property
     def b_ub(self) -> np.ndarray:
@@ -215,10 +216,10 @@ def _fail(lp: MenuLP, status, message) -> LPError:
 
 
 class _WarmHighs:
-    """The relaxation held in one HiGHS model: added rows keep the basis,
-    so each run warm-starts from the previous optimum."""
+    """The relaxation in one HiGHS model, IR and mass rows first: added
+    rows keep the basis, so each run warm-starts from the previous optimum."""
 
-    def __init__(self, lp: MenuLP, A: sp.csr_matrix, b: np.ndarray):
+    def __init__(self, lp: MenuLP):
         self.lp = lp
         self.highs = _highs._Highs()
         for name, value in (
@@ -234,7 +235,7 @@ class _WarmHighs:
             raise _fail(lp, "columns rejected", "addCols")
         if self.highs.changeObjectiveSense(_highs.ObjSense.kMaximize) == _highs.HighsStatus.kError:
             raise _fail(lp, "sense rejected", "changeObjectiveSense")
-        self.add(A, b)  # the first rows go in as every later round's do
+        self.add(lp.fixed, lp.b_fixed)
 
     def add(self, A: sp.csr_matrix, b: np.ndarray) -> None:
         status = self.highs.addRows(
@@ -258,17 +259,13 @@ class _WarmHighs:
         return np.array(self.highs.getSolution().col_value)
 
 
-def _ic_row(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Row index of the IC row "type i does not prefer type j's pair"."""
-    return i * (n - 1) + j - (j > i)
-
-
-def _nearest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) for the k smallest finite entries of each row i of ``dist``,
-    ties to the lower j; a row with fewer finite entries gives them all."""
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Cell ids i*n + j of the k smallest finite entries of each row i of
+    the (n, n) ``dist``, ties to the lower j by a stable sort, which no
+    SIMD path reorders; a row with fewer finite entries gives them all."""
     J = np.argsort(dist, axis=1, kind="stable")[:, :k]
     hit = np.isfinite(np.take_along_axis(dist, J, axis=1))
-    return np.broadcast_to(np.arange(dist.shape[0])[:, None], J.shape)[hit], J[hit]
+    return (J + dist.shape[1] * np.arange(dist.shape[0])[:, None])[hit]
 
 
 def _neighbour_ic_rows(lp: MenuLP) -> np.ndarray:
@@ -288,9 +285,7 @@ def _neighbour_ic_rows(lp: MenuLP) -> np.ndarray:
     for col in V.T.copy():  # contiguous columns: about half the time at m=64
         dominated &= col[None, :] <= col[:, None]
     below = np.where(dominated, dist, np.inf)
-    near = _nearest(dist, SEED_NEIGHBOURS)
-    down = _nearest(below, DOWN_NEIGHBOURS)
-    return np.concatenate([_ic_row(lp.n, *near), _ic_row(lp.n, *down)])
+    return np.concatenate([_nearest(dist, SEED_NEIGHBOURS), _nearest(below, DOWN_NEIGHBOURS)])
 
 
 def _purge(streak: np.ndarray, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +316,8 @@ def solve_lp(lp: MenuLP) -> LPSolution:
     the loop starts: the optimum and the stopping test do not depend on
     it.  Each round solves the relaxation, reads all n(n-1) IC slacks off
     one n x n utility matrix (:meth:`MenuLP.ic_violations`), and adds up
-    to ROWS_PER_TYPE of the most violated rows per truthful type, built by
+    to ROWS_PER_TYPE of the most violated rows per truthful type, ties to
+    the lower reported type (:func:`_nearest`, the seed's rule), built by
     :meth:`MenuLP.ic_rows`; the IC block itself is never assembled.
     Only rows not yet in the model are separated: HiGHS holds its own
     rows only to FEAS_TOL, so a model row can read as violated and must
@@ -343,28 +339,19 @@ def solve_lp(lp: MenuLP) -> LPSolution:
     bounds, so the LP cannot be unbounded; any non-optimal status raises
     :class:`LPError`.
     """
-    n_ic = lp.num_ic_rows
     n_fixed = lp.b_fixed.size                   # IR and mass rows, first and never deleted
     model = np.unique(_neighbour_ic_rows(lp))   # IC row id at each model position after them
-    relaxation = _WarmHighs(
-        lp, sp.vstack([lp.fixed, lp.ic_rows(model)], format="csr"),
-        np.concatenate([lp.b_fixed, np.zeros(model.size)]),
-    )
+    relaxation = _WarmHighs(lp)
+    relaxation.add(lp.ic_rows(model), np.zeros(model.size))
     streak = np.zeros(model.size, dtype=np.int64)
-    k = min(ROWS_PER_TYPE, lp.n - 1)
     rounds = purged = 0
     while True:
         x = relaxation.solve()
         rounds += 1
-        if n_ic == 0:
-            break
         violation = lp.ic_violations(x)
-        streak, drop = _purge(streak, -violation[model])
-        violation[model] = -np.inf
-        violation = violation.reshape(lp.n, lp.n - 1)
-        worst = np.argpartition(-violation, k - 1, axis=1)[:, :k]
-        violated = np.take_along_axis(violation, worst, axis=1) > FEAS_TOL
-        rows = (np.arange(lp.n)[:, None] * (lp.n - 1) + worst)[violated]
+        streak, drop = _purge(streak, -violation.flat[model])
+        violation.flat[model] = -np.inf
+        rows = _nearest(np.where(violation > FEAS_TOL, -violation, np.inf), ROWS_PER_TYPE)
         if rows.size == 0:
             break
         if drop.any():

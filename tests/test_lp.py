@@ -234,9 +234,12 @@ def test_lazy_solve_matches_full_lp_fuzz():
         x = _solution_vector(sol)
         assert sol.objective == pytest.approx(_full_linprog(lp), abs=1e-7)
         assert np.max(lp.A_ub @ x - lp.b_ub) <= 1e-7
-        # the row-free slacks the loop separates on are the stored rows' slacks
-        n_ic = lp.num_ic_rows
-        assert np.max(np.abs(lp.ic_violations(x) - (lp.A_ub @ x - lp.b_ub)[:n_ic]), initial=0.0) <= 1e-12
+        # the row-free slacks the loop separates on are the stored rows'
+        # slacks: the off-diagonal cells in id order, the diagonal 0
+        cells = lp.ic_violations(x)
+        assert cells.shape == (lp.n, lp.n) and np.all(np.diag(cells) == 0.0)
+        off = cells[~np.eye(lp.n, dtype=bool)]
+        assert np.max(np.abs(off - (lp.A_ub @ x - lp.b_ub)[: lp.num_ic_rows]), initial=0.0) <= 1e-12
         assert sol.rounds >= 1
         assert sol.ic_rows_kept <= lp.num_ic_rows
 
@@ -256,9 +259,10 @@ def test_lazy_solve_keeps_few_ic_rows():
 
 def _seed_pairs(lp):
     """The seed's IC rows as {truthful type: set of reported types}."""
-    i, r = np.divmod(lp_module._neighbour_ic_rows(lp), lp.n - 1)
+    i, j = np.divmod(lp_module._neighbour_ic_rows(lp), lp.n)
+    assert np.all(i != j)  # no diagonal cell: it names no row
     pairs = {t: set() for t in range(lp.n)}
-    for a, b in zip(i.tolist(), (r + (r >= i)).tolist()):
+    for a, b in zip(i.tolist(), j.tolist()):
         pairs[a].add(b)
     return pairs
 
@@ -311,6 +315,34 @@ def test_seed_rows_are_the_stable_sort_and_dominance_definition():
     # the grid holds exact ties at the k-th neighbour and types with fewer
     # than DOWN_NEIGHBOURS dominated types
     assert np.all(counts.sum(axis=0) > 0)
+
+
+def test_separation_breaks_an_exact_tie_to_the_lower_reported_type(monkeypatch):
+    # with no seed rows, the first relaxation sells each type its best item
+    # at its value: types 1 and 2 are identical, so they get the same pair
+    # and type 0's IC rows against them are violated by exactly as much
+    seen, added = [], []
+    ic_violations, ic_rows = mf.MenuLP.ic_violations, mf.MenuLP.ic_rows
+
+    def record_violations(lp, x):
+        seen.append(ic_violations(lp, x))
+        return seen[-1]
+
+    def record_rows(lp, ids):
+        added.append(np.asarray(ids))
+        return ic_rows(lp, ids)
+
+    monkeypatch.setattr(mf.MenuLP, "ic_violations", record_violations)
+    monkeypatch.setattr(mf.MenuLP, "ic_rows", record_rows)
+    monkeypatch.setattr(lp_module, "_neighbour_ic_rows", lambda lp: np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(lp_module, "ROWS_PER_TYPE", 1)
+    lp = mf.build_lp(_uniform_dist([[4.0, 4.0], [2.0, 1.0], [2.0, 1.0]]))
+    sol = mf.solve_lp(lp)
+    first = seen[0][0]
+    assert first[1] == first[2] > lp_module.FEAS_TOL
+    # the seed adds nothing; round 1 adds cell 0*3 + 1, row (0, 1), not (0, 2)
+    assert added[0].size == 0 and added[1].tolist() == [1]
+    assert sol.objective == pytest.approx(_full_linprog(lp), abs=1e-7)
 
 
 def test_purge_keeps_rows_added_in_the_last_two_rounds():
@@ -394,15 +426,16 @@ def test_ic_block_matches_pairwise_reference():
         got = lp.A_ub[: lp.num_ic_rows]
         got.sort_indices()
         _assert_same_rows(got, want)
-        # rows built on demand, in any order and with repeats, are the
-        # stored rows byte for byte
-        ids = rng.integers(0, max(lp.num_ic_rows, 1), lp.num_ic_rows)
-        on_demand = lp.ic_rows(ids)
-        stored = lp.A_ub[ids]
+        # rows built on demand from their cell ids i*n + j, in any order and
+        # with repeats, are the stored rows byte for byte
+        cells = np.flatnonzero(~np.eye(lp.n, dtype=bool))  # A_ub's IC rows, in order
+        pick = rng.integers(0, max(lp.num_ic_rows, 1), lp.num_ic_rows)
+        on_demand = lp.ic_rows(cells[pick])
+        stored = lp.A_ub[pick]
         _assert_same_rows(on_demand, stored)
         assert on_demand.data.tobytes() == stored.data.tobytes()
         assert on_demand.indices.tobytes() == stored.indices.tobytes()
-        _assert_same_rows(on_demand, want[ids])
+        _assert_same_rows(on_demand, want[pick])
 
 
 def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):

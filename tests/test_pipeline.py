@@ -1,6 +1,10 @@
 """Seeding and sample use of the desk-scale experiments."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +227,60 @@ def test_pipeline_naive_mode_runs_on_an_untagged_distribution(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
     assert capsys.readouterr().out == "menu entries 13\n"
     assert mf.load_menu(out).size == 13
+
+
+# fits three seeded t=100 monotone samples (m=5, H=8), rounds each menu into
+# the monotone_tail cover at the pipeline's resolution for epsilon 0.1, and
+# prints the SHA-256 of every extracted and rounded menu's bytes
+_MENU_DIGEST = """
+import hashlib
+import numpy as np
+import menuforge as mf
+
+params = mf.PipelineConfig(t=100, epsilon=0.1, H=8.0, cover_kind="monotone_tail").rounding_params()
+digest = hashlib.sha256()
+for seed in range(3):
+    samples = mf.MonotoneUniformSampler(5, 8.0, 0).draw(100, np.random.default_rng(seed))
+    dist = mf.explicit_from_samples(samples, tag="monotone", H=8.0).consolidated()
+    menu = mf.extract_menu(mf.solve_lp(mf.build_lp(dist)))
+    for out in (menu, mf.round_menu(menu, params)):
+        digest.update(out.lotteries.tobytes() + out.prices.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_menus_do_not_depend_on_numpy_simd_dispatch():
+    """Extracted and rounded menus are the same bytes whichever SIMD paths
+    NumPy dispatches to.
+
+    The digest is taken under default dispatch, with the AVX-512 features
+    disabled, and with X86_V3 (AVX2) disabled as well.  The first switch
+    moves ``np.power``'s last ulp, so rounding must not take its powers
+    from it; the second changes how a SIMD partial sort such as
+    ``np.argpartition`` breaks exact ties, so the LP must not pick its rows
+    with one.  The feature names come from NumPy's own dispatch list.  Out
+    of scope: pre-FMA OpenBLAS kernels (``OPENBLAS_CORETYPE=Sandybridge``)
+    still move LP menus, since the LP's matrix products change in the last
+    ulp.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    avx512 = [f for f in dispatched if f.startswith("AVX512") or f == "X86_V4"]
+    avx2 = avx512 + [f for f in dispatched if f == "X86_V3"]
+    if not avx2:
+        pytest.skip("NumPy dispatches none of X86_V3, X86_V4 or the AVX512 features on this CPU")
+    src = str(Path(mf.__file__).resolve().parents[1])
+
+    def digest(disabled):
+        env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+        proc = subprocess.run([sys.executable, "-c", _MENU_DIGEST], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    default = digest([])
+    assert digest(avx512) == default, avx512
+    assert digest(avx2) == default, avx2
