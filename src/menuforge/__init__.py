@@ -25,7 +25,6 @@ from .covers import (
     CoverEnumeration,
     CoverSpec,
     enumerate_cover,
-    grid_values,
     paper_count_envelope,
     round_lottery,
 )

@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 usage, 3 validation, 4 I/O, 5 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -204,7 +205,8 @@ def _cmd_pipeline(args) -> int:
     json_known_fields(raw, ("dist", *converters), where)
     source = json_field(raw, "dist", where, distribution_from_json)
     flags = {key: value for key, value in (("t", args.t), ("seed", args.seed)) if value is not None}
-    raw = {"cover_kind": "multiplicative", "seed": 0, "mode": "sample_and_round", **raw, **flags}
+    defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig) if f.default is not dataclasses.MISSING}
+    raw = {**defaults, **raw, **flags}
     fields = {key: json_field(raw, key, where, convert) for key, convert in converters.items()}
     cfg = PipelineConfig(**fields)
     sampler = source if isinstance(source, Sampler) else ExplicitSampler(source, cfg.seed)
@@ -252,17 +254,19 @@ def _cmd_experiment_baseline(args) -> int:
     source = load_distribution(args.dist)
     seeds = _parse_seeds(args.seeds)
     config = {"dist": args.dist}
-    if isinstance(source, ExplicitDistribution):
-        scored = [("", source)]
-    else:
-        config["n"] = args.n
-        scored = ((seed, explicit_from_samples(source.draw(args.n, np.random.default_rng(seed)),
-                                               tag=source.tag, H=source.H)) for seed in seeds)
-    rows = []
-    for seed, dist in scored:
+
+    def row(seed, dist: ExplicitDistribution) -> list:
         _, rev = item_pricing_baseline(dist)
         emax = expected_max_value(dist)
-        rows.append([seed, rev, emax, emax / (2.0 * max(1, doubling_bands(support_bound(dist))))])
+        return [seed, rev, emax, emax / (2.0 * max(1, doubling_bands(support_bound(dist))))]
+
+    if isinstance(source, ExplicitDistribution):
+        rows = [row("", source)]
+    else:
+        config["n"] = args.n
+        # each seed's sample is freed before the next one is drawn
+        rows = [row(seed, explicit_from_samples(source.draw(args.n, np.random.default_rng(seed)),
+                                                tag=source.tag, H=source.H)) for seed in seeds]
 
     cols = ["seed", "baseline_revenue", "expected_max_value", "guarantee"]
     return _write_experiment(args, "baseline", config, cols, rows)

@@ -32,6 +32,10 @@ Conventions used throughout the package:
   costs fewer cells than that pass only when K > m.  Which threads score
   the blocks, and the memory they use, is stated once, in ``_choose``'s
   docstring;
+* value types copy their array inputs and freeze the copies (a
+  :class:`Menu` its lotteries and prices, an ``ExplicitDistribution`` its
+  values and weights, not the arrays in its ``meta``), so the caller's
+  arrays stay writable and cannot change those copies;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 
@@ -182,8 +186,7 @@ class Menu:
     constructor copies its inputs, checks every entry (a finite,
     nonnegative price, a lottery that passes :func:`check_lotteries`, and
     a zero price only on the zero lottery, so "free" allocations cannot
-    occur) and freezes the copies; the caller's arrays stay writable,
-    unlike those an ``ExplicitDistribution`` keeps.
+    occur) and freezes the copies.
     """
 
     __slots__ = ("lotteries", "prices")

@@ -71,13 +71,6 @@ class ExplicitDistribution:
     1e-12).  ``meta`` optionally carries per-point construction data (the
     set S and scale z of the equal-revenue spread family) that the
     lower-bound menu needs.
-
-    A float64 array that owns its data, passed as values or weights, is
-    kept, not copied, and made read-only, the caller's object included, so
-    a large sample batch takes no second copy.  Any other input (a view of
-    another array, a list, another dtype) is copied first, so a view's
-    writable base cannot reach the frozen data.
-    :class:`~menuforge.core.Menu` copies its inputs.
     """
 
     values: np.ndarray          # (n, m)
@@ -87,8 +80,8 @@ class ExplicitDistribution:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        V = np.asarray(self.values, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        V = np.array(self.values, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if V.ndim != 2 or V.size < 1:
             raise ValidationError("support must be a non-empty (n, m) array")
         if w.shape != (V.shape[0],):
@@ -110,8 +103,6 @@ class ExplicitDistribution:
             raise ValidationError(f"{self.tag} support leaves [1, H={self.H}]")
         if self.tag == "monotone" and np.any(V[:, 1:] < V[:, :-1]):
             raise ValidationError("monotone support has a decreasing row")
-        # a view's base stays writable, so a view is frozen only as a copy
-        V, w = (a if a.flags.owndata else a.copy() for a in (V, w))
         V.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "values", V)
@@ -152,9 +143,7 @@ def explicit_from_samples(samples, tag: str = "nonneg", H: float = float("inf"))
     """Uniform empirical distribution over drawn valuations.
 
     Duplicates are kept as separate points, so the result has exactly one
-    support row per sample.  A float64 (n, m) array ``S`` that owns its data
-    is kept as the support, not copied, so ``explicit_from_samples(S)`` makes
-    ``S`` read-only; a 1-D sample, a view or any other input is copied.
+    support row per sample.
     """
     V = np.asarray(samples, dtype=float)
     if V.ndim == 1:

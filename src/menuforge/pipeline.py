@@ -112,8 +112,7 @@ def sample_and_round(sampler: Sampler, cfg: PipelineConfig) -> Menu:
     """
     cfg.validate_sampler(sampler)
     rng = np.random.default_rng(cfg.seed)
-    samples = sampler.draw(cfg.t, rng)
-    empirical = explicit_from_samples(samples, tag=sampler.tag, H=sampler.H)
+    empirical = explicit_from_samples(sampler.draw(cfg.t, rng), tag=sampler.tag, H=sampler.H)
     # duplicate support rows only add vacuous IC constraints; merging them
     # is exact and keeps the LP within its size contract
     sol = solve_lp(build_lp(empirical.consolidated()))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,27 @@ def test_baseline_explicit_rows_are_pinned(tmp_path):
     comments, rows = _baseline_rows(tmp_path, str(dist), "--seeds", "0:2")
     assert rows == [",1.5,2.125,0.53125"]
     assert not any(line.startswith("# n=") for line in comments)
+
+
+def _baseline_peak_bytes(tmp_path, n, seeds):
+    argv = ["experiment", "baseline", "--dist", _monotone(tmp_path), "--n", str(n), "--seeds", seeds,
+            "--out", str(tmp_path / "peak.csv")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_baseline_frees_each_seeds_sample_before_the_next_draw(tmp_path):
+    # the distribution copies its sample, so a loop that kept the last seed's
+    # distribution while drawing the next would hold three samples at once
+    n, m = 50_000, 5
+    one = _baseline_peak_bytes(tmp_path, n, "0:1")
+    six = _baseline_peak_bytes(tmp_path, n, "0:6")
+    assert six - one < 0.25 * n * m * 8, (six - one) / (n * m * 8)
 
 
 @pytest.mark.parametrize("argv", [
