@@ -46,6 +46,7 @@ from .distributions import (
     load_distribution,
     load_hitting_set,
     sparse_subsample,
+    spread_sets_and_scales,
 )
 from .lp import (
     BudgetExceededError,

@@ -59,6 +59,8 @@ from .distributions import (
 from .lp import BudgetExceededError, LPError, build_lp, extract_menu, solve_lp
 from .maxrev import brute_force_k_menu, greedy_k_item_menu, reduce_hitting_set
 from .pipeline import (
+    LowerBoundReport,
+    OverfitReport,
     PipelineConfig,
     doubling_bands,
     item_pricing_baseline,
@@ -220,14 +222,18 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment_overfit(args) -> int:
-    rows = []
-    for seed in _parse_seeds(args.seeds):
-        r = overfit_experiment(
-            args.m, args.delta, args.sample_n, args.eval_n, seed, include_lp=not args.no_lp
-        )
-        rows.append([seed, r.naive_on_sample, r.naive_on_fresh, r.price1_on_fresh, r.lp_on_sample])
+def _report_columns(report: type) -> list[str]:
+    """An experiment CSV's columns: the seed, then the fields of its report
+    dataclass, whose ``dataclasses.astuple`` is the rest of each row."""
+    return ["seed", *(f.name for f in dataclasses.fields(report))]
 
+
+def _cmd_experiment_overfit(args) -> int:
+    rows = [
+        [seed, *dataclasses.astuple(overfit_experiment(
+            args.m, args.delta, args.sample_n, args.eval_n, seed, include_lp=not args.no_lp))]
+        for seed in _parse_seeds(args.seeds)
+    ]
     config = {
         "m": args.m,
         "delta": args.delta,
@@ -235,19 +241,14 @@ def _cmd_experiment_overfit(args) -> int:
         "eval_n": args.eval_n,
         "include_lp": not args.no_lp,
     }
-    cols = ["seed", "naive_on_sample", "naive_on_fresh", "price1_on_fresh", "lp_on_sample"]
-    return _write_experiment(args, "overfit", config, cols, rows)
+    return _write_experiment(args, "overfit", config, _report_columns(OverfitReport), rows)
 
 
 def _cmd_experiment_lowerbound(args) -> int:
-    rows = []
-    for seed in _parse_seeds(args.seeds):
-        r = lower_bound_experiment(args.m, args.H, args.K, seed)
-        rows.append([seed, r.lb_menu_revenue, r.item_baseline_revenue, r.ratio])
-
+    rows = [[seed, *dataclasses.astuple(lower_bound_experiment(args.m, args.H, args.K, seed))]
+            for seed in _parse_seeds(args.seeds)]
     config = {"m": args.m, "H": args.H, "K": args.K}
-    cols = ["seed", "lb_menu_revenue", "item_baseline_revenue", "ratio"]
-    return _write_experiment(args, "lowerbound", config, cols, rows)
+    return _write_experiment(args, "lowerbound", config, _report_columns(LowerBoundReport), rows)
 
 
 def _cmd_experiment_baseline(args) -> int:

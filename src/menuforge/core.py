@@ -34,8 +34,8 @@ Conventions used throughout the package:
   docstring;
 * value types copy their array inputs and freeze the copies (a
   :class:`Menu` its lotteries and prices, an ``ExplicitDistribution`` its
-  values and weights, not the arrays in its ``meta``), so the caller's
-  arrays stay writable and cannot change those copies;
+  values and weights), so the caller's arrays stay writable and cannot
+  change those copies;
 * all evaluation routines are pure and operate on immutable inputs.
 """
 

@@ -13,8 +13,9 @@ Three grids are implemented, each certified for a valuation class:
 
 Grid membership is decided in exponent space (store t, compare logs), so
 round-down is idempotent and exact on grid points despite float powers.
-The powers (1-eps)^t are Python's floats, not ``np.power``'s, whose
-last ulp depends on the CPU's SIMD path, so every host rounds alike.
+The powers (1-eps)^t come from one builder, :func:`float_powers`, which
+takes Python's float powers, not ``np.power``'s, whose last ulp depends
+on the CPU's SIMD path, so every host rounds alike.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .core import ValidationError, check_lotteries, from_tail_form, to_tail_form
 
 COVER_KINDS = ("additive", "multiplicative", "monotone_tail")
+ENUMERATION_BUDGET = 1_000_000  # most predicted lotteries enumerate_cover lists one by one
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,16 @@ class CoverSpec:
             raise ValidationError("m must be at least 1")
         if self.H < 1.0:
             raise ValidationError("H must be at least 1")
+
+
+def float_powers(base: float, exponents) -> np.ndarray:
+    """``base ** t`` for each exponent t, as a float array.
+
+    Each power is Python's float pow, which, unlike ``np.power``, does not
+    depend on NumPy's SIMD dispatch; an integer exponent and the same
+    value as a float give the same bits, so every caller gets one table."""
+    base = float(base)
+    return np.array([base ** float(t) for t in exponents], dtype=float)
 
 
 def _geometric_floor(spec: CoverSpec) -> float:
@@ -89,8 +101,8 @@ def _floor_to_powers(x: np.ndarray, spec: CoverSpec) -> np.ndarray:
     with np.errstate(divide="ignore"):
         t = np.ceil(np.log(np.where(pos, x, 1.0)) / logb - 1e-11)
     t = np.maximum(t, 0.0)
-    exps, at = np.unique(t, return_inverse=True)  # Python's powers, for the exponents present
-    val = np.array([base ** e for e in exps.tolist()])[at.reshape(t.shape)]
+    exps, at = np.unique(t, return_inverse=True)  # the powers of the exponents present
+    val = float_powers(base, exps)[at.reshape(t.shape)]
     return np.where(pos & (t <= tmax), val, 0.0)
 
 
@@ -118,9 +130,7 @@ def grid_values(spec: CoverSpec) -> np.ndarray:
         step = spec.epsilon / spec.m
         vals = np.arange(g, -1, -1, dtype=float) * step
         return vals[vals <= 1.0 + 1e-12]
-    base = 1.0 - spec.epsilon
-    vals = np.array([base ** t for t in range(_t_max(spec) + 1)])
-    return np.concatenate([vals, [0.0]])
+    return np.concatenate([float_powers(1.0 - spec.epsilon, range(_t_max(spec) + 1)), [0.0]])
 
 
 @dataclass(frozen=True)
@@ -140,8 +150,9 @@ def _predicted_count(spec: CoverSpec) -> tuple[int, bool]:
     return len(vals) ** spec.m, False
 
 
-def enumerate_cover(spec: CoverSpec, budget: int = 1_000_000) -> CoverEnumeration:
-    """All valid lotteries on the grid, or the count alone past the budget.
+def enumerate_cover(spec: CoverSpec) -> CoverEnumeration:
+    """All valid lotteries on the grid, or the count alone past
+    ``ENUMERATION_BUDGET``.
 
     Counts are exact for the additive grid (lattice points of a scaled
     simplex) and the monotone grid (nonincreasing tail tuples); for the
@@ -150,7 +161,7 @@ def enumerate_cover(spec: CoverSpec, budget: int = 1_000_000) -> CoverEnumeratio
     form.
     """
     predicted, exact = _predicted_count(spec)
-    if predicted > budget:
+    if predicted > ENUMERATION_BUDGET:
         return CoverEnumeration(count=predicted, lotteries=None, exact_count=exact)
     vals = grid_values(spec)
     out: list[np.ndarray] = []

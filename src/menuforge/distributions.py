@@ -17,8 +17,9 @@ The parametric families:
   equal-revenue law Pr[z = x] = 2^-x for x = 1..log2(H) and the residual
   2^-log2(H) folded into the top scale.  A batch draws all its z first,
   then its sets, which the k-set writer ``_write_k_sets`` marks straight
-  in the value rows as 2^z; ``draw_with_meta`` reads the sets and scales
-  back off the values.
+  in the value rows as 2^z.  The values alone fix each point's set and
+  scale, since 2^z >= 2 > 1: ``spread_sets_and_scales`` reads them back,
+  and is the one place that does.
 * ``sparse_subsample``: K points of the spread family whose sets
   pairwise meet in fewer than m/6 items, each set drawn uniformly among
   those compatible with the sets before it; the lower-bound menu
@@ -68,9 +69,9 @@ class ExplicitDistribution:
     constructor checks it: "nonneg" for any finite nonnegative values,
     "unit_interval" for [0, 1]^m, "bounded" for [1, H]^m and "monotone"
     for nondecreasing rows in [1, H]^m (each bound within a relative
-    1e-12).  ``meta`` optionally carries per-point construction data (the
-    set S and scale z of the equal-revenue spread family) that the
-    lower-bound menu needs.
+    1e-12).  No package code reads or writes ``meta``, and it is neither
+    copied nor frozen; besides tests, only perfbench's ``evaluate`` workload
+    passes it.
     """
 
     values: np.ndarray          # (n, m)
@@ -318,14 +319,40 @@ class EqualRevenueSpreadSampler(Sampler):
         return V
 
     def draw_with_meta(self, n: int, rng: np.random.Generator | None = None):
-        """Draws plus their construction data: (values, sets (n, k), z (n,)),
-        read off the values: a point's set is its items valued above 1,
-        ascending, and that value is 2^z."""
+        """Draws plus their construction data, (values, sets (n, k), z (n,)),
+        as :func:`spread_sets_and_scales` reads it off the values."""
         V = self.draw(n, rng)
-        sets = np.flatnonzero(V > 1.0)
-        sets %= self.m  # in place: the batch holds one (n, k) array, not two
-        z = np.log2(V.max(axis=1)).astype(np.intp)
-        return V, sets.reshape(-1, self.params.k), z
+        return (V, *spread_sets_and_scales(V))
+
+
+def spread_sets_and_scales(values) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's set S, ascending, and scale z, as (sets (n, k), z (n,)).
+
+    Raises :class:`ValidationError` unless every row of the (n, m) array
+    ``values`` is a point of the spread family: m a positive multiple of
+    3, value 2^z with z a positive integer on exactly k = m/3 items, and
+    exactly 1 on every other item.  Beside the values it holds (n, m)
+    booleans and the (n, k) sets, so reading a draw costs no more than
+    the sets it returns.
+    """
+    V = np.asarray(values, dtype=float)
+    if V.ndim != 2 or V.shape[1] < 3 or V.shape[1] % 3:
+        raise ValidationError(f"spread points have m a positive multiple of 3 items; the values have shape {V.shape}")
+    m = V.shape[1]
+    k = m // 3
+    top = V.max(axis=1)
+    # top = mantissa * 2^exponent is 2^z, z >= 1, iff the mantissa is 0.5 and z = exponent - 1 >= 1
+    mantissa, exponent = np.frexp(top)
+    on = V == top[:, None]
+    bad = (mantissa != 0.5) | (exponent < 2) | (on.sum(axis=1) != k) | ((V == 1.0).sum(axis=1) != m - k)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(
+            f"row {i} is not a spread point: 2^z, z a positive integer, on {k} of its {m} items and 1 elsewhere"
+        )
+    sets = np.flatnonzero(on)
+    sets %= m  # in place: the read holds one (n, k) array, not two
+    return sets.reshape(-1, k), (exponent - 1).astype(np.intp)
 
 
 # a power of two: the doubling blocks then fill the first _CANDIDATE_BLOCK - 1
@@ -391,14 +418,7 @@ def sparse_subsample(params: EqualRevenueSpreadParams, K: int, seed: int) -> Exp
                 f"(m={m}, k={k}, threshold {threshold})"
             )
     V = np.where(accepted > 0, 2.0 ** z[:, None], 1.0)
-    sets = np.nonzero(accepted)[1].reshape(K, k).astype(int)  # each row's k items, ascending
-    return ExplicitDistribution(
-        V,
-        np.full(K, 1.0 / K),
-        tag="bounded",
-        H=params.H,
-        meta={"sets": sets, "z": z},
-    )
+    return ExplicitDistribution(V, np.full(K, 1.0 / K), tag="bounded", H=params.H)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .distributions import (
     expected_max_value,
     explicit_from_samples,
     sparse_subsample,
+    spread_sets_and_scales,
 )
 from .lp import build_lp, extract_menu, solve_lp
 from .rounding import CERTIFIED_TAGS, RoundingParams, round_menu
@@ -241,14 +242,15 @@ def lower_bound_menu(dist: ExplicitDistribution) -> Menu:
     """One entry per support point: uniform lottery on the point's set S at
     price 2^(z-1).
 
-    Needs the per-point (set, scale) metadata of :func:`sparse_subsample`.
+    Reads each point's set and scale off its values with
+    :func:`~menuforge.distributions.spread_sets_and_scales`, which raises
+    :class:`ValidationError` unless every support point is a spread point.
     A buyer facing its own entry nets exactly 2^(z-1); when all pairwise
-    set overlaps stay below half a set, no foreign entry beats that, so
-    every support point pays 2^(z-1).
+    set overlaps stay below half a set, as :func:`sparse_subsample`
+    ensures, no foreign entry beats that, so every support point pays
+    2^(z-1).
     """
-    if "sets" not in dist.meta or "z" not in dist.meta:
-        raise ValidationError("distribution lacks per-point (set, scale) metadata")
-    sets, z = dist.meta["sets"], dist.meta["z"]
+    sets, z = spread_sets_and_scales(dist.values)
     L = np.zeros((dist.n, dist.m))
     L[np.arange(dist.n)[:, None], sets] = 1.0 / sets.shape[1]
     return Menu(L, 2.0 ** (z - 1.0))

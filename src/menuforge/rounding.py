@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Menu, ValidationError
-from .covers import CoverSpec, round_lottery
+from .covers import CoverSpec, float_powers, round_lottery
 
 # the covers a menu is rounded into, each with the value-range tags of the
 # valuations its guarantee is certified for: [1, H]^m, and monotone ones
@@ -139,10 +139,9 @@ def round_menu(menu: Menu, params: RoundingParams) -> Menu:
     k = params.level(P)
     eps = params.epsilon
     K = params.K
-    # Python's float powers, as guarantee_bound takes them (np.power differs in
-    # the last ulp on some), for the levels present only: K can run to millions
+    # the powers of the levels present only, as guarantee_bound takes them: K can run to millions
     levels, at = np.unique(k, return_inverse=True)
-    shrink = np.array([(1.0 - eps) ** (K - j) for j in levels.tolist()])
+    shrink = float_powers(1.0 - eps, K - levels)
     lotteries = round_lottery(shrink[at, None] * L, params.cover_spec(menu.m))
     prices = np.floor((1.0 - eps) ** K * P / eps) * eps - 2 * k * eps
     keep = prices > 0

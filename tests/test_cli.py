@@ -89,6 +89,19 @@ def test_lowerbound_default_rows_are_pinned(tmp_path):
         assert row == pytest.approx(want, rel=0, abs=1e-12)
 
 
+def test_overfit_header_and_rows_are_pinned(tmp_path):
+    # the columns are the seed, then OverfitReport's fields; --no-lp leaves lp_on_sample NaN
+    out = tmp_path / "o.csv"
+    argv = ["experiment", "overfit", "--no-lp", "--m", "8", "--sample-n", "30", "--eval-n", "200", "--seeds", "0:2"]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert lines == [
+        "seed,naive_on_sample,naive_on_fresh,price1_on_fresh,lp_on_sample",
+        "0,0.59999999999999998,0.5,0.63500000000000001,nan",
+        "1,0.59999999999999998,0.59999999999999998,0.59999999999999998,nan",
+    ]
+
+
 def test_greedy_vs_opt_rows_are_pinned(tmp_path):
     # instance, greedy_revenue, oracle_revenue, ratio at m=24, 40 sets, k=4, H=4
     out = tmp_path / "g.csv"
@@ -614,7 +627,7 @@ def test_reduce_hitting_set_has_no_k_option(tmp_path):
 
 
 def test_cover_enumerate_has_no_budget_option(tmp_path):
-    # the command enumerates within enumerate_cover's default budget
+    # the command enumerates within enumerate_cover's fixed budget
     out = tmp_path / "cover.json"
     argv = ["cover", "enumerate", "--kind", "additive", "--epsilon", "0.5", "--m", "2"]
     with pytest.raises(SystemExit) as exc:

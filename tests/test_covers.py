@@ -69,7 +69,7 @@ def test_enumerate_monotone_small():
 
 
 def test_enumerate_count_only_past_budget():
-    enum = mf.enumerate_cover(CoverSpec("additive", 0.05, 6), budget=10)
+    enum = mf.enumerate_cover(CoverSpec("additive", 0.05, 6))
     assert enum.lotteries is None
     assert enum.count == math.comb(120 + 6, 6)
     assert enum.exact_count
@@ -197,7 +197,7 @@ def test_paper_size_envelopes_hold():
     ):
         for m in (2, 3):
             spec = CoverSpec(kind, eps, m, H=H)
-            enum = mf.enumerate_cover(spec, budget=2_000_000)
+            enum = mf.enumerate_cover(spec)
             assert enum.exact_count or enum.lotteries is None
             count = enum.count
             assert count <= mf.paper_count_envelope(spec), (kind, eps, H, m)

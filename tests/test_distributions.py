@@ -193,19 +193,20 @@ def test_draw_with_meta_draws_z_first():
 def test_sparse_subsample_single_point():
     params = mf.EqualRevenueSpreadParams(9, 4.0)
     d = mf.sparse_subsample(params, 1, seed=0)
-    assert d.n == 1 and "sets" in d.meta and "z" in d.meta
+    sets, z = mf.spread_sets_and_scales(d.values)
+    assert d.n == 1 and sets.shape == (1, 3) and z.shape == (1,)
 
 
 def test_sparse_subsample_property_holds_when_it_returns():
     params = mf.EqualRevenueSpreadParams(30, 8.0)
     for seed in range(5):
         d = mf.sparse_subsample(params, 20, seed=seed)
-        sets = d.meta["sets"]
+        sets, z = mf.spread_sets_and_scales(d.values)
         assert d.n == 20 and sets.shape == (20, 10)
         for i in range(d.n):
             on = np.zeros(30, dtype=bool)
             on[sets[i]] = True
-            assert np.all(d.values[i, on] == 2.0 ** d.meta["z"][i]) and np.all(d.values[i, ~on] == 1.0)
+            assert np.all(d.values[i, on] == 2.0 ** z[i]) and np.all(d.values[i, ~on] == 1.0)
             for j in range(i + 1, d.n):
                 assert len(set(sets[i].tolist()) & set(sets[j].tolist())) < 30 / 6
 
@@ -214,7 +215,8 @@ def test_sparse_subsample_per_point_reaches_larger_k():
     # at m=6 the threshold 1 asks for pairwise-disjoint 2-sets, and at most 3 exist
     params = mf.EqualRevenueSpreadParams(6, 8.0)
     d = mf.sparse_subsample(params, 3, seed=0)
-    assert sorted(d.meta["sets"].ravel().tolist()) == list(range(6))
+    sets, _ = mf.spread_sets_and_scales(d.values)
+    assert sorted(sets.ravel().tolist()) == list(range(6))
     with pytest.raises(mf.IntersectionPropertyError):
         mf.sparse_subsample(params, 4, seed=0)
 
@@ -223,8 +225,9 @@ def test_sparse_subsample_is_deterministic_per_seed():
     params = mf.EqualRevenueSpreadParams(30, 8.0)
     a, b = mf.sparse_subsample(params, 20, seed=7), mf.sparse_subsample(params, 20, seed=7)
     np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.meta["sets"], b.meta["sets"])
-    np.testing.assert_array_equal(a.meta["z"], b.meta["z"])
+    (a_sets, a_z), (b_sets, b_z) = mf.spread_sets_and_scales(a.values), mf.spread_sets_and_scales(b.values)
+    np.testing.assert_array_equal(a_sets, b_sets)
+    np.testing.assert_array_equal(a_z, b_z)
 
 
 def test_sparse_subsample_reports_infeasibility():
@@ -434,8 +437,8 @@ def test_sparse_subsample_does_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_CELLS", 1)
     got = mf.sparse_subsample(params, 20, seed=3)
     _same_bytes(got.values, want.values)
-    _same_bytes(got.meta["sets"], want.meta["sets"])
-    _same_bytes(got.meta["z"], want.meta["z"])
+    for a, b in zip(mf.spread_sets_and_scales(got.values), mf.spread_sets_and_scales(want.values)):
+        _same_bytes(a, b)
 
 
 def _block_loop_sparse_subsample(params, K, seed, used=None):
@@ -494,7 +497,7 @@ def test_sparse_subsample_reads_the_block_loops_stream(monkeypatch):
                 infeasible += 1
                 assert got == want
             else:
-                for a, b in zip((got.values, got.meta["sets"], got.meta["z"]), want):
+                for a, b in zip((got.values, *mf.spread_sets_and_scales(got.values)), want):
                     _same_bytes(a, b)
     # the grid holds infeasible instances and points that read past the 127
     # candidates of the doubling blocks, into the blocks of 64
@@ -524,8 +527,8 @@ def test_sparse_subsample_outputs_are_pinned():
     for (m, H, K), digests in (((30, 8.0, 20), pinned), ((90, 64.0, 128), flip)):
         params = mf.EqualRevenueSpreadParams(m, H)
         for seed, digest in enumerate(digests):
-            d = mf.sparse_subsample(params, K, seed)
-            data = d.meta["sets"].astype("<i8").tobytes() + d.meta["z"].astype("<i8").tobytes()
+            sets, z = mf.spread_sets_and_scales(mf.sparse_subsample(params, K, seed).values)
+            data = sets.astype("<i8").tobytes() + z.astype("<i8").tobytes()
             assert hashlib.sha256(data).hexdigest() == digest, (m, H, K, seed)
 
 
@@ -562,8 +565,7 @@ def test_sparse_subsample_holds_its_output_plus_a_bounded_candidate_window():
     for K in (30, 40):
         peak, out = _peak_bytes(lambda: _outcome(lambda: mf.sparse_subsample(params, K, seed=0)))
         assert isinstance(out, str) == (K == 40)
-        out_bytes = 0 if K == 40 else out.values.nbytes + out.weights.nbytes + sum(
-            a.nbytes for a in out.meta.values())
+        out_bytes = 0 if K == 40 else out.values.nbytes + out.weights.nbytes
         accepted = K * params.m * 8
         # the pool's 320 indicator rows are 77 KB; its draws and copies take a few times that
         assert peak < out_bytes + accepted + 1_000_000, K

@@ -122,10 +122,47 @@ def test_lower_bound_menu_beats_item_pricing_past_the_flip():
     assert (round(min(defaults), 2), round(max(defaults), 2)) == (0.71, 0.95)
 
 
-def test_lower_bound_menu_needs_the_construction_metadata():
-    dist = mf.ExplicitDistribution(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.5, 0.5]))
-    with pytest.raises(mf.ValidationError, match="lacks per-point"):
+def _same_menu(a, b):
+    for x, y in ((a.lotteries, b.lotteries), (a.prices, b.prices)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("m, H, K, seed", [(30, 8.0, 20, 0), (30, 64.0, 20, 1), (90, 64.0, 128, 0)])
+def test_lower_bound_menu_is_the_same_after_a_json_round_trip(m, H, K, seed):
+    dist = mf.sparse_subsample(mf.EqualRevenueSpreadParams(m, H), K, seed)
+    back = mf.distribution_from_json(json.loads(json.dumps(dist.to_json_dict())))
+    _same_menu(mf.lower_bound_menu(back), mf.lower_bound_menu(dist))
+
+
+@pytest.mark.parametrize("values, message", [
+    pytest.param([[1.0, 2.0], [2.0, 1.0]], "multiple of 3", id="m=2"),
+    pytest.param([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0]], "row 1 is not", id="no value above 1"),
+    pytest.param([[2.0, 4.0, 1.0, 1.0, 1.0, 1.0]], "row 0 is not", id="two values above 1"),
+    pytest.param([[1.0, 2.0, 1.0], [3.0, 1.0, 1.0]], "row 1 is not", id="scale not a power of 2"),
+    pytest.param([[2.0, 2.0, 1.0, 1.0, 1.0, 0.5]], "row 0 is not", id="a value below 1"),
+    pytest.param([[2.0, 2.0, 2.0, 1.0, 1.0, 1.0]], "row 0 is not", id="more than m/3 items at 2^z"),
+])
+def test_lower_bound_menu_refuses_rows_that_are_not_spread_points(values, message):
+    dist = mf.ExplicitDistribution(np.array(values), np.full(len(values), 1.0 / len(values)))
+    with pytest.raises(mf.ValidationError, match=message):
         mf.lower_bound_menu(dist)
+
+
+def test_lower_bound_menu_reads_the_evaluate_workloads_points_off_their_values():
+    # perfbench's evaluate workload: draw_with_meta, then a distribution that
+    # carries the sets and scales in meta, then the lower-bound menu
+    params = mf.EqualRevenueSpreadParams(30, 8.0)
+    V, sets, z = mf.EqualRevenueSpreadSampler(params, 0).draw_with_meta(200, np.random.default_rng(13))
+    w = np.full(200, 1.0 / 200)
+    with_meta = mf.ExplicitDistribution(V, w, tag="bounded", H=8.0, meta={"sets": sets, "z": z})
+    menu = mf.lower_bound_menu(with_meta)
+    want = np.zeros((200, 30))
+    want[np.arange(200)[:, None], sets] = 1.0 / params.k
+    _same_menu(menu, mf.Menu(want, 2.0 ** (z - 1.0)))
+    _same_menu(menu, mf.lower_bound_menu(mf.ExplicitDistribution(V, w, tag="bounded", H=8.0)))
+    # the meta arrays stay the caller's, and writing them changes nothing
+    z[0], sets[1] = 3, np.arange(params.k)
+    _same_menu(mf.lower_bound_menu(with_meta), menu)
 
 
 def _forbid_the_lp(monkeypatch):
