@@ -62,12 +62,11 @@ from .pipeline import (
     LowerBoundReport,
     OverfitReport,
     PipelineConfig,
-    doubling_bands,
     item_pricing_baseline,
+    item_pricing_guarantee,
     lower_bound_experiment,
     overfit_experiment,
     sample_and_round,
-    support_bound,
 )
 from .rounding import CERTIFIED_TAGS, RoundingParams, round_menu
 
@@ -258,8 +257,7 @@ def _cmd_experiment_baseline(args) -> int:
 
     def row(seed, dist: ExplicitDistribution) -> list:
         _, rev = item_pricing_baseline(dist)
-        emax = expected_max_value(dist)
-        return [seed, rev, emax, emax / (2.0 * max(1, doubling_bands(support_bound(dist))))]
+        return [seed, rev, expected_max_value(dist), item_pricing_guarantee(dist)]
 
     if isinstance(source, ExplicitDistribution):
         rows = [row("", source)]

@@ -122,15 +122,27 @@ def round_lottery(x, spec: CoverSpec) -> np.ndarray:
     return from_tail_form(_floor_to_powers(to_tail_form(x), spec))
 
 
+def _additive_steps(spec: CoverSpec) -> int:
+    """g, the largest multiple of the additive step eps/m on the grid."""
+    return int(math.floor(spec.m / spec.epsilon + 1e-9))
+
+
 def grid_values(spec: CoverSpec) -> np.ndarray:
     """The per-coordinate (additive, multiplicative) or per-tail (monotone)
     value set of the grid, descending, including 0."""
     if spec.kind == "additive":
-        g = int(math.floor(spec.m / spec.epsilon + 1e-9))
-        step = spec.epsilon / spec.m
-        vals = np.arange(g, -1, -1, dtype=float) * step
+        vals = np.arange(_additive_steps(spec), -1, -1, dtype=float) * (spec.epsilon / spec.m)
         return vals[vals <= 1.0 + 1e-12]
     return np.concatenate([float_powers(1.0 - spec.epsilon, range(_t_max(spec) + 1)), [0.0]])
+
+
+def _grid_size(spec: CoverSpec) -> int:
+    """``len(grid_values(spec))``, without building the grid: only the
+    additive grid's largest step can exceed 1 + 1e-12."""
+    if spec.kind == "additive":
+        g = _additive_steps(spec)
+        return g + 1 if float(g) * (spec.epsilon / spec.m) <= 1.0 + 1e-12 else g
+    return _t_max(spec) + 2
 
 
 @dataclass(frozen=True)
@@ -141,13 +153,12 @@ class CoverEnumeration:
 
 
 def _predicted_count(spec: CoverSpec) -> tuple[int, bool]:
-    vals = grid_values(spec)
-    if spec.kind == "additive":
-        g = len(vals) - 1
-        return math.comb(g + spec.m, spec.m), True
-    if spec.kind == "monotone_tail":
-        return math.comb(len(vals) + spec.m - 1, spec.m), True
-    return len(vals) ** spec.m, False
+    size = _grid_size(spec)
+    if spec.kind == "multiplicative":
+        return size ** spec.m, False
+    # m values from the grid: as a multiset (monotone tails), or as the
+    # step counts of an additive lottery, which add up to at most size - 1
+    return math.comb(size + spec.m - 1, spec.m), True
 
 
 def enumerate_cover(spec: CoverSpec) -> CoverEnumeration:
@@ -158,22 +169,26 @@ def enumerate_cover(spec: CoverSpec) -> CoverEnumeration:
     simplex) and the monotone grid (nonincreasing tail tuples); for the
     multiplicative grid the budget check and the count-only fallback use
     the (#values)^m upper bound since the mass constraint has no closed
-    form.
+    form.  Counting reads the grid's size without building the grid.
+
+    The additive and multiplicative lists are the coordinate products
+    with mass at most 1 + 1e-12, in product order.  They are built one
+    coordinate at a time, and a prefix whose mass already exceeds
+    1 + 1e-9 is dropped, since no nonnegative coordinate brings it back.
     """
     predicted, exact = _predicted_count(spec)
     if predicted > ENUMERATION_BUDGET:
         return CoverEnumeration(count=predicted, lotteries=None, exact_count=exact)
     vals = grid_values(spec)
-    out: list[np.ndarray] = []
     if spec.kind == "monotone_tail":
-        for tails in itertools.combinations_with_replacement(vals, spec.m):
-            out.append(from_tail_form(np.array(tails)))
-        return CoverEnumeration(count=len(out), lotteries=np.array(out), exact_count=True)
-    for combo in itertools.product(vals, repeat=spec.m):
-        x = np.array(combo)
-        if x.sum() <= 1.0 + 1e-12:
-            out.append(x)
-    return CoverEnumeration(count=len(out), lotteries=np.array(out), exact_count=True)
+        out = from_tail_form(np.array(list(itertools.combinations_with_replacement(vals, spec.m))))
+        return CoverEnumeration(count=len(out), lotteries=out, exact_count=True)
+    out = np.zeros((1, 0))
+    for _ in range(spec.m):
+        out = np.column_stack([np.repeat(out, len(vals), axis=0), np.tile(vals, len(out))])
+        out = out[out.sum(axis=1) <= 1.0 + 1e-9]
+    out = out[out.sum(axis=1) <= 1.0 + 1e-12]
+    return CoverEnumeration(count=len(out), lotteries=out, exact_count=True)
 
 
 def paper_count_envelope(spec: CoverSpec) -> float:

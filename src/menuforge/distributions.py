@@ -44,6 +44,7 @@ as one (n, m) call, and each output row depends on its own doubles only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -95,6 +96,8 @@ class ExplicitDistribution:
             raise ValidationError(f"weights sum to {w.sum()}, expected 1 within 1e-9")
         if self.tag not in VALUE_RANGE_TAGS:
             raise ValidationError(f"unknown value range tag {self.tag!r}")
+        if math.isnan(self.H):
+            raise ValidationError("H is NaN; give a number, or inf for no bound")
         lo, hi = V.min(), V.max()  # NaN if any value is NaN
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0:
             raise ValidationError("support values must be finite and nonnegative")
@@ -155,9 +158,16 @@ def explicit_from_samples(samples, tag: str = "nonneg", H: float = float("inf"))
     return ExplicitDistribution(V, np.full(n, 1.0 / n), tag=tag, H=H)
 
 
+def row_maxima(V: np.ndarray) -> np.ndarray:
+    """``V.max(axis=1)``, as one ``np.maximum`` per column: at small m
+    several times faster than the row reduction, which runs a length-m
+    inner loop per row.  The maximum is exact, so the bits agree."""
+    return functools.reduce(np.maximum, V.T)
+
+
 def expected_max_value(dist: ExplicitDistribution) -> float:
     """E[max_i v_i], the single-item surplus upper bound on revenue."""
-    return core.weighted_sum(dist.weights, dist.values.max(axis=1))
+    return core.weighted_sum(dist.weights, row_maxima(dist.values))
 
 
 def _integral_log2(H: float) -> int:

@@ -4,9 +4,9 @@ With support v_1..v_n (weights w_i) the truthful revenue-maximization
 problem is linear: variables are a lottery x_i and a payment p_i per
 support point, the objective is sum_i w_i p_i, and the constraints are
 incentive compatibility (no type prefers another type's pair), individual
-rationality, and lottery feasibility.  The optimal basic solution pools
-types onto at most n distinct pairs, which :func:`extract_menu` turns
-into an explicit menu.
+rationality, and lottery feasibility.  :func:`extract_menu` makes the
+menu by the package's one choice rule: the support points choose among
+the optimal per-type pairs, and the pairs chosen are the entries.
 
 The n(n-1) IC rows dominate the program, but almost all of them are slack
 at the optimum.  :class:`MenuLP` therefore stores only the IR and mass
@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core as _highs  # private scipy API, shipped since 1.15
 
-from .core import TIE_TOL, Menu, weighted_sum
+from .core import TIE_TOL, Menu, choose_batch, weighted_sum
 from .distributions import ExplicitDistribution
 
 # IC rows per type in the first relaxation: those against its nearest types
@@ -63,9 +63,6 @@ ROWS_PER_TYPE = 5
 # leaves the relaxation
 PURGE_SLACK = 1e-6
 PURGE_ROUNDS = 2
-# per-type pairs closer than this (max over coordinates and price) are one
-# menu entry in extract_menu
-DEDUP_TOL = 1e-7
 # candidate menus scored per block in brute_force_optimal
 _GRID_CHUNK = 200_000
 # most candidate menus brute_force_optimal will score
@@ -197,6 +194,7 @@ def build_lp(dist: ExplicitDistribution) -> MenuLP:
 
 @dataclass(frozen=True)
 class LPSolution:
+    values: np.ndarray        # (n, m) support the program was built on, MenuLP.values
     lotteries: np.ndarray     # (n, m) optimal allocation per support point
     payments: np.ndarray      # (n,)
     objective: float
@@ -364,6 +362,7 @@ def solve_lp(lp: MenuLP) -> LPSolution:
     width = lp.m + 1
     sol = x.reshape(lp.n, width)
     return LPSolution(
+        values=lp.values,
         lotteries=sol[:, : lp.m].copy(),
         payments=sol[:, lp.m].copy(),
         objective=weighted_sum(lp.objective, x),
@@ -374,19 +373,20 @@ def solve_lp(lp: MenuLP) -> LPSolution:
 
 
 def extract_menu(sol: LPSolution) -> Menu:
-    """Deduplicate the per-type pairs of an optimal solution into a menu.
+    """The per-type pairs of an optimal solution that its support buys.
 
-    Pairs equal within ``DEDUP_TOL`` (max over coordinates and price)
-    collapse to one entry, the first of them in type order; the all-zero
-    pair is dropped since the implicit zero entry covers it.  Tiny solver
-    negatives are clipped to keep the menu valid.
+    Tiny solver negatives are clipped to 0 and every pair with a positive
+    price is offered; the implicit zero entry stands for the rest.  Each
+    support point chooses among the offers by :func:`choose_batch`, and
+    the pairs chosen, in type order, are the menu.  Pooled types buy the
+    pool's dearest pair, so a pool is one entry; a pair no type buys is
+    left out.
     """
     pairs = np.clip(np.column_stack([sol.lotteries, sol.payments]), 0.0, None)  # (n, m+1)
-    kept: list[int] = []
-    for i, z in enumerate(pairs):
-        if not (np.all(z <= DEDUP_TOL) or np.any(np.abs(pairs[kept] - z).max(axis=1) <= DEDUP_TOL)):
-            kept.append(i)
-    return Menu(pairs[kept, :-1], pairs[kept, -1])
+    offered = pairs[pairs[:, -1] > 0]
+    chosen = np.unique(choose_batch(Menu(offered[:, :-1], offered[:, -1]), sol.values))
+    chosen = chosen[chosen >= 0]
+    return Menu(offered[chosen, :-1], offered[chosen, -1])
 
 
 def _grid_pairs(m: int, price_grid, lottery_grid) -> tuple[np.ndarray, np.ndarray]:

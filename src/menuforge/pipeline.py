@@ -5,18 +5,19 @@ the menu LP on the empirical distribution, and pushes the optimal menu
 through the level-rounding transform so that the output lives in a small
 cover family.  On the overfitting family (m=64, delta=0.1, 200 sampled
 types, seeds 0-4, 100k fresh draws from the stream [seed, 1]) the LP
-menu earns 1.090 per buyer on its sample and 1.007 on fresh draws, where
-the price-1 menu earns 0.999.  Rounded through the multiplicative cover
-at H=2 it keeps all its entries (100.6 on average) and earns 0.509 fresh
-at epsilon 0.1 and 0.904 at epsilon 0.01: the rounding does not guard
-against memorizing this family, whose zero values lie outside the
-cover's certified class [1, H]^m.
+menu, 51.2 entries on average, earns 1.090 per buyer on its sample and
+0.976 on fresh draws, where the price-1 menu earns 0.999.  Rounded
+through the multiplicative cover at H=2 it keeps all its entries and
+earns 0.515 fresh at epsilon 0.1 and 0.875 at epsilon 0.01: the
+rounding does not guard against memorizing this family, whose zero
+values lie outside the cover's certified class [1, H]^m.
 
 Baselines and experiments:
 
 * item-pricing baseline: the best of the doubling uniform-price menus
   M^1, M^2, M^4, ..., guaranteed a 1/(2 ceil(log2 H)) fraction of the
-  expected maximum item value, H the support's own largest value;
+  expected maximum item value of the buyers whose largest value is at
+  least 1, H the support's own largest value;
 * overfitting experiment: the product family on which the sample-optimal
   menu (items at 2 plus one support lottery per sampled type) earns its
   full sample surplus but collapses on fresh draws while the trivial
@@ -38,15 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Menu, ValidationError, expected_revenue, revenue_batch
+from .core import Menu, ValidationError, expected_revenue, revenue_batch, weighted_sum
 from .distributions import (
     EqualRevenueSpreadParams,
     ExplicitDistribution,
     OverfitProductParams,
     OverfitProductSampler,
     Sampler,
-    expected_max_value,
     explicit_from_samples,
+    row_maxima,
     sparse_subsample,
     spread_sets_and_scales,
 )
@@ -151,10 +152,7 @@ def item_pricing_baseline(dist: ExplicitDistribution) -> tuple[Menu, float]:
     distribution, at the prices 1, 2, ..., 2^ceil(log2 H) of its own
     bound H = :func:`support_bound` (a higher price sells to no one).
 
-    For supports in [1, H] the winner extracts at least
-    expected_max_value / (2 ceil(log2 H)): the doubling prices cut [1, H]
-    into ceil(log2 H) bands and the band menus' revenues add up to at
-    least half the expected maximum value.
+    The winner earns at least :func:`item_pricing_guarantee`.
     """
     best_menu, best_rev = None, -1.0
     for p in doubling_prices(support_bound(dist)):
@@ -163,6 +161,22 @@ def item_pricing_baseline(dist: ExplicitDistribution) -> tuple[Menu, float]:
         if rev > best_rev + 1e-15:
             best_menu, best_rev = menu, rev
     return best_menu, best_rev
+
+
+def item_pricing_guarantee(dist: ExplicitDistribution) -> float:
+    """E[max v * 1{max v >= 1}] / (2 max(1, ceil(log2 H))), H = :func:`support_bound`:
+    the revenue :func:`item_pricing_baseline` is guaranteed.
+
+    A buyer whose largest value lies in the doubling band [2^(j-1), 2^j]
+    pays at least half of it to the menu priced 2^(j-1), so the band
+    menus' revenues add up to at least half the expected largest value of
+    the buyers in [1, H], and the best of the ceil(log2 H) band menus
+    earns at least their mean.  A buyer whose largest value lies below 1,
+    the lowest doubling price, buys nothing and counts 0.
+    """
+    top = row_maxima(dist.values)
+    covered = weighted_sum(dist.weights, np.where(top >= 1.0, top, 0.0))
+    return covered / (2.0 * max(1, doubling_bands(support_bound(dist))))
 
 
 def item_pricing_from_samples(sampler: Sampler, n: int, seed: int) -> Menu:

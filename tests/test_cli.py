@@ -160,6 +160,17 @@ def test_baseline_explicit_rows_are_pinned(tmp_path):
     assert not any(line.startswith("# n=") for line in comments)
 
 
+def test_baseline_guarantee_leaves_out_buyers_valuing_everything_below_1(tmp_path):
+    # no buyer reaches the lowest doubling price 1, so the baseline earns 0
+    # and so must its guarantee, though the expected maximum value is 0.7
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"type": "explicit", "params": {
+        "support": [[0.5, 0.2], [0.9, 0.4]], "weights": [0.5, 0.5]}}))
+    _, rows = _baseline_rows(tmp_path, str(dist))
+    _, baseline, emax, guarantee = rows[0].split(",")
+    assert (float(baseline), float(emax), float(guarantee)) == (0.0, 0.7, 0.0)
+
+
 def _baseline_peak_bytes(tmp_path, n, seeds):
     argv = ["experiment", "baseline", "--dist", _monotone(tmp_path), "--n", str(n), "--seeds", seeds,
             "--out", str(tmp_path / "peak.csv")]

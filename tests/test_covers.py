@@ -1,7 +1,9 @@
 """Cover grids and their rounding maps: examples, exact invariants, and the
 two-sided inequality suites."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +75,51 @@ def test_enumerate_count_only_past_budget():
     assert enum.lotteries is None
     assert enum.count == math.comb(120 + 6, 6)
     assert enum.exact_count
+
+
+def _loop_enumerate_cover(spec):
+    """The one-by-one loops that ``enumerate_cover`` replaced, as the
+    reference for its lists: nonincreasing tail tuples for the monotone
+    grid, else every coordinate product with mass at most 1 + 1e-12."""
+    vals = covers.grid_values(spec)
+    if spec.kind == "monotone_tail":
+        return np.array([mf.from_tail_form(np.array(t))
+                         for t in itertools.combinations_with_replacement(vals, spec.m)])
+    out = [np.array(c) for c in itertools.product(vals, repeat=spec.m)]
+    return np.array([x for x in out if x.sum() <= 1.0 + 1e-12])
+
+
+def test_enumerate_cover_lists_what_the_loops_listed():
+    specs = [
+        CoverSpec(kind, eps, m, H=H)
+        for kind in covers.COVER_KINDS
+        for eps in (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+        for m in (1, 2, 3, 4, 8)
+        for H in (1.0, 2.0, 8.0)
+        if not (kind == "additive" and H > 1.0)
+    ]
+    specs = [s for s in specs if len(covers.grid_values(s)) ** s.m <= 20_000]
+    assert len(specs) > 100
+    for spec in specs:
+        enum = mf.enumerate_cover(spec)
+        want = _loop_enumerate_cover(spec)
+        assert enum.lotteries.shape == want.shape and enum.count == len(want), spec
+        assert enum.lotteries.tobytes() == want.tobytes(), spec
+
+
+@pytest.mark.parametrize("kind", covers.COVER_KINDS)
+def test_enumerate_cover_counts_without_building_the_grid(kind):
+    # the grids hold 2e5 (additive) and over 1.1e6 values at epsilon 1e-5
+    spec = CoverSpec(kind, 1e-5, 2, H=4.0)
+    tracemalloc.start()
+    try:
+        enum = mf.enumerate_cover(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enum.lotteries is None and peak < 1_000_000
+    size = len(covers.grid_values(spec))
+    assert enum.count == (size ** 2 if kind == "multiplicative" else math.comb(size + 1, 2))
 
 
 def test_round_outputs_live_in_enumerated_cover():

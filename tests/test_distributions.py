@@ -331,6 +331,19 @@ def test_distribution_json_round_trips():
 
 
 
+@pytest.mark.parametrize("tag", ["nonneg", "bounded", "monotone"])
+def test_explicit_distribution_rejects_a_nan_bound(tag):
+    # a NaN H passes every range check and would vanish from the JSON form
+    with pytest.raises(mf.ValidationError, match="H is NaN"):
+        mf.ExplicitDistribution(np.array([[1.0, 2.0]]), np.array([1.0]), tag=tag, H=float("nan"))
+
+
+def test_explicit_distribution_keeps_an_infinite_bound():
+    # inf is the "no H given" default of explicit JSON, which then omits H
+    d = mf.ExplicitDistribution(np.array([[1.0, 2.0]]), np.array([1.0]), tag="bounded", H=float("inf"))
+    assert "H" not in d.to_json_dict()["params"]
+
+
 def _replaced(spec, path, value):
     """A copy of a JSON description with the field at ``path`` set to ``value``."""
     spec = json.loads(json.dumps(spec))

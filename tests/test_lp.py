@@ -136,6 +136,7 @@ _MERGE_VALUES = [
     [3.6114457854356, 4.15686982672105, 4.7048950041245945, 5.9520978742188815, 6.345395367090767],
 ]
 _MERGE_SOLUTION = mf.LPSolution(
+    values=np.array(_MERGE_VALUES),
     lotteries=np.array([
         [0.0, 0.0, 0.0, 3.6263835899719155e-06, 0.99999637361641],
         [0.0, 0.0, 0.0, 3.6563860642546686e-06, 0.9999963436139357],
@@ -149,15 +150,49 @@ _MERGE_SOLUTION = mf.LPSolution(
 )
 
 
-@pytest.mark.xfail(strict=True, reason="extract_menu's DEDUP_TOL merge can move a type off an exact "
-                                       "utility tie onto a strictly better, cheaper entry")
 def test_extracted_menu_earns_the_objective_after_a_merge():
     # types 1 and 3 sit at an exact utility tie between their own pair and the
-    # cheaper pairs of types 2 and 4; the merge gives them type 0's pair, 3e-8
-    # away, which they like less, so they buy the cheaper entries
+    # cheaper pairs of types 2 and 4; a merge of pairs within 1e-7 gives them
+    # type 0's pair, 3e-8 away, which they like less, so they buy the cheaper
+    # entries.  Offered every pair, both buy type 1's, at their own price.
     d = mf.ExplicitDistribution(np.array(_MERGE_VALUES), np.full(5, 0.2))
     menu = mf.extract_menu(_MERGE_SOLUTION)
     assert mf.expected_revenue(menu, d) >= _MERGE_SOLUTION.objective - 1e-7
+
+
+@pytest.mark.parametrize("key", [354806870, 369422758, 911262900, 738421775, [900, 90]], ids=str)
+def test_extracted_menu_earns_the_objective_on_monotone_samples(key):
+    # t=100 monotone samples (m=5, H=8) on which a merge of pairs within 1e-7
+    # earned up to 1.5e-2 less than the objective
+    V = mf.MonotoneUniformSampler(5, 8.0, 0).draw(100, np.random.default_rng(key))
+    d = mf.explicit_from_samples(V, tag="monotone", H=8.0).consolidated()
+    sol = mf.solve_lp(mf.build_lp(d))
+    assert mf.expected_revenue(mf.extract_menu(sol), d) >= sol.objective - 1e-7
+
+
+def test_extract_menu_does_not_offer_a_free_lottery():
+    # type 1 values nothing, so a free lottery is as optimal for it as none
+    sol = mf.LPSolution(
+        values=np.array([[2.0, 0.0], [0.0, 0.0]]),
+        lotteries=np.array([[1.0, 0.0], [0.0, 1.0]]), payments=np.array([2.0, -1e-12]),
+        objective=1.0, rounds=0, ic_rows_kept=0, ic_rows_purged=0,
+    )
+    menu = mf.extract_menu(sol)
+    assert menu == mf.Menu([[1.0, 0.0]], [2.0])
+
+
+def test_extract_menu_leaves_out_a_pair_no_type_buys():
+    # type 1 is at an exact tie between the two pairs, both priced 2, and
+    # takes the earlier one, so type 1's own pair is bought by no one
+    sol = mf.LPSolution(
+        values=np.array([[2.0, 1.0], [2.0, 2.0]]),
+        lotteries=np.array([[1.0, 0.0], [0.0, 1.0]]), payments=np.array([2.0, 2.0]),
+        objective=2.0, rounds=0, ic_rows_kept=0, ic_rows_purged=0,
+    )
+    menu = mf.extract_menu(sol)
+    assert menu == mf.Menu([[1.0, 0.0]], [2.0])
+    d = mf.ExplicitDistribution(sol.values, np.full(2, 0.5))
+    assert mf.expected_revenue(menu, d) == sol.objective
 
 
 def test_lp_dominates_external_menus():

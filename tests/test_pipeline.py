@@ -262,8 +262,8 @@ def test_pipeline_naive_mode_runs_on_an_untagged_distribution(tmp_path, capsys):
     path, out = tmp_path / "config.json", tmp_path / "menu.json"
     path.write_text(json.dumps({**_UNCERTIFIED_CONFIGS["overfit"], "mode": "naive"}))
     assert cli.main(["pipeline", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
-    assert capsys.readouterr().out == "menu entries 13\n"
-    assert mf.load_menu(out).size == 13
+    assert capsys.readouterr().out == "menu entries 10\n"
+    assert mf.load_menu(out).size == 10
 
 
 # fits three seeded t=100 monotone samples (m=5, H=8), rounds each menu into
