@@ -14,8 +14,9 @@ are the rows of the whole range.
 
 ``pipeline`` reads its run from one JSON config: an inline distribution
 under "dist", "t", "epsilon", "H" and optionally "cover_kind", "seed" and
-"mode".  Only ``--t`` and ``--seed`` override it, so one config serves a sweep.
-A config, distribution or menu field that no reader reads is a validation error.
+"mode".  Only ``--t`` and ``--seed`` override it, so one config serves a sweep;
+the config is still checked whole, the fields they replace included.  A config,
+distribution or menu field that no reader reads is a validation error.
 
 Exit codes: 0 success, 2 usage, 3 validation, 4 I/O, 5 solver failure,
 6 infeasible construction or exhausted combinatorial budget.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 import numpy as np
@@ -35,12 +35,13 @@ from . import __version__
 from .core import (
     ValidationError,
     expected_revenue,
-    json_field,
     json_float,
     json_int,
-    json_known_fields,
+    json_object,
     load_menu,
+    read_json,
     save_menu,
+    write_json,
 )
 from .covers import COVER_KINDS, CoverSpec, enumerate_cover, round_lottery
 from .distributions import (
@@ -75,6 +76,10 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_SOLVER = 5
 EXIT_INFEASIBLE = 6
+# the exit code of each failure a command reports; the first row an exception
+# matches wins, so ValueError, the base of ValidationError, comes first
+_EXIT_CODES = {ValueError: EXIT_VALIDATION, IntersectionPropertyError: EXIT_INFEASIBLE,
+               BudgetExceededError: EXIT_INFEASIBLE, LPError: EXIT_SOLVER, OSError: EXIT_IO}
 
 
 def _fmt(x) -> str:
@@ -100,12 +105,6 @@ def _parse_seeds(spec: str) -> list[int]:
     if min(seeds) < 0:
         raise ValidationError(f"--seeds {spec!r} holds a negative seed")
     return seeds
-
-
-def _write_json(path: str, obj) -> None:
-    text = json.dumps(obj, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _write_csv(path: str, config: dict, columns: list[str], rows: list[list]) -> None:
@@ -137,7 +136,7 @@ def _cmd_evaluate(args) -> int:
     dist = _load_dist_arg(args.dist)
     rev = expected_revenue(menu, dist)
     if args.out:
-        _write_json(args.out, {"expected_revenue": rev})
+        write_json(args.out, {"expected_revenue": rev})
     print(f"expected_revenue {_fmt(rev)}")
     return EXIT_OK
 
@@ -168,13 +167,9 @@ def _cover_spec(args) -> CoverSpec:
 
 def _cmd_cover_enumerate(args) -> int:
     enum = enumerate_cover(_cover_spec(args))
-    payload: dict = {"count": enum.count, "exact_count": enum.exact_count}
-    if enum.lotteries is None:
-        payload["lotteries"] = None
-    else:
-        payload["lotteries"] = [[float(v) for v in row] for row in enum.lotteries]
     if args.out:
-        _write_json(args.out, payload)
+        lotteries = None if enum.lotteries is None else enum.lotteries.tolist()
+        write_json(args.out, {"count": enum.count, "exact_count": enum.exact_count, "lotteries": lotteries})
     print(f"count {enum.count} exact {enum.exact_count}")
     return EXIT_OK
 
@@ -190,25 +185,23 @@ def _cmd_cover_round(args) -> int:
     spec = _cover_spec(args)
     if x.size != spec.m:
         raise ValidationError(f"lottery has {x.size} coordinates, spec says m={spec.m}")
-    y = round_lottery(x, spec)
+    y = round_lottery(x, spec).tolist()
     if args.out:
-        _write_json(args.out, {"lottery": [float(v) for v in y]})
-    print(",".join(_fmt(float(v)) for v in y))
+        write_json(args.out, {"lottery": y})
+    print(",".join(map(_fmt, y)))
     return EXIT_OK
 
 
 def _cmd_pipeline(args) -> int:
-    where = f"pipeline config {args.config}"
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    converters = {"t": json_int, "epsilon": json_float, "H": json_float,
-                  "cover_kind": str, "seed": json_int, "mode": str}
-    json_known_fields(raw, ("dist", *converters), where)
-    source = json_field(raw, "dist", where, distribution_from_json)
     flags = {key: value for key, value in (("t", args.t), ("seed", args.seed)) if value is not None}
     defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig) if f.default is not dataclasses.MISSING}
-    raw = {**defaults, **raw, **flags}
-    fields = {key: json_field(raw, key, where, convert) for key, convert in converters.items()}
+    readers = {"dist": distribution_from_json, "t": json_int, "epsilon": json_float, "H": json_float,
+               "cover_kind": str, "seed": json_int, "mode": str}
+    # every field present is read, the ones a flag replaces included
+    fields = json_object(read_json(args.config), f"pipeline config {args.config}", readers,
+                         optional=(*defaults, *flags))
+    source = fields.pop("dist")
+    fields = {**defaults, **fields, **flags}
     cfg = PipelineConfig(**fields)
     sampler = source if isinstance(source, Sampler) else ExplicitSampler(source, cfg.seed)
     menu = sample_and_round(sampler, cfg)
@@ -304,7 +297,7 @@ def _cmd_experiment_greedy(args) -> int:
 
 def _cmd_reduce_hitting_set(args) -> int:
     dist = hitting_set_valuations(load_hitting_set(args.infile, H=args.H))
-    _write_json(args.out, dist.to_json_dict())
+    write_json(args.out, dist.to_json_dict())
     print(f"wrote {dist.n} valuations over m={dist.m} items")
     return EXIT_OK
 
@@ -429,18 +422,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (IntersectionPropertyError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except LPError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,9 @@ Conventions used throughout the package:
   :class:`Menu` its lotteries and prices, an ``ExplicitDistribution`` its
   values and weights), so the caller's arrays stay writable and cannot
   change those copies;
-* all evaluation routines are pure and operate on immutable inputs.
+* all evaluation routines are pure and operate on immutable inputs;
+* JSON enters through :func:`read_json` and :func:`json_object` and
+  leaves through :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -63,29 +66,43 @@ class DimensionMismatchError(ValidationError):
     """Two objects that must share the item count m do not."""
 
 
-def json_field(d, key: str, where: str, convert):
-    """``convert(d[key])`` for a field of parsed JSON input.
-
-    Raises :class:`ValidationError` naming the field when ``d`` is not a
-    JSON object, lacks ``key``, or holds a value ``convert`` rejects.
-    """
+def json_object(d, where: str, fields: dict, optional=()) -> dict:
+    """The fields of the parsed JSON object ``d``, each read by its reader in the
+    dict ``fields``; an absent field that ``optional`` names is left out.  Raises
+    :class:`ValidationError` naming the first fault: ``d`` is not an object, has
+    an unknown field, lacks a field, or holds a value its reader rejects."""
     if not isinstance(d, dict):
         raise ValidationError(f"{where} must be a JSON object")
-    if key not in d:
-        raise ValidationError(f'{where} lacks the field "{key}"')
-    try:
-        return convert(d[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f'{where} field "{key}": {exc}') from None
+    for key in d:
+        if key not in fields:
+            raise ValidationError(f'{where} has the unknown field "{key}"')
+    for key in fields:
+        if key not in d and key not in optional:
+            raise ValidationError(f'{where} lacks the field "{key}"')
+    out = {}
+    for key, read in fields.items():
+        if key in d:
+            try:
+                out[key] = read(d[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f'{where} field "{key}": {exc}') from None
+    return out
 
 
-def json_known_fields(d, known, where: str) -> None:
-    """Raise :class:`ValidationError` naming the first field of ``d`` outside ``known``."""
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = [key for key in d if key not in known]
-    if unknown:
-        raise ValidationError(f'{where} has the unknown field "{unknown[0]}"')
+def read_json(path):
+    """The parsed contents of the JSON file at ``path``."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON in ``path``: sorted keys on one line, then a newline.
+    An object that cannot be written leaves no file."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def json_value(value):
+    """A JSON value as it was parsed, for a field its owner checks."""
+    return value
 
 
 def json_int(value) -> int:
@@ -234,44 +251,34 @@ class Menu:
         return f"Menu(size={self.size}, m={self.m})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "entries": [
-                {"lottery": [float(x) for x in self.lotteries[i]], "price": float(self.prices[i])}
-                for i in range(self.size)
-            ],
-        }
+        pairs = zip(self.lotteries.tolist(), self.prices.tolist())
+        return {"m": self.m, "entries": [{"lottery": lottery, "price": price} for lottery, price in pairs]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Menu":
-        json_known_fields(d, ("m", "entries"), "menu")
-        m = json_field(d, "m", "menu", json_int)
+        d = json_object(d, "menu", {"m": json_int, "entries": json_value})
+        m, ents = d["m"], d["entries"]
         if m < 1:
             raise ValidationError(f'menu field "m" is {m}; a menu needs at least one item')
-        ents = json_field(d, "entries", "menu", lambda entries: entries)
         if not isinstance(ents, list):
             raise ValidationError('menu field "entries" must be a list')
-        L = np.zeros((len(ents), m))
-        P = np.zeros(len(ents))
+        lotteries, prices = [], []  # the arrays are built from these, not from the declared m
         for i, e in enumerate(ents):
-            json_known_fields(e, ("lottery", "price"), f"menu entry {i}")
-            x = json_field(e, "lottery", f"menu entry {i}", json_floats)
+            e = json_object(e, f"menu entry {i}", {"lottery": json_floats, "price": json_float})
+            x = e["lottery"]
             if x.shape != (m,):
                 raise DimensionMismatchError(f"entry {i} has a lottery of shape {x.shape}, menu declares m={m}")
-            L[i] = x
-            P[i] = json_field(e, "price", f"menu entry {i}", json_float)
-        return cls(L, P)
+            lotteries.append(x)
+            prices.append(e["price"])
+        return cls(lotteries, prices) if lotteries else cls.empty(m)
 
 
 def save_menu(menu: Menu, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(menu.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, menu.to_json_dict())
 
 
 def load_menu(path) -> Menu:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Menu.from_json_dict(json.load(fh))
+    return Menu.from_json_dict(read_json(path))
 
 
 def _cpus() -> int:

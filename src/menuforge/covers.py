@@ -48,6 +48,8 @@ class CoverSpec:
             raise ValidationError(f"unknown cover kind {self.kind!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError("epsilon must lie in (0, 1)")
+        if 1.0 - self.epsilon == 1.0:  # the grid's ratio 1 - epsilon would be 1, its levels endless
+            raise ValidationError(f"epsilon={self.epsilon} is too small: 1 - epsilon rounds to 1")
         if self.m < 1:
             raise ValidationError("m must be at least 1")
         if self.H < 1.0:

@@ -94,15 +94,18 @@ class PipelineConfig:
 
     def validate_sampler(self, sampler: Sampler) -> None:
         """Reject, before any draw, a sampler whose values may exceed H or,
-        when the run rounds, whose tag the cover does not certify."""
+        when the run rounds, whose tag or rounding resolution the cover cannot take."""
         if sampler.H > self.H:
             raise ValidationError(f"the sampler's H={sampler.H} exceeds the pipeline's H={self.H}")
+        if self.mode == "naive":
+            return
         certified = CERTIFIED_TAGS[self.cover_kind]
-        if self.mode == "sample_and_round" and sampler.tag not in certified:
+        if sampler.tag not in certified:
             raise ValidationError(
                 f"{self.cover_kind} covers are only certified for {' or '.join(certified)} valuations; "
                 f"sampler is tagged {sampler.tag!r}"
             )
+        self.rounding_params()
 
 
 def sample_and_round(sampler: Sampler, cfg: PipelineConfig) -> Menu:

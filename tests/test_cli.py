@@ -275,10 +275,81 @@ def test_lowerbound_without_enough_sparse_sets_exits_6(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_greedy_vs_opt_past_the_oracle_budget_exits_6(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    argv = ["experiment", "greedy-vs-opt", "--m", "40", "--k", "20", "--n-sets", "2", "--seeds", "0:1"]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_INFEASIBLE == 6
+    assert "C(40,20) exceeds budget 1000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _malformed(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     return str(path)
+
+
+# each distribution type's required "params" fields, at values a baseline run accepts
+_REQUIRED_PARAMS = {
+    "explicit": {"support": [[1.0, 2.0]], "weights": [1.0]},
+    "overfit": {"m": 4, "delta": 0.1},
+    "equal_revenue": {"m": 6, "H": 4.0},
+    "sparse_subsample": {"m": 6, "H": 4.0, "K": 2},
+    "monotone_uniform": {"m": 2, "H": 4.0},
+}
+
+
+@pytest.mark.parametrize("kind, field", [(kind, f) for kind, params in _REQUIRED_PARAMS.items() for f in params])
+def test_distribution_without_a_required_params_field_exits_3_naming_it(tmp_path, capsys, kind, field):
+    out = tmp_path / "b.csv"
+
+    def baseline(params) -> int:
+        dist = _malformed(tmp_path, json.dumps({"type": kind, "params": params}))
+        return cli.main(["experiment", "baseline", "--dist", dist, "--n", "20", "--seeds", "0:1", "--out", str(out)])
+
+    assert baseline(_REQUIRED_PARAMS[kind]) == cli.EXIT_OK
+    out.unlink()
+    capsys.readouterr()
+    assert baseline({k: v for k, v in _REQUIRED_PARAMS[kind].items() if k != field}) == cli.EXIT_VALIDATION
+    assert f'{kind} distribution params lacks the field "{field}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_menu_declaring_a_huge_m_exits_3_naming_the_entry(tmp_path, capsys):
+    _, _, argv = _evaluate_inputs(tmp_path)
+    argv[argv.index("--menu") + 1] = _malformed(
+        tmp_path, json.dumps({"m": 10**13, "entries": [{"lottery": [0.5, 0.5], "price": 1.0}]}))
+    out = tmp_path / "rev.json"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "entry 0 has a lottery of shape (2,), menu declares m=10000000000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_config_field_a_flag_replaces_is_still_checked(tmp_path, capsys):
+    config = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 2.5, "epsilon": 0.1,
+              "H": 4.0}
+    out = tmp_path / "menu.json"
+    argv = ["pipeline", "--config", _malformed(tmp_path, json.dumps(config)), "--t", "20", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert 'field "t": 2.5 is not an integer' in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "enumerate", "--kind", "multiplicative", "--epsilon", "1e-17", "--m", "2", "--H", "4"],
+    ["cover", "round", "--kind", "monotone_tail", "--epsilon", "1e-17", "--m", "2", "--H", "4",
+     "--lottery", "0.2,0.3"],
+    ["round-menu", "--menu", "{menu.json}", "--epsilon", "1e-17", "--H", "4"],
+    # the rounding resolution (epsilon / ceil(log2 H))^2 is about 1.1e-17
+    ["pipeline", "--config", "{tiny-epsilon.json}"],
+], ids=["cover-enumerate", "cover-round", "round-menu", "pipeline"])
+def test_an_epsilon_whose_complement_rounds_to_1_exits_3(tmp_path, capsys, argv):
+    inputs = _subcommand_inputs(tmp_path)
+    config = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 8.0}}, "t": 10, "epsilon": 1e-8,
+              "H": 8.0, "cover_kind": "monotone_tail"}
+    inputs["{tiny-epsilon.json}"] = _malformed(tmp_path, json.dumps(config))
+    out = tmp_path / "out.json"
+    assert cli.main([inputs.get(tok, tok) for tok in argv] + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "1 - epsilon rounds to 1" in capsys.readouterr().err and not out.exists()
 
 
 def test_evaluate_malformed_menu_exits_3_naming_the_field(tmp_path, capsys):

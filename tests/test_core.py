@@ -279,6 +279,54 @@ def test_menu_json_requires_its_entries():
     assert mf.Menu.from_json_dict({"m": 2, "entries": []}) == mf.Menu.empty(2)
 
 
+def test_json_object_reports_the_first_fault_of_each_kind():
+    fields = {"a": core.json_int, "b": core.json_float}
+    assert core.json_object({"b": 2, "a": 1.0}, "x", fields) == {"a": 1, "b": 2.0}
+    assert core.json_object({"a": 1}, "x", fields, optional=("b",)) == {"a": 1}
+    for d, message in (([], "x must be a JSON object"),
+                       ({"a": 1, "c": 0, "d": 0}, 'x has the unknown field "c"'),
+                       ({}, 'x lacks the field "a"'),
+                       ({"a": 1, "b": "2"}, 'x field "b": \'2\' is not a number')):
+        with pytest.raises(mf.ValidationError) as exc:
+            core.json_object(d, "x", fields)
+        assert str(exc.value) == message
+
+
+def test_menu_json_checks_each_lottery_before_allocating_the_declared_m():
+    d = {"m": 10**13, "entries": [{"lottery": [0.5, 0.5], "price": 1.0}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(mf.DimensionMismatchError, match=r"entry 0 has a lottery of shape \(2,\), menu declares m=10000000000000"):
+            mf.Menu.from_json_dict(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# doubles whose JSON text a careless conversion could change: a signed zero,
+# the smallest subnormal, a large finite value and a sum with a long repr
+_AWKWARD_FLOATS = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+
+
+def test_menu_json_writes_the_bytes_of_a_float_per_element():
+    menu = mf.Menu([_AWKWARD_FLOATS[:2], [0.1 + 0.2, 0.5]], _AWKWARD_FLOATS[2:])
+    per_element = {"m": menu.m, "entries": [
+        {"lottery": [float(x) for x in menu.lotteries[i]], "price": float(menu.prices[i])}
+        for i in range(menu.size)]}
+    text = json.dumps(menu.to_json_dict(), sort_keys=True)
+    assert text == json.dumps(per_element, sort_keys=True) and "-0.0" in text
+
+
+def test_explicit_distribution_json_writes_the_bytes_of_a_float_per_element():
+    dist = mf.ExplicitDistribution([_AWKWARD_FLOATS, [2.0, 1.0, 3.0, 4.0]], [0.1 + 0.2, 1 - (0.1 + 0.2)], H=1e308)
+    per_element = {"type": "explicit", "params": {
+        "support": [[float(x) for x in row] for row in dist.values],
+        "weights": [float(x) for x in dist.weights], "tag": dist.tag, "H": float(dist.H)}}
+    text = json.dumps(dist.to_json_dict(), sort_keys=True)
+    assert text == json.dumps(per_element, sort_keys=True) and "-0.0" in text
+
+
 def _loop_choice(menu, v):
     """The documented rule for one buyer: the tie window, then the higher
     price, then the earlier entry, with the zero entry after every explicit one."""
