@@ -21,17 +21,13 @@ Conventions used throughout the package:
   ``_choose``, behind :func:`choose_batch` and :func:`revenue_batch`.
   Only the grid-search oracle :func:`menuforge.lp.brute_force_optimal`
   restates the rule's revenue half, on its own, so that tests can check
-  one copy against the other.  The kernel scores
-  buyers in blocks, entry-major: a block's utilities are the (K, rows)
-  matrix ``L @ V_block.T - P``, and the first candidate in price order
-  is the one with the largest rank weight, so every reduction runs
-  across buyers.  A menu with more entries than items (K > m) folds its
-  prices into that product, ``[L | -P] @ [V_block | 1].T``, one BLAS
-  call per block instead of a product and a pass over all K * rows
-  utilities; the (rows, m+1) value block it copies the buyers into
-  costs fewer cells than that pass only when K > m.  Which threads score
-  the blocks, and the memory they use, is stated once, in ``_choose``'s
-  docstring;
+  one copy against the other.  The kernel scores buyers in blocks,
+  entry-major, with one arithmetic for every menu: the prices are folded
+  into the product, so a block's utilities net of price are the (K, rows)
+  matrix ``[L | -P] @ [V_block | 1].T``, one BLAS call per block, and the
+  first candidate in price order is the one with the largest rank weight,
+  so every reduction runs across buyers.  Which threads score the blocks,
+  and the memory they use, is stated once, in ``_choose``'s docstring;
 * value types copy their array inputs and freeze the copies (a
   :class:`Menu` its lotteries and prices, an ``ExplicitDistribution`` its
   values and weights), so the caller's arrays stay writable and cannot
@@ -260,6 +256,8 @@ class Menu:
         m, ents = d["m"], d["entries"]
         if m < 1:
             raise ValidationError(f'menu field "m" is {m}; a menu needs at least one item')
+        if m > np.iinfo(np.intp).max // 8:
+            raise ValidationError(f'menu field "m" is {m}, more items than a NumPy array can hold')
         if not isinstance(ents, list):
             raise ValidationError('menu field "entries" must be a list')
         lotteries, prices = [], []  # the arrays are built from these, not from the declared m
@@ -313,33 +311,30 @@ def _blas_runs_one_thread() -> bool:
 _MAX_WORKERS = 2 if _blas_runs_one_thread() else 1
 
 
-def _block_buffers(K: int, rows: int, wtype, m: int | None) -> tuple:
+def _block_buffers(K: int, rows: int, wtype, m: int) -> tuple:
     """One worker's scratch for a block of up to ``rows`` rows: the utility,
     mask and rank-weight matrices (flat, so any row count reshapes them
-    contiguously), the per-row best utility and top weight, and, when the
-    prices are folded into the product (``m`` given), the (rows, m+1) value
-    block whose last column is ones and whose first m the worker overwrites
-    with each block's values; else ``None``."""
+    contiguously), the per-row best utility and top weight, and the
+    (rows, m+1) value block whose last column is ones and whose first m
+    the worker overwrites with each block's values."""
     return (
         np.empty(K * rows),
         np.empty(K * rows, dtype=bool),
         np.empty(K * rows, dtype=wtype),
         np.empty(rows),
         np.empty(rows, dtype=wtype),
-        None if m is None else np.ones((rows, m + 1)),
+        np.ones((rows, m + 1)),
     )
 
 
-def _score_blocks(blocks, L, P, w, pick, V, idx, rows, buffers) -> None:
+def _score_blocks(blocks, L, w, pick, V, idx, rows, buffers) -> None:
     """Score the blocks this worker claims from ``blocks`` into ``idx``.
 
-    ``L`` is the sorted (K, m) lottery matrix with the (K, 1) prices ``P``,
-    or, where the worker has a value block, the folded (K, m+1) matrix
-    ``[L | -P]`` with ``P`` None.  Runs on the calling thread and on the
-    call's helper threads, so it calls NumPy only, and writes only into
-    its own ``buffers`` and the claimed slices of ``idx``.  ``next`` on
-    the shared range iterator is one call into C, so under the interpreter
-    lock no two workers claim the same block.
+    ``L`` is the sorted (K, m+1) matrix ``[L | -P]``.  Runs on the calling
+    thread and on the call's helper threads, so it calls NumPy only, and
+    writes only into its own ``buffers`` and the claimed slices of
+    ``idx``.  ``next`` on the shared range iterator is one call into C, so
+    under the interpreter lock no two workers claim the same block.
     """
     U_flat, mask_flat, weight_flat, best_buf, top_buf, X = buffers
     K = L.shape[0]
@@ -347,13 +342,9 @@ def _score_blocks(blocks, L, P, w, pick, V, idx, rows, buffers) -> None:
         Vb = V[s : s + rows]
         r = Vb.shape[0]
         U = U_flat[: K * r].reshape(K, r)
-        if X is None:
-            np.matmul(L, Vb.T, out=U)
-            U -= P
-        else:
-            Xb = X[:r]
-            Xb[:, :-1] = Vb
-            np.matmul(L, Xb.T, out=U)
+        Xb = X[:r]
+        Xb[:, :-1] = Vb
+        np.matmul(L, Xb.T, out=U)
         best = U.max(axis=0, out=best_buf[:r])
         np.maximum(best, 0.0, out=best)
         best -= TIE_TOL
@@ -369,26 +360,20 @@ def _choose(menu: Menu, V) -> np.ndarray:
     sort, so among a row's candidates (the entries within ``TIE_TOL`` of
     its best utility, the zero entry counting with utility 0) the first
     in sorted order has the highest price and, among equal prices, the
-    earliest index.  Rows are scored in blocks, entry-major: a block's
-    utilities are the (K, rows) matrix ``L @ V[block].T - P``, so every
-    reduction runs across buyers.  When the menu has more entries than
-    items (K > m) the prices are folded into the product: the (K, m+1)
-    matrix ``[L | -P]`` is built once, each worker copies a block's values
-    into a (rows, m+1) value block whose last column is ones, and one
-    product of the two is the block's utilities net of price.  The copy
-    writes (m+1) cells per row where the subtraction it replaces writes K,
-    so for K <= m the block is read in place and ``P`` subtracted after
-    the product.  The folded product adds ``-p`` as its last term, inside
-    BLAS, so a utility may round a few ulps away from the subtracted one
-    where BLAS orders a block's sums differently for m+1 terms than for m;
-    only a buyer within those ulps of the tie window can choose otherwise.
+    earliest index.  Rows are scored in blocks, entry-major, and every
+    menu by one arithmetic: the (K, m+1) matrix ``[L | -P]`` is built once
+    in price order, each worker copies a block's values into a (rows, m+1)
+    value block whose last column is ones, and one BLAS product of the two
+    is the block's (K, rows) utilities net of price, so every reduction
+    runs across buyers.  A block holds
+    ``max(1, _BLOCK_CELLS // max(K, m + 1))`` rows, so neither the
+    utilities nor the value block outgrow ``_BLOCK_CELLS`` cells.
 
     The sorted entries carry the rank weights K, K-1, ..., 1, and each
     buyer's largest weight among its candidates names the first
     candidate; weight 0, no explicit candidate, names the zero entry.
     Prices are never negative, so an explicit candidate always wins the
-    price tie-break against the zero entry.  A block holds
-    ``max(1, _BLOCK_CELLS // K)`` rows.
+    price tie-break against the zero entry.
 
     Threads: at most ``_MAX_WORKERS`` workers score the blocks, each
     claiming its next block from one shared iterator.  That is two where
@@ -405,8 +390,8 @@ def _choose(menu: Menu, V) -> np.ndarray:
     Memory: every worker's buffers are allocated here, in the calling
     thread, before any block is scored, and the workers write into them
     and into disjoint slices of the result, so the working memory is
-    O(workers * block * K), independent of the number of rows n and of
-    the host's CPU count.  Letting each worker allocate its own scratch
+    O(workers * block * max(K, m + 1)), independent of the number of rows
+    n and of the host's CPU count.  Letting each worker allocate its own scratch
     would delete ``_block_buffers``, but that variant read 1.0-2.8 MB
     more peak RSS on the ``sweep`` benchmark in 8 of 8 run pairs (2
     vCPUs, one BLAS thread), for a cause not isolated (a 100k-row K=5
@@ -421,17 +406,14 @@ def _choose(menu: Menu, V) -> np.ndarray:
     if K == 0:
         return idx
     order = np.argsort(-menu.prices, kind="stable")
-    L, P = menu.lotteries[order], menu.prices[order, None]
-    fold = K > m
-    if fold:
-        L, P = np.hstack((L, -P)), None
+    L = np.hstack((menu.lotteries[order], -menu.prices[order, None]))
     w = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None]
     pick = np.concatenate(([-1], order[::-1]))  # pick[K - j] = order[j]
-    rows = max(1, min(n, _BLOCK_CELLS // K))  # fewer rows than a block make one block
+    rows = max(1, min(n, _BLOCK_CELLS // max(K, m + 1)))  # fewer rows than a block make one block
     blocks = range(0, n, rows)
     workers = max(1, min(len(blocks), _cpus(), _MAX_WORKERS))
-    buffers = [_block_buffers(K, rows, w.dtype, m if fold else None) for _ in range(workers)]
-    score = partial(_score_blocks, iter(blocks), L, P, w, pick, V, idx, rows)
+    buffers = [_block_buffers(K, rows, w.dtype, m) for _ in range(workers)]
+    score = partial(_score_blocks, iter(blocks), L, w, pick, V, idx, rows)
     if workers == 1:
         score(buffers[0])
         return idx

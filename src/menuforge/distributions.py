@@ -115,6 +115,13 @@ class ExplicitDistribution:
     def n(self) -> int:
         return self.values.shape[0]
 
+    @functools.cached_property
+    def top_values(self) -> np.ndarray:
+        """Each support point's largest value, computed once, read-only."""
+        top = row_maxima(self.values)
+        top.setflags(write=False)
+        return top
+
     @property
     def m(self) -> int:
         return self.values.shape[1]
@@ -154,18 +161,19 @@ def explicit_from_samples(samples, tag: str = "nonneg", H: float = float("inf"))
 
 
 def row_maxima(V: np.ndarray) -> np.ndarray:
-    """``V.max(axis=1)``, as one ``np.maximum`` per column: at small m
-    several times faster than the row reduction, which runs a length-m
-    inner loop per row.  The maximum is exact, so the bits agree.  Past m
-    of about 16-20 it is slower: on 100k rows, one BLAS thread, 1.1 against
-    5.3 ms at m=5 but 56 against 9.8 ms at m=64, which ``experiment
-    baseline`` on an m=64 overfit or m=90 spread description pays."""
+    """``V.max(axis=1)``, as one ``np.maximum`` per column up to m=16 items
+    and as ``V.max(axis=1)`` above; the maximum is exact, so the bits
+    agree.  The row reduction runs a length-m inner loop per row, which
+    the column-wise form beats at small m and loses to past m of about
+    16-20: on 100k rows, 1.1 against 5.3 ms at m=5, 56 against 9.8 ms at m=64."""
+    if V.shape[1] > 16:
+        return V.max(axis=1)
     return functools.reduce(np.maximum, V.T)
 
 
 def expected_max_value(dist: ExplicitDistribution) -> float:
     """E[max_i v_i], the single-item surplus upper bound on revenue."""
-    return core.weighted_sum(dist.weights, row_maxima(dist.values))
+    return core.weighted_sum(dist.weights, dist.top_values)
 
 
 def _integral_log2(H: float) -> int:

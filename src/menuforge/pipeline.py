@@ -90,7 +90,11 @@ class PipelineConfig:
         H))^2, the constant-1 instantiation of that composition.
         """
         eps_round = (self.epsilon / max(1, doubling_bands(self.H))) ** 2
-        return RoundingParams(epsilon=eps_round, H=self.H, cover_kind=self.cover_kind)
+        try:
+            return RoundingParams(epsilon=eps_round, H=self.H, cover_kind=self.cover_kind)
+        except ValidationError as exc:
+            raise ValidationError(f"the pipeline's epsilon={self.epsilon} and H={self.H} give the rounding "
+                                  f"resolution (epsilon / ceil(log2 H))^2 = {eps_round}: {exc}") from None
 
     def validate_sampler(self, sampler: Sampler) -> None:
         """Reject, before any draw, a sampler whose values may exceed H or,
@@ -147,7 +151,7 @@ def uniform_price_menu(m: int, price: float) -> Menu:
 def support_bound(dist: ExplicitDistribution) -> float:
     """H of a distribution: its largest value, or 1, the lowest doubling
     price, when every value lies below 1."""
-    return max(1.0, float(dist.values.max()))
+    return max(1.0, float(dist.top_values.max()))
 
 
 def item_pricing_baseline(dist: ExplicitDistribution) -> tuple[Menu, float]:
@@ -155,15 +159,20 @@ def item_pricing_baseline(dist: ExplicitDistribution) -> tuple[Menu, float]:
     distribution, at the prices 1, 2, ..., 2^ceil(log2 H) of its own
     bound H = :func:`support_bound` (a higher price sells to no one).
 
-    The winner earns at least :func:`item_pricing_guarantee`.
+    A buyer facing every item at price p has the best utility
+    max_l(v_l - p), which rounds to exactly top - p for its top value, so
+    each price is scored as the one-item menu at p on the (n, 1) top
+    values, through the same choice kernel.  The winner, the earliest
+    price of the highest revenue, earns at least
+    :func:`item_pricing_guarantee`.
     """
-    best_menu, best_rev = None, -1.0
+    top = dist.top_values[:, None]
+    best_price, best_rev = None, -1.0
     for p in doubling_prices(support_bound(dist)):
-        menu = uniform_price_menu(dist.m, p)
-        rev = expected_revenue(menu, dist)
+        rev = weighted_sum(dist.weights, revenue_batch(Menu([[1.0]], [p]), top))
         if rev > best_rev + 1e-15:
-            best_menu, best_rev = menu, rev
-    return best_menu, best_rev
+            best_price, best_rev = p, rev
+    return uniform_price_menu(dist.m, best_price), best_rev
 
 
 def item_pricing_guarantee(dist: ExplicitDistribution) -> float:
@@ -177,7 +186,7 @@ def item_pricing_guarantee(dist: ExplicitDistribution) -> float:
     earns at least their mean.  A buyer whose largest value lies below 1,
     the lowest doubling price, buys nothing and counts 0.
     """
-    top = row_maxima(dist.values)
+    top = dist.top_values
     covered = weighted_sum(dist.weights, np.where(top >= 1.0, top, 0.0))
     return covered / (2.0 * max(1, doubling_bands(support_bound(dist))))
 
@@ -246,8 +255,8 @@ def overfit_experiment(
     naive = naive_overfit_menu(S)
     naive_on_sample = float(revenue_batch(naive, S).mean())
     naive_on_fresh = float(revenue_batch(naive, F).mean())
-    price1 = uniform_price_menu(m, 1.0)
-    price1_on_fresh = float(revenue_batch(price1, F).mean())
+    # the price-1 item menu, scored as the one-item menu on the top values (see item_pricing_baseline)
+    price1_on_fresh = float(revenue_batch(Menu([[1.0]], [1.0]), row_maxima(F)[:, None]).mean())
 
     lp_on_sample = float("nan")
     if include_lp:

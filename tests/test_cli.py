@@ -325,6 +325,25 @@ def test_evaluate_menu_declaring_a_huge_m_exits_3_naming_the_entry(tmp_path, cap
     assert not out.exists()
 
 
+def test_evaluate_empty_menu_declaring_more_items_than_an_array_holds_exits_3_naming_m(tmp_path, capsys):
+    _, _, argv = _evaluate_inputs(tmp_path)
+    argv[argv.index("--menu") + 1] = _malformed(tmp_path, json.dumps({"m": 2**62, "entries": []}))
+    out = tmp_path / "rev.json"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert f'menu field "m" is {2**62}, more items than a NumPy array can hold' in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_epsilon_too_fine_to_round_exits_3_naming_the_configs_epsilon_and_H(tmp_path, capsys):
+    config = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 8.0}}, "t": 10, "epsilon": 1e-8,
+              "H": 8.0, "cover_kind": "monotone_tail"}
+    out = tmp_path / "menu.json"
+    assert cli.main(["pipeline", "--config", _malformed(tmp_path, json.dumps(config)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "the pipeline's epsilon=1e-08 and H=8.0 give the rounding resolution" in err
+    assert f"(epsilon / ceil(log2 H))^2 = {(1e-8 / 3) ** 2}" in err and not out.exists()
+
+
 def test_pipeline_config_field_a_flag_replaces_is_still_checked(tmp_path, capsys):
     config = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 2.5, "epsilon": 0.1,
               "H": 4.0}

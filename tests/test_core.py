@@ -416,8 +416,7 @@ def _shape_case(kind, rng):
         return mf.uniform_price_menu(5, 2.0), 3
     if kind == "K1_m64":  # a uniform lottery at price 1: buyers whose values sum to 64 tie
         return mf.Menu(np.full((1, 64), 1 / 64), [1.0]), 2
-    # K = 255 and 256 sit on both sides of the uint8 -> uint16 rank-weight
-    # boundary; K = m scores the block in place and K = m + 1 folds the prices in
+    # K = 255 and 256 sit on both sides of the uint8 -> uint16 rank-weight boundary
     k, m = (int(part[1:]) for part in kind.split("_"))
     base = _dyadic_menu(rng, k, m, np.arange(1, 25) / 8.0)
     L, P = np.array(base.lotteries), np.array(base.prices)
@@ -431,7 +430,7 @@ def test_choice_kernel_matches_the_loop_at_block_and_weight_boundaries(kind, mon
     monkeypatch.setattr(core, "_BLOCK_CELLS", 2**13)
     rng = np.random.default_rng(21)
     menu, top = _shape_case(kind, rng)
-    block = max(1, core._BLOCK_CELLS // menu.size)
+    block = max(1, core._BLOCK_CELLS // max(menu.size, menu.m + 1))
     V = rng.integers(0, top + 1, size=(2 * block + 3, menu.m)).astype(float)
     V[::7] = 0.0
     V[1::11, 0] = 64.0  # these buyers take the first entry in price order
@@ -461,8 +460,8 @@ def test_choice_kernel_memory_is_independent_of_buyers():
     # one n x k utility matrix takes 80 MB; the blocked kernel needs about 2 MB
     assert peak < n * k * 8 / 10
 
-    # one entry over many items: one block then holds all the buyers, and a copy
-    # of them would take 51 MB; the kernel reads the buyers in place
+    # one entry over many items: a copy of all the buyers would take 51 MB; the
+    # kernel copies them a block of _BLOCK_CELLS // (m + 1) rows at a time
     n, m = 100_000, 64
     menu = mf.Menu(np.full((1, m), 1 / m), [1.0])
     V = rng.integers(0, 3, size=(n, m)).astype(float)
@@ -534,12 +533,12 @@ def _kernel_peak_within_two_workers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = core._BLOCK_CELLS // k
+    rows = core._BLOCK_CELLS // max(k, m + 1)
     # per worker: float64 utilities, a bool mask and uint8 rank weights per cell,
-    # plus a float64 best utility, a uint8 top weight and, as K > m folds the
-    # prices into the product, a float64 value block of m + 1 values per row
+    # plus a float64 best utility, a uint8 top weight and a float64 value block
+    # of m + 1 values per row
     buffers = k * rows * (8 + 1 + 1) + rows * (8 + 1 + (m + 1) * 8)
-    # the slack covers the menu's sorted, folded copy and NumPy's iterator buffers
+    # the slack covers the menu's sorted [L | -P] copy and NumPy's iterator buffers
     # (64 KB each) for the broadcasting ufunc each worker runs
     return peak < n * 8 + 2 * buffers + 256 * 1024
 

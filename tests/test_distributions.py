@@ -10,7 +10,7 @@ import pytest
 
 import menuforge as mf
 from menuforge import core
-from menuforge.distributions import _draw_scales, _write_k_sets
+from menuforge.distributions import _draw_scales, _write_k_sets, row_maxima
 
 
 def test_explicit_from_samples_keeps_duplicates():
@@ -244,6 +244,17 @@ def test_expected_max_value():
     assert mf.expected_max_value(d2) == pytest.approx((1 + H) / 2)
     inst = mf.HittingSetInstance(((0,), (1, 2)), m=3, H=4.0)
     assert mf.expected_max_value(mf.hitting_set_valuations(inst)) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("m", [1, 5, 16, 17, 64, 90])
+def test_row_maxima_and_top_values_are_the_row_reduction_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    V = np.vstack((rng.random((500, m)) * 8, rng.integers(0, 3, size=(500, m))))  # continuous rows, tied rows
+    want = V.max(axis=1).tobytes()
+    assert row_maxima(V).tobytes() == want
+    d = mf.explicit_from_samples(V)
+    assert d.top_values.tobytes() == want
+    assert d.top_values is d.top_values and not d.top_values.flags.writeable
 
 
 def test_hitting_set_valuations_examples():

@@ -84,6 +84,51 @@ def test_item_pricing_baseline_prices_up_to_the_support_bound():
     assert mf.item_pricing_baseline(low) == (mf.uniform_price_menu(2, 1.0), 0.0)
 
 
+def _tie_edge_support(m):
+    """For every doubling price p up to 8, a buyer whose top value is p, one
+    at p - TIE_TOL/2 (inside the tie window, so it buys) and one at
+    p - 2 TIE_TOL (outside, so it does not); buyer i's top value sits on
+    item i mod m, its other items valued at most 0.5."""
+    tops = [p - off for p in mf.doubling_prices(8.0) for off in (0.0, mf.TIE_TOL / 2, 2 * mf.TIE_TOL)]
+    V = np.tile(np.linspace(0.0, 0.5, m), (len(tops), 1))
+    V[np.arange(len(tops)), np.arange(len(tops)) % m] = tops
+    return mf.explicit_from_samples(V)
+
+
+@pytest.mark.parametrize("case", ["tie_edges_m3", "tie_edges_m1", "overfit_m64", "spread_m90"])
+def test_item_pricing_scores_each_price_as_the_one_item_menu_on_top_values(case, monkeypatch):
+    rng = np.random.default_rng(17)
+    if case.startswith("tie_edges"):
+        dist = _tie_edge_support(int(case[-1]))
+    elif case == "overfit_m64":
+        dist = mf.explicit_from_samples(mf.OverfitProductSampler(mf.OverfitProductParams(64, 0.1), 0).draw(3000, rng))
+    else:
+        sampler = mf.EqualRevenueSpreadSampler(mf.EqualRevenueSpreadParams(90, 64.0), 0)
+        dist = mf.explicit_from_samples(sampler.draw(3000, rng))
+    payments = []  # what item_pricing_baseline's kernel calls return, one per doubling price
+
+    def recording_revenue_batch(menu, V):
+        payments.append(mf.revenue_batch(menu, V))
+        return payments[-1]
+
+    monkeypatch.setattr(pipeline, "revenue_batch", recording_revenue_batch)
+    got = mf.item_pricing_baseline(dist)
+    prices = mf.doubling_prices(pipeline.support_bound(dist))
+    assert len(payments) == len(prices)
+    revs = []
+    for p, pay in zip(prices, payments):
+        menu = mf.uniform_price_menu(dist.m, p)
+        assert pay.tobytes() == mf.revenue_batch(menu, dist.values).tobytes()
+        revs.append(mf.expected_revenue(menu, dist))
+        assert np.float64(mf.core.weighted_sum(dist.weights, pay)).tobytes() == np.float64(revs[-1]).tobytes()
+    best = int(np.argmax(revs))
+    assert got == (mf.uniform_price_menu(dist.m, prices[best]), revs[best])
+    if case.startswith("tie_edges"):
+        # price p sells to exactly the buyers whose top value is at least p - TIE_TOL
+        sold = [(dist.top_values >= p - mf.TIE_TOL).mean() * p for p in prices]
+        assert revs == pytest.approx(sold, rel=0, abs=1e-15) and 0 < min(revs)
+
+
 def test_naive_overfit_menu_sells_items_at_2_and_each_unit_support_at_1():
     samples = [
         [1.0, 0.0, 1.0],
