@@ -3,9 +3,11 @@
 One process per run, validate-then-run (no partial outputs), reruns with
 identical configuration produce byte-identical artifacts.  Numbers are
 written with 17 significant digits and '.' decimals regardless of locale.
-Experiment subcommands emit CSV with one row per seed, except
-``experiment baseline`` on an explicit distribution: it has no draws to
-seed, so it writes one row with an empty seed field.  The run
+Experiment subcommands emit CSV with one row per seed, with two
+exceptions: ``experiment baseline`` on an explicit distribution has no
+draws to seed, so it writes one row with an empty seed field, and
+``experiment greedy-vs-opt --hitting-set FILE`` scores that one instance,
+so it writes one row, ``instance`` 0, whatever ``--seeds`` says.  The run
 configuration is echoed into every CSV as leading comment lines.
 Experiments run their seeds in order, one after another.  Each row depends
 only on its seed and the configuration, so a long sweep can be split into
@@ -16,9 +18,11 @@ are the rows of the whole range.
 under "dist", "t", "epsilon", "H" and optionally "cover_kind", "seed" and
 "mode".  Only ``--t`` and ``--seed`` override it, so one config serves a sweep;
 the config is still checked whole, the fields they replace included.  A config,
-distribution or menu field that no reader reads is a validation error.
+distribution or menu field that no reader reads is a validation error, and
+so is a negative seed, in a "seed" field, ``--seed`` or ``--seeds``.
 
-Exit codes: 0 success, 2 usage, 3 validation, 4 I/O, 5 solver failure,
+Exit codes: 0 success, 2 usage, 3 validation (including an input too large
+to allocate, such as ``--t 1000000000000000``), 4 I/O, 5 solver failure,
 6 infeasible construction or exhausted combinatorial budget.
 """
 
@@ -38,6 +42,7 @@ from .core import (
     json_float,
     json_int,
     json_object,
+    json_seed,
     load_menu,
     read_json,
     save_menu,
@@ -77,9 +82,11 @@ EXIT_IO = 4
 EXIT_SOLVER = 5
 EXIT_INFEASIBLE = 6
 # the exit code of each failure a command reports; the first row an exception
-# matches wins, so ValueError, the base of ValidationError, comes first
-_EXIT_CODES = {ValueError: EXIT_VALIDATION, IntersectionPropertyError: EXIT_INFEASIBLE,
-               BudgetExceededError: EXIT_INFEASIBLE, LPError: EXIT_SOLVER, OSError: EXIT_IO}
+# matches wins, so ValueError, the base of ValidationError, comes first; a
+# MemoryError is an input asking for more rows than can be allocated
+_EXIT_CODES = {ValueError: EXIT_VALIDATION, MemoryError: EXIT_VALIDATION,
+               IntersectionPropertyError: EXIT_INFEASIBLE, BudgetExceededError: EXIT_INFEASIBLE,
+               LPError: EXIT_SOLVER, OSError: EXIT_IO}
 
 
 def _fmt(x) -> str:
@@ -88,9 +95,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _seed_flag(flag: str, value: int) -> int:
+    """A seed given on the command line, read by :func:`json_seed`; a
+    rejected one raises :class:`ValidationError` naming ``flag``."""
+    try:
+        return json_seed(value)
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
 def _parse_seeds(spec: str) -> list[int]:
     """The seeds of a ``--seeds`` spec: a range ``lo:hi`` or a list ``a,b,c``
-    of nonnegative integers, the seeds NumPy's generators take."""
+    of nonnegative integers."""
     spec = spec.strip()
     try:
         if ":" in spec:
@@ -102,8 +118,7 @@ def _parse_seeds(spec: str) -> list[int]:
         raise ValidationError(f"--seeds {spec!r} is not a range lo:hi or a list of integers") from None
     if not seeds:
         raise ValidationError(f"--seeds {spec!r} holds no seeds")
-    if min(seeds) < 0:
-        raise ValidationError(f"--seeds {spec!r} holds a negative seed")
+    _seed_flag(f"--seeds {spec!r}", min(seeds))
     return seeds
 
 
@@ -193,10 +208,12 @@ def _cmd_cover_round(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    if args.seed is not None:
+        _seed_flag("--seed", args.seed)
     flags = {key: value for key, value in (("t", args.t), ("seed", args.seed)) if value is not None}
     defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig) if f.default is not dataclasses.MISSING}
     readers = {"dist": distribution_from_json, "t": json_int, "epsilon": json_float, "H": json_float,
-               "cover_kind": str, "seed": json_int, "mode": str}
+               "cover_kind": str, "seed": json_seed, "mode": str}
     # every field present is read, the ones a flag replaces included
     fields = json_object(read_json(args.config), f"pipeline config {args.config}", readers,
                          optional=(*defaults, *flags))

@@ -102,7 +102,7 @@ def json_value(value):
 
 
 def json_int(value) -> int:
-    """A count or seed read from JSON: an integral number, as an int.
+    """A count read from JSON: an integral number, as an int.
 
     Booleans, strings and numbers with a fractional part are rejected, so
     ``2.7`` is an error rather than 2; ``2.0`` reads as 2.
@@ -112,6 +112,16 @@ def json_int(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{value!r} is not an integer")
+
+
+def json_seed(value) -> int:
+    """A seed read from JSON or the command line: an integral number of at
+    least 0, the seeds NumPy's generators take, as an int.  Read as by
+    :func:`json_int`, then a negative seed is rejected."""
+    seed = json_int(value)
+    if seed < 0:
+        raise ValueError(f"{seed} is not a nonnegative integer")
+    return seed
 
 
 def sample_count(n) -> int:

@@ -540,11 +540,12 @@ def distribution_from_json(d: dict):
     from the config's ``seed`` and ``experiment baseline`` from each of
     its ``--seeds`` (an explicit distribution it scores once, undrawn), so
     descriptions that differ only in that seed give identical outputs.
-    Counts and seeds must be integral numbers; every other number, in a
-    field or an array, must be a finite number, not a boolean or a string.
+    Counts must be integral numbers and a seed a nonnegative one; every
+    other number, in a field or an array, must be a finite number, not a
+    boolean or a string.
     A field that no reader reads, say a misspelled one, is an error.
     """
-    d = json_object(d, "distribution", {"type": str, "params": json_value, "seed": json_int},
+    d = json_object(d, "distribution", {"type": str, "params": json_value, "seed": core.json_seed},
                     optional=("params", "seed"))
     kind, seed = d["type"], d.get("seed", 0)
     if kind not in _PARAMS:

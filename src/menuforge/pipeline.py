@@ -26,10 +26,11 @@ Baselines and experiments:
   with one entry per support point (uniform lottery on the point's set at
   price 2^(z-1)) extracts about half the expected maximum value once the
   sets are pairwise sparse; in the paper's asymptotic regime that beats
-  every small item-pricing menu.  At the CLI defaults (m=30, H=8, K=20)
-  it does not: over seeds 0:200 it earns 0.64 to 1.00 times the doubling
-  item-pricing baseline, 0.85 on average, and 0.71 to 0.95 over seeds
-  0:5.  Past the flip, at m=90, H=64, K=128, seeds 0:5 give 1.36 to 1.60.
+  every small item-pricing menu.  Here it is measured only against the
+  doubling baseline above.  At the CLI defaults (m=30, H=8, K=20) it
+  loses: over seeds 0:200 it earns 0.64 to 1.00 times the doubling
+  baseline, 0.85 on average, and 0.71 to 0.95 over seeds 0:5.  Past the
+  flip, at m=90, H=64, K=128, seeds 0:5 give 1.36 to 1.60.
 """
 
 from __future__ import annotations

@@ -150,10 +150,13 @@ def test_baseline_sampler_rows_are_pinned(tmp_path):
     ]
 
 
+_FOUR_POINT = {"type": "explicit", "params": {"support": [[1.0, 2.0], [3.0, 0.5], [2.0, 2.0], [1.5, 1.0]],
+                                             "weights": [0.25, 0.25, 0.25, 0.25]}}
+
+
 def test_baseline_explicit_rows_are_pinned(tmp_path):
     dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps({"type": "explicit", "params": {
-        "support": [[1.0, 2.0], [3.0, 0.5], [2.0, 2.0], [1.5, 1.0]], "weights": [0.25, 0.25, 0.25, 0.25]}}))
+    dist.write_text(json.dumps(_FOUR_POINT))
     # no draws, so one row, no seed and no draw count
     comments, rows = _baseline_rows(tmp_path, str(dist), "--seeds", "0:2")
     assert rows == [",1.5,2.125,0.53125"]
@@ -283,6 +286,10 @@ def test_greedy_vs_opt_past_the_oracle_budget_exits_6(tmp_path, capsys):
     assert not out.exists()
 
 
+_TINY_CONFIG = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 5, "epsilon": 0.1,
+                "H": 4.0}
+
+
 def _malformed(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -389,8 +396,7 @@ def test_baseline_distribution_without_params_exits_3(tmp_path, capsys):
 
 def test_pipeline_config_of_the_wrong_shape_exits_3(tmp_path, capsys):
     out = tmp_path / "menu.json"
-    good = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 5, "epsilon": 0.1, "H": 4.0}
-    for text, named in (("[1, 2]", "JSON object"), (json.dumps({**good, "t": [5]}), '"t"')):
+    for text, named in (("[1, 2]", "JSON object"), (json.dumps({**_TINY_CONFIG, "t": [5]}), '"t"')):
         config = _malformed(tmp_path, text)
         assert cli.main(["pipeline", "--config", config, "--out", str(out)]) == cli.EXIT_VALIDATION
         assert named in capsys.readouterr().err
@@ -414,9 +420,8 @@ def test_non_integral_json_counts_exit_3(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert '"m"' in capsys.readouterr().err
     out = tmp_path / "out.json"
-    good = {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 5, "epsilon": 0.1, "H": 4.0}
     for field, value in (("t", 25.7), ("seed", 1.5), ("seed", True), ("t", "5")):
-        config = _malformed(tmp_path, json.dumps({**good, field: value}))
+        config = _malformed(tmp_path, json.dumps({**_TINY_CONFIG, field: value}))
         assert cli.main(["pipeline", "--config", config, "--out", str(out)]) == cli.EXIT_VALIDATION
         assert f'"{field}"' in capsys.readouterr().err
     assert not out.exists()
@@ -438,8 +443,7 @@ JSON_NUMBER_INPUTS = {
                                                 "H": 4.0}},
     "monotone": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}},
     "overfit": {"type": "overfit", "params": {"m": 4, "delta": 0.1}},
-    "config": {"dist": {"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}}, "t": 5, "epsilon": 0.1,
-               "H": 4.0},
+    "config": _TINY_CONFIG,
 }
 
 
@@ -527,6 +531,8 @@ SUBCOMMANDS = {
     "round-menu": (["round-menu", "--menu", "{menu.json}", "--epsilon", "0.1", "--H", "4"], ["--out"]),
     "cover-enumerate": (["cover", "enumerate", "--kind", "monotone_tail", "--epsilon", "0.3", "--m", "3",
                          "--H", "2"], ["--out"]),
+    "cover-enumerate-additive": (["cover", "enumerate", "--kind", "additive", "--epsilon", "0.5", "--m", "2"],
+                                 ["--out"]),
     "cover-round": (["cover", "round", "--kind", "multiplicative", "--epsilon", "0.1", "--m", "3", "--H", "4",
                      "--lottery", "0.2,0.3,0.4"], ["--out"]),
     "reduce-hitting-set": (["reduce-hitting-set", "--in", "{hs.txt}", "--H", "4"], ["--out"]),
@@ -534,6 +540,8 @@ SUBCOMMANDS = {
     "pipeline-naive": (["pipeline", "--config", "{naive.json}"], ["--out", "--report"]),
     "overfit-no-lp": (["experiment", "overfit", "--no-lp", "--m", "8", "--sample-n", "30", "--eval-n", "200",
                        "--seeds", "0:2"], ["--out"]),
+    "overfit-lp": (["experiment", "overfit", "--m", "8", "--sample-n", "30", "--eval-n", "200", "--seeds", "0:2"],
+                   ["--out"]),
     "baseline": (["experiment", "baseline", "--dist", "{mono.json}", "--n", "200", "--seeds", "0:2"], ["--out"]),
     "greedy-vs-opt-random": (["experiment", "greedy-vs-opt", "--seeds", "0:2"], ["--out"]),
     "greedy-vs-opt-file": (["experiment", "greedy-vs-opt", "--hitting-set", "{hs.txt}"], ["--out"]),
@@ -554,20 +562,90 @@ def test_subcommand_exits_0_and_reruns_byte_identically(tmp_path, name):
     assert all(written[0]) and written[1] == written[0]
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--dist", "{mono.json}"),
-    ("--epsilon", "0.1"),
-    ("--H", "8"),
-    ("--cover-kind", "multiplicative"),
-    ("--mode", "naive"),
+_CONFIG = ["pipeline", "--config", "{config.json}"]
+_ROUND_MENU = ["round-menu", "--menu", "{menu.json}", "--epsilon", "0.1", "--H", "4"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    # the LP runs at one fixed accuracy and is exported only as MenuLP's scipy form
+    pytest.param(["solve-lp", "--dist", "{dist.json}"], "--tol", "1e-7", id="solve-lp-tol"),
+    pytest.param(["solve-lp", "--dist", "{dist.json}"], "--dump-lp", "{lp.txt}", id="solve-lp-dump-lp"),
+    # the level width is sqrt(epsilon); the cover kinds are the certified ones
+    pytest.param(_ROUND_MENU, "--delta", "0.5", id="round-menu-delta"),
+    pytest.param(_ROUND_MENU, "--cover-kind", "hexagonal", id="round-menu-unknown-cover-kind"),
+    # the budget k belongs to a MAXREV problem, not to the valuations the command writes
+    pytest.param(["reduce-hitting-set", "--in", "{hs.txt}", "--H", "4"], "--k", "1", id="reduce-hitting-set-k"),
+    # the command enumerates within enumerate_cover's fixed budget
+    pytest.param(["cover", "enumerate", "--kind", "additive", "--epsilon", "0.5", "--m", "2"], "--budget", "10",
+                 id="cover-enumerate-budget"),
+    # the doubling prices stop at each scored distribution's own largest value
+    pytest.param(["experiment", "baseline", "--dist", "{mono.json}", "--seeds", "0"], "--H", "4", id="baseline-H"),
+    # a pipeline run is read from its config; only --t and --seed override it
+    pytest.param(_CONFIG, "--dist", "{mono.json}", id="pipeline-dist"),
+    pytest.param(_CONFIG, "--epsilon", "0.1", id="pipeline-epsilon"),
+    pytest.param(_CONFIG, "--H", "8", id="pipeline-H"),
+    pytest.param(_CONFIG, "--cover-kind", "multiplicative", id="pipeline-cover-kind"),
+    pytest.param(_CONFIG, "--mode", "naive", id="pipeline-mode"),
 ])
-def test_pipeline_has_no_flag_for_a_config_field(tmp_path, flag, value):
-    inputs = _subcommand_inputs(tmp_path)
-    out = tmp_path / "out.json"
-    argv = ["pipeline", "--config", inputs["{config.json}"], flag, inputs.get(value, value), "--out", str(out)]
+def test_a_flag_the_command_does_not_take_exits_2_and_writes_nothing(tmp_path, capsys, argv, flag, value):
+    inputs = {**_subcommand_inputs(tmp_path), "{lp.txt}": str(tmp_path / "lp.txt")}
+    before = sorted(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2 and not out.exists()
+        cli.main([inputs.get(tok, tok) for tok in argv + [flag, value]] + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2 and flag in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("source", ["4-point", "reduce-hitting-set"])
+def test_each_menu_solve_lp_writes_earns_its_printed_objective_under_evaluate(tmp_path, capsys, source):
+    # the spread support's case is test_lp's test_spread_support_runs_through_solve_lp_and_evaluate
+    dist, menu = tmp_path / "lp-dist.json", tmp_path / "lp-menu.json"
+    if source == "reduce-hitting-set":
+        hs = _subcommand_inputs(tmp_path)["{hs.txt}"]
+        assert cli.main(["reduce-hitting-set", "--in", hs, "--H", "4", "--out", str(dist)]) == cli.EXIT_OK
+    else:
+        dist.write_text(json.dumps(_FOUR_POINT))
+    assert cli.main(["solve-lp", "--dist", str(dist), "--out", str(menu)]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--menu", str(menu), "--dist", str(dist)]) == cli.EXIT_OK
+    lp, ev = (line.split() for line in capsys.readouterr().out.splitlines()[-2:])
+    assert lp[0] == "objective" and ev[0] == "expected_revenue"
+    assert float(ev[1]) >= float(lp[1]) - 1e-7
+
+
+def test_a_sparse_subsample_description_and_its_explicit_form_give_the_same_solve_lp_bytes(tmp_path):
+    spread = {"type": "sparse_subsample", "params": {"m": 30, "H": 64.0, "K": 20}, "seed": 1}
+    written = []
+    for name, dist in (("described", spread), ("explicit", mf.distribution_from_json(spread).to_json_dict())):
+        path, menu = tmp_path / f"{name}.json", tmp_path / f"{name}-menu.json"
+        path.write_text(json.dumps(dist))
+        assert cli.main(["solve-lp", "--dist", str(path), "--out", str(menu)]) == cli.EXIT_OK
+        written.append(menu.read_bytes())
+    assert written[1] == written[0]
+
+
+def test_round_menu_writes_a_menu_evaluate_scores(tmp_path, capsys):
+    inputs = _subcommand_inputs(tmp_path)
+    rounded = tmp_path / "rounded.json"
+    assert cli.main([inputs.get(tok, tok) for tok in _ROUND_MENU] + ["--out", str(rounded)]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--menu", str(rounded), "--dist", inputs["{dist.json}"]]) == cli.EXIT_OK
+    words = capsys.readouterr().out.splitlines()[-1].split()
+    want = mf.expected_revenue(mf.load_menu(rounded), mf.load_distribution(inputs["{dist.json}"]))
+    assert words[0] == "expected_revenue" and float(words[1]) == want > 0
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_CONFIG + ["--t", "1000000000000000"], id="pipeline-t"),
+    pytest.param(["experiment", "baseline", "--dist", "{mono.json}", "--n", "1000000000000000"], id="baseline-n"),
+    pytest.param(["experiment", "overfit", "--no-lp", "--sample-n", "1000000000000000", "--seeds", "0"],
+                 id="overfit-sample-n"),
+])
+def test_an_input_too_large_to_allocate_exits_3_without_a_traceback(tmp_path, capsys, argv):
+    # 10^15 rows of float64 exceed any address space, so the first allocation fails at once
+    inputs = _subcommand_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([inputs.get(tok, tok) for tok in argv] + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
 
 
 def test_pipeline_dist_given_as_a_path_exits_3_naming_dist(tmp_path, capsys):
@@ -617,16 +695,6 @@ def test_a_non_finite_H_exits_3_naming_H(tmp_path, capsys, argv, H):
     assert f"H must be finite, not {H}" in capsys.readouterr().err and not out.exists()
 
 
-def test_baseline_has_no_H_option(tmp_path):
-    # the doubling prices stop at each scored distribution's own largest value
-    inputs = _subcommand_inputs(tmp_path)
-    out = tmp_path / "b.csv"
-    argv = ["experiment", "baseline", "--dist", inputs["{mono.json}"], "--seeds", "0", "--H", "4"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--out", str(out)])
-    assert exc.value.code == 2 and not out.exists()
-
-
 def test_baseline_guarantee_uses_each_seeds_largest_value(tmp_path):
     # monotone m=3 draws on [1, 8]: each seed's largest value lies in (4, 8), so 3 doubling bands
     inputs = _subcommand_inputs(tmp_path)
@@ -636,6 +704,16 @@ def test_baseline_guarantee_uses_each_seeds_largest_value(tmp_path):
     for row in rows:
         _, _, emax, guarantee = map(float, row.split(","))
         assert guarantee == emax / (2.0 * 3)
+
+
+def test_baseline_on_the_overfit_sampler_reaches_its_guarantee(tmp_path):
+    # values 0-2 at m=64: most buyers value some item at 2, the top doubling price
+    dist = _malformed(tmp_path, json.dumps({"type": "overfit", "params": {"m": 64, "delta": 0.1}}))
+    _, rows = _baseline_rows(tmp_path, dist, "--n", "20000", "--seeds", "0:2")
+    assert len(rows) == 2
+    for row in rows:
+        _, revenue, _, guarantee = map(float, row.split(","))
+        assert revenue >= guarantee > 0
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -709,34 +787,6 @@ def test_round_menu_at_epsilon_0_exits_3_naming_epsilon(tmp_path, capsys):
     assert "epsilon must lie in (0, 1)" in capsys.readouterr().err and not out.exists()
 
 
-def test_round_menu_has_no_delta_option(tmp_path):
-    inputs = _subcommand_inputs(tmp_path)
-    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0.1", "--H", "4", "--delta", "0.5",
-            "--out", str(tmp_path / "r.json")]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-
-
-def test_reduce_hitting_set_has_no_k_option(tmp_path):
-    # the budget k belongs to a MAXREV problem, not to the valuations the command writes
-    inputs = _subcommand_inputs(tmp_path)
-    out = tmp_path / "hs.json"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["reduce-hitting-set", "--in", inputs["{hs.txt}"], "--H", "4", "--k", "1", "--out", str(out)])
-    assert exc.value.code == 2 and not out.exists()
-
-
-def test_cover_enumerate_has_no_budget_option(tmp_path):
-    # the command enumerates within enumerate_cover's fixed budget
-    out = tmp_path / "cover.json"
-    argv = ["cover", "enumerate", "--kind", "additive", "--epsilon", "0.5", "--m", "2"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--budget", "10", "--out", str(out)])
-    assert exc.value.code == 2 and not out.exists()
-    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK and out.exists()
-
-
 def _hitting_set_file(text, message, name):
     argv = ["reduce-hitting-set", "--in", "{bad}", "--H", "4"]
     return pytest.param(argv, text, message, id=name)
@@ -782,6 +832,17 @@ def _json_dist(dist, message, name):
     pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"],
                  '{"m": 2, "entries": [{"lottery": [1.0, 0.0], "price": 1.5, "prices": 2.0}]}',
                  'menu entry 0 has the unknown field "prices"', id="menu-entry-unknown-field"),
+    # NumPy's generators take no negative seed, wherever a seed is read from
+    pytest.param(["pipeline", "--config", "{bad}"], json.dumps({**_TINY_CONFIG, "seed": -1}),
+                 'field "seed": -1 is not a nonnegative integer', id="negative-config-seed"),
+    pytest.param(["pipeline", "--config", "{config.json}", "--seed=-1"], "",
+                 "--seed: -1 is not a nonnegative integer", id="negative-seed-flag"),
+    pytest.param(["experiment", "baseline", "--dist", "{bad}", "--n", "20", "--seeds", "0"],
+                 json.dumps({"type": "monotone_uniform", "params": {"m": 2, "H": 4.0}, "seed": -1}),
+                 'distribution field "seed": -1 is not a nonnegative integer', id="negative-sampler-seed"),
+    pytest.param(["solve-lp", "--dist", "{bad}"],
+                 json.dumps({"type": "sparse_subsample", "params": {"m": 6, "H": 4.0, "K": 2}, "seed": -1}),
+                 'distribution field "seed": -1 is not a nonnegative integer', id="negative-sparse-subsample-seed"),
 ])
 def test_malformed_input_exits_3_naming_the_fault(tmp_path, capsys, argv, text, message):
     inputs = {**_subcommand_inputs(tmp_path), "{bad}": _malformed(tmp_path, text)}
@@ -798,15 +859,6 @@ def test_malformed_input_exits_3_naming_the_fault(tmp_path, capsys, argv, text, 
 def test_missing_input_file_exits_4(tmp_path, argv):
     argv = [str(tmp_path / "nope.json") if tok == "{missing}" else tok for tok in argv]
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_IO == 4
-
-
-def test_unknown_cover_kind_is_a_usage_error(tmp_path):
-    inputs = _subcommand_inputs(tmp_path)
-    argv = ["round-menu", "--menu", inputs["{menu.json}"], "--epsilon", "0.1", "--H", "4",
-            "--cover-kind", "hexagonal", "--out", str(tmp_path / "r.json")]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
 
 
 def test_solver_failure_exits_5(tmp_path, monkeypatch, capsys):

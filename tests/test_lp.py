@@ -485,29 +485,6 @@ def test_solve_lp_cli_reports_rounds_and_kept_rows(tmp_path, capsys):
     assert words[6:] == ["ic_rows_kept", "12", "ic_rows_purged", "0"]
 
 
-def test_solve_lp_cli_has_no_tolerance_option(tmp_path, capsys):
-    # the LP runs at one fixed accuracy, so --tol is a usage error
-    dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]).to_json_dict()))
-    out = tmp_path / "menu.json"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve-lp", "--dist", str(dist), "--out", str(out), "--tol", "1e-7"])
-    assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err and not out.exists()
-
-
-def test_solve_lp_cli_has_no_dump_option(tmp_path, capsys):
-    # the LP is exported only as MenuLP's scipy form, so --dump-lp is a
-    # usage error
-    dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps(_uniform_dist([[1.0, 2.0], [2.0, 1.0]]).to_json_dict()))
-    out, dump = tmp_path / "menu.json", tmp_path / "lp.txt"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve-lp", "--dist", str(dist), "--out", str(out), "--dump-lp", str(dump)])
-    assert exc.value.code == 2
-    assert "--dump-lp" in capsys.readouterr().err and not out.exists() and not dump.exists()
-
-
 def _spread_support(seed):
     """The JSON description of the K-point spread support at (m, H, K) = (30, 64, 20)."""
     return {"type": "sparse_subsample", "params": {"m": 30, "H": 64.0, "K": 20}, "seed": seed}

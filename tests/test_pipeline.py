@@ -157,6 +157,25 @@ def test_lower_bound_menu_earns_what_the_module_docstring_says_at_the_cli_defaul
     assert (round(ratios.min(), 2), round(ratios.max(), 2), round(ratios.mean(), 2)) == (0.64, 1.00, 0.85)
 
 
+def test_overfit_lp_menu_earns_what_the_module_docstring_says():
+    # the docstring: m=64, delta=0.1, 200 sampled types, seeds 0-4, 100k fresh
+    # draws from the stream [seed, 1], rounding by the multiplicative cover at H=2
+    figures = []
+    for seed in range(5):
+        sampler = mf.OverfitProductSampler(mf.OverfitProductParams(64, 0.1), seed)
+        S = sampler.draw(200, np.random.default_rng(seed))
+        F = sampler.draw(100_000, np.random.default_rng([seed, 1]))
+        menu = mf.extract_menu(mf.solve_lp(mf.build_lp(mf.explicit_from_samples(S).consolidated())))
+        rounded = [mf.round_menu(menu, mf.RoundingParams(eps, 2.0, "multiplicative")) for eps in (0.1, 0.01)]
+        assert [r.size for r in rounded] == [menu.size] * 2  # rounding keeps every entry
+        figures.append([menu.size, mf.revenue_batch(menu, S).mean(), mf.revenue_batch(menu, F).mean(),
+                        mf.revenue_batch(mf.uniform_price_menu(64, 1.0), F).mean(),
+                        *(mf.revenue_batch(r, F).mean() for r in rounded)])
+    # entries; on the sample, fresh, the price-1 menu fresh; rounded fresh at epsilon 0.1 and 0.01
+    doc = [51.2, 1.090, 0.976, 0.999, 0.515, 0.875]
+    assert np.mean(figures, axis=0) == pytest.approx(doc, rel=0, abs=5e-4 + 1e-9)
+
+
 def test_lower_bound_menu_beats_item_pricing_past_the_flip():
     # the docstring and the lowerbound help: 1.36 to 1.60 at m=90, H=64, K=128 and
     # 0.71 to 0.95 at the defaults, seeds 0:5 each
