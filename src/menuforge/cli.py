@@ -44,6 +44,7 @@ from .core import (
     json_object,
     json_seed,
     load_menu,
+    naming_file,
     read_json,
     save_menu,
     write_json,
@@ -215,8 +216,8 @@ def _cmd_pipeline(args) -> int:
     readers = {"dist": distribution_from_json, "t": json_int, "epsilon": json_float, "H": json_float,
                "cover_kind": str, "seed": json_seed, "mode": str}
     # every field present is read, the ones a flag replaces included
-    fields = json_object(read_json(args.config), f"pipeline config {args.config}", readers,
-                         optional=(*defaults, *flags))
+    with naming_file(args.config):
+        fields = json_object(read_json(args.config), "pipeline config", readers, optional=(*defaults, *flags))
     source = fields.pop("dist")
     fields = {**defaults, **fields, **flags}
     cfg = PipelineConfig(**fields)

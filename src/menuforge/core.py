@@ -34,11 +34,13 @@ Conventions used throughout the package:
   change those copies;
 * all evaluation routines are pure and operate on immutable inputs;
 * JSON enters through :func:`read_json` and :func:`json_object` and
-  leaves through :func:`write_json`.
+  leaves through :func:`write_json`; a file's reader names the file in
+  its errors once, through :func:`naming_file`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -88,6 +90,16 @@ def json_object(d, where: str, fields: dict, optional=()) -> dict:
 def read_json(path):
     """The parsed contents of the JSON file at ``path``."""
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+@contextlib.contextmanager
+def naming_file(path):
+    """Within the block, a ValueError, a malformed JSON file's included,
+    becomes a :class:`ValidationError` whose message starts with ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_json(path, obj) -> None:
@@ -286,7 +298,8 @@ def save_menu(menu: Menu, path) -> None:
 
 
 def load_menu(path) -> Menu:
-    return Menu.from_json_dict(read_json(path))
+    with naming_file(path):
+        return Menu.from_json_dict(read_json(path))
 
 
 def _cpus() -> int:

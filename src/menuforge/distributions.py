@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import ValidationError, json_float, json_floats, json_int, json_object, json_value, read_json, sample_count
+from .core import (ValidationError, json_float, json_floats, json_int, json_object, json_value, naming_file, read_json,
+                   sample_count)
 
 VALUE_RANGE_TAGS = ("unit_interval", "bounded", "monotone", "nonneg")
 
@@ -483,28 +484,29 @@ def load_hitting_set(path, H: float) -> HittingSetInstance:
     """Plain text format: first line "m n", then one line of space-separated
     1-based item indices per set.  Blank lines and lines starting with "#"
     are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValidationError("empty hitting-set file")
+    with naming_file(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip() and not ln.startswith("#")]
+        if not lines:
+            raise ValidationError("empty hitting-set file")
 
-    def integer(no: int, tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValidationError(f"{path} line {no}: {tok!r} is not an integer") from None
+        def integer(no: int, tok: str) -> int:
+            try:
+                return int(tok)
+            except ValueError:
+                raise ValidationError(f"line {no}: {tok!r} is not an integer") from None
 
-    (head_no, header), rows = lines[0], lines[1:]
-    if len(header) != 2:
-        raise ValidationError('first line must be "m n"')
-    m, n = (integer(head_no, tok) for tok in header)
-    if len(rows) != n:
-        raise ValidationError(f"header declares {n} sets, file has {len(rows)}")
-    sets = [tuple(integer(no, tok) for tok in tokens) for no, tokens in rows]
-    outside = [e for s in sets for e in s if not 1 <= e <= m]
-    if outside:
-        raise ValidationError(f"item {outside[0]} lies outside the items 1..{m}")
-    return HittingSetInstance(tuple(tuple(e - 1 for e in s) for s in sets), m=m, H=H)
+        (head_no, header), rows = lines[0], lines[1:]
+        if len(header) != 2:
+            raise ValidationError('first line must be "m n"')
+        m, n = (integer(head_no, tok) for tok in header)
+        if len(rows) != n:
+            raise ValidationError(f"header declares {n} sets, file has {len(rows)}")
+        sets = [tuple(integer(no, tok) for tok in tokens) for no, tokens in rows]
+        outside = [e for s in sets for e in s if not 1 <= e <= m]
+        if outside:
+            raise ValidationError(f"item {outside[0]} lies outside the items 1..{m}")
+        return HittingSetInstance(tuple(tuple(e - 1 for e in s) for s in sets), m=m, H=H)
 
 
 class MonotoneUniformSampler(Sampler):
@@ -565,4 +567,5 @@ def distribution_from_json(d: dict):
 
 
 def load_distribution(path):
-    return distribution_from_json(read_json(path))
+    with naming_file(path):
+        return distribution_from_json(read_json(path))

@@ -89,8 +89,12 @@ class MenuLP:
     IC row (i, j), i truthful vs reporting j, has id i*n + j, its cell in
     the utility matrix of :meth:`ic_violations`.  Row order: the n(n-1)
     IC rows in id order, then n IR rows, then n lottery-mass rows.
-    Payments carry the explicit upper bound sum_l v_il, which keeps the
-    program bounded.
+    A lottery column has no upper bound of its own: x_il >= 0 and the
+    mass row sum_l x_il <= 1 imply x_il <= 1, so a weak-duality bound
+    may take u = 1 on it.  A payment has the upper bound sum_l v_il,
+    which its IR and mass rows imply as well; it stays because, at that
+    bound, the positively priced payments give HiGHS's dual simplex a
+    dual-feasible start.
 
     Only the IR and mass rows are stored (``fixed``, right-hand sides
     ``b_fixed``).  :meth:`ic_rows` builds any IC rows from ``values`` and
@@ -183,8 +187,10 @@ def build_lp(dist: ExplicitDistribution) -> MenuLP:
     cols = (np.arange(n) * width)[:, None] + np.arange(m)[None, :]
     mass = sp.csr_matrix((np.ones(n * m), (rows, cols.ravel())), shape=(n, nv))
 
+    # x_il <= 1 follows from x >= 0 and the mass rows, so lottery columns
+    # have no upper bound of their own
     lower = np.zeros(nv)
-    upper = np.ones(nv)
+    upper = np.full(nv, np.inf)
     upper[np.arange(n) * width + m] = V.sum(axis=1)
     return MenuLP(
         n=n, m=m, objective=c, lower=lower, upper=upper, values=V,
@@ -333,8 +339,9 @@ def solve_lp(lp: MenuLP) -> LPSolution:
     checks it: the certificate is unchanged.
 
     The relaxation is one HiGHS model through scipy's bundled handle, so
-    each round warm-starts from the last basis.  Every column has finite
-    bounds, so the LP cannot be unbounded; any non-optimal status raises
+    each round warm-starts from the last basis.  The IR and mass rows are
+    fixed rows that no round deletes, and with x >= 0 they bound every
+    column, so no relaxation is unbounded; any non-optimal status raises
     :class:`LPError`.
     """
     n_fixed = lp.b_fixed.size                   # IR and mass rows, first and never deleted

@@ -5,10 +5,10 @@ the menu LP on the empirical distribution, and pushes the optimal menu
 through the level-rounding transform so that the output lives in a small
 cover family.  On the overfitting family (m=64, delta=0.1, 200 sampled
 types, seeds 0-4, 100k fresh draws from the stream [seed, 1]) the LP
-menu, 51.2 entries on average, earns 1.090 per buyer on its sample and
-0.976 on fresh draws, where the price-1 menu earns 0.999.  Rounded
+menu, 51.0 entries on average, earns 1.090 per buyer on its sample and
+0.981 on fresh draws, where the price-1 menu earns 0.999.  Rounded
 through the multiplicative cover at H=2 it keeps all its entries and
-earns 0.515 fresh at epsilon 0.1 and 0.875 at epsilon 0.01: the
+earns 0.514 fresh at epsilon 0.1 and 0.881 at epsilon 0.01: the
 rounding does not guard against memorizing this family, whose zero
 values lie outside the cover's certified class [1, H]^m.
 

@@ -832,6 +832,11 @@ def _json_dist(dist, message, name):
     pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"],
                  '{"m": 2, "entries": [{"lottery": [1.0, 0.0], "price": 1.5, "prices": 2.0}]}',
                  'menu entry 0 has the unknown field "prices"', id="menu-entry-unknown-field"),
+    pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"],
+                 '{"m": 2, "entries": [{"lottery": [0.6, 0.5], "price": 1.5}]}',
+                 "lottery mass 1.1 exceeds 1", id="menu-lottery-mass"),
+    pytest.param(["evaluate", "--menu", "{bad}", "--dist", "{dist.json}"], '{"m": 2,',
+                 "Expecting property name", id="menu-not-json"),
     # NumPy's generators take no negative seed, wherever a seed is read from
     pytest.param(["pipeline", "--config", "{bad}"], json.dumps({**_TINY_CONFIG, "seed": -1}),
                  'field "seed": -1 is not a nonnegative integer', id="negative-config-seed"),
@@ -848,7 +853,10 @@ def test_malformed_input_exits_3_naming_the_fault(tmp_path, capsys, argv, text, 
     inputs = {**_subcommand_inputs(tmp_path), "{bad}": _malformed(tmp_path, text)}
     out = tmp_path / "out"
     assert cli.main([inputs.get(tok, tok) for tok in argv] + ["--out", str(out)]) == cli.EXIT_VALIDATION
-    assert message in capsys.readouterr().err and not out.exists()
+    err = capsys.readouterr().err
+    assert message in err and not out.exists()
+    if "{bad}" in argv:  # a malformed file is named once, before the fault
+        assert err.startswith(f"error: {inputs['{bad}']}: ") and err.count(inputs["{bad}"]) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import menuforge as mf
-from menuforge import cli
+from menuforge import cli, core
 from menuforge import lp as lp_module
 
 
@@ -224,12 +224,15 @@ def test_duplicate_support_points_are_fine():
 
 
 def _full_linprog(lp):
-    """Reference: the whole LP, every IC row, in one linprog call."""
+    """Reference: the whole LP, every IC row, in one linprog call, with the
+    bounds stated here rather than read off ``lp``: [0, 1] on each lottery
+    coordinate and [0, sum_l v_il] on each payment."""
+    upper = np.column_stack([np.ones((lp.n, lp.m)), lp.values.sum(axis=1)]).ravel()
     res = linprog(
         -lp.objective,
         A_ub=lp.A_ub,
         b_ub=lp.b_ub,
-        bounds=np.column_stack([lp.lower, lp.upper]),
+        bounds=np.column_stack([np.zeros_like(upper), upper]),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
     )
@@ -277,6 +280,23 @@ def test_lazy_solve_matches_full_lp_fuzz():
         assert np.max(np.abs(off - (lp.A_ub @ x - lp.b_ub)[: lp.num_ic_rows]), initial=0.0) <= 1e-12
         assert sol.rounds >= 1
         assert sol.ic_rows_kept <= lp.num_ic_rows
+
+
+@pytest.mark.parametrize("values, weights, objective, price", [
+    ([[1.0, 2.0]], [1.0], 2.0, 2.0),
+    ([[1.0, 2.0], [2.0, 3.0], [3.0, 3.5]], [0.3, 0.3, 0.4], 2.1, 3.0),
+])
+def test_optimum_where_a_lottery_coordinate_reaches_1(values, weights, objective, price):
+    # the optimal menu sells item 2 outright, so x_i2 <= 1 is active; the
+    # solver's model leaves that bound to the mass rows
+    lp = mf.build_lp(mf.ExplicitDistribution(np.array(values), np.array(weights)))
+    sol = mf.solve_lp(lp)
+    assert sol.objective == pytest.approx(objective, abs=1e-7)
+    assert sol.objective == pytest.approx(_full_linprog(lp), abs=1e-7)
+    menu = mf.extract_menu(sol)
+    assert np.all(menu.lotteries.sum(axis=1) <= 1.0 + core.LOTTERY_MASS_SLACK)
+    assert menu.size == 1
+    assert np.allclose(menu.lotteries, [[0.0, 1.0]]) and np.allclose(menu.prices, [price])
 
 
 def test_lazy_solve_keeps_few_ic_rows():
