@@ -289,7 +289,7 @@ def _cmd_experiment_greedy(args) -> int:
         problem = reduce_hitting_set(inst, args.k)
         _, greedy_rev = greedy_k_item_menu(problem)
         _, opt_rev = brute_force_k_menu(problem)
-        return [instance, greedy_rev, opt_rev, greedy_rev / opt_rev if opt_rev else float("inf")]
+        return [instance, greedy_rev, opt_rev, greedy_rev / opt_rev]
 
     def run(seed: int) -> list:
         rng = np.random.default_rng(seed)
@@ -335,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out")
     ev.set_defaults(func=_cmd_evaluate)
 
-    lp = sub.add_parser("solve-lp", help="optimal menu for an explicit distribution by LP")
+    lp = sub.add_parser(
+        "solve-lp", help="optimal menu for an explicit distribution by LP; repeated support points are one type"
+    )
     lp.add_argument("--dist", required=True)
     lp.add_argument("--out", required=True)
     lp.set_defaults(func=_cmd_solve_lp)

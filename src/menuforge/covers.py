@@ -30,6 +30,9 @@ from .core import ValidationError, check_lotteries, from_tail_form, to_tail_form
 
 COVER_KINDS = ("additive", "multiplicative", "monotone_tail")
 ENUMERATION_BUDGET = 1_000_000  # most predicted lotteries enumerate_cover lists one by one
+# most decimal digits of a count enumerate_cover computes: Python's default
+# limit on converting an int to a string
+MAX_COUNT_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -154,18 +157,52 @@ class CoverEnumeration:
     exact_count: bool              # False when count is a combinatorial upper bound
 
 
-def _predicted_count(spec: CoverSpec) -> tuple[int, bool]:
-    size = _grid_size(spec)
+def _count_digits(spec: CoverSpec, size: int) -> int:
+    """Decimal digits of the lottery count, from logs, without the count.
+
+    The exact kinds count comb(n, k), n = size + m - 1, with k the smaller
+    of m and size - 1: m values from the grid as a multiset (monotone
+    tails), or as the step counts of an additive lottery, which add up to
+    at most size - 1.  For k up to MAX_COUNT_DIGITS / log10(2) the log is
+    the sum over i < k of log10((n - i) / (i + 1)), precise for any n.
+    Past that, n >= 2k makes the count at least 2^k, beyond the limit,
+    and lgamma gives its size.
+    """
     if spec.kind == "multiplicative":
-        return size ** spec.m, False
-    # m values from the grid: as a multiset (monotone tails), or as the
-    # step counts of an additive lottery, which add up to at most size - 1
-    return math.comb(size + spec.m - 1, spec.m), True
+        log10_count = spec.m * math.log10(size)
+    else:
+        n, k = size + spec.m - 1, min(spec.m, size - 1)
+        if k * math.log10(2.0) <= MAX_COUNT_DIGITS:
+            log10_count = math.fsum(math.log10(n - i) - math.log10(i + 1) for i in range(k))
+        else:
+            log10_count = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10.0)
+    return math.floor(log10_count) + 1
+
+
+def _predicted_count(spec: CoverSpec) -> tuple[int, bool]:
+    """The count and whether it is exact; :class:`ValidationError` for a
+    count of more than MAX_COUNT_DIGITS digits.
+
+    The count is computed only when its log puts it within one digit of
+    the limit, and then compared with the limit exactly.
+    """
+    size = _grid_size(spec)
+    digits = _count_digits(spec, size)
+    if digits <= MAX_COUNT_DIGITS + 1:
+        exact = spec.kind != "multiplicative"
+        count = math.comb(size + spec.m - 1, spec.m) if exact else size ** spec.m
+        if count < 10 ** MAX_COUNT_DIGITS:
+            return count, exact
+    raise ValidationError(
+        f"counting the {spec.kind} cover at epsilon={spec.epsilon}, m={spec.m} gives a number of "
+        f"about {max(digits, MAX_COUNT_DIGITS + 1)} digits, more than the {MAX_COUNT_DIGITS} that can be printed"
+    )
 
 
 def enumerate_cover(spec: CoverSpec) -> CoverEnumeration:
     """All valid lotteries on the grid, or the count alone past
-    ``ENUMERATION_BUDGET``.
+    ``ENUMERATION_BUDGET``; :class:`ValidationError` for a count of more
+    than ``MAX_COUNT_DIGITS`` digits.
 
     Counts are exact for the additive grid (lattice points of a scaled
     simplex) and the monotone grid (nonincreasing tail tuples); for the

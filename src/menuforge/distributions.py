@@ -131,8 +131,8 @@ class ExplicitDistribution:
         """Merge exactly-identical support points, summing their weights.
 
         Exact operation: expected revenue of any menu is unchanged.
-        Useful before building the menu LP, where duplicate rows only add
-        vacuous incentive constraints.
+        :func:`~menuforge.lp.build_lp` calls it, so the menu LP has one
+        type per distinct valuation.
         """
         uniq, inv = np.unique(self.values, axis=0, return_inverse=True)
         w = np.zeros(uniq.shape[0])

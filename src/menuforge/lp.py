@@ -1,12 +1,16 @@
 """The optimal-menu linear program for an explicitly supported distribution.
 
-With support v_1..v_n (weights w_i) the truthful revenue-maximization
-problem is linear: variables are a lottery x_i and a payment p_i per
-support point, the objective is sum_i w_i p_i, and the constraints are
-incentive compatibility (no type prefers another type's pair), individual
-rationality, and lottery feasibility.  :func:`extract_menu` makes the
-menu by the package's one choice rule: the support points choose among
-the optimal per-type pairs, and the pairs chosen are the entries.
+The program's types are the distribution's distinct support points: type
+i is the i-th of them in lexicographic order, v_i, with weight w_i, the
+sum of the weights of the rows equal to it
+(:meth:`~menuforge.distributions.ExplicitDistribution.consolidated`).
+With types v_1..v_n the truthful revenue-maximization problem is linear:
+variables are a lottery x_i and a payment p_i per type, the objective is
+sum_i w_i p_i, and the constraints are incentive compatibility (no type
+prefers another type's pair), individual rationality, and lottery
+feasibility.  :func:`extract_menu` makes the menu by the package's one
+choice rule: the types choose among the optimal per-type pairs, and the
+pairs chosen are the entries.
 
 The n(n-1) IC rows dominate the program, but almost all of them are slack
 at the optimum.  :class:`MenuLP` therefore stores only the IR and mass
@@ -84,8 +88,10 @@ class BudgetExceededError(RuntimeError):
 class MenuLP:
     """The revenue LP in scipy's A_ub x <= b_ub form, IC rows built on demand.
 
-    Variable layout: for support point i, columns i*(m+1) .. i*(m+1)+m-1
-    are the allocation x_i and column i*(m+1)+m is the payment p_i.
+    Type i is the i-th distinct support point in lexicographic order,
+    ``values[i]``.  Variable layout: for type i, columns
+    i*(m+1) .. i*(m+1)+m-1 are the allocation x_i and column i*(m+1)+m is
+    the payment p_i.
     IC row (i, j), i truthful vs reporting j, has id i*n + j, its cell in
     the utility matrix of :meth:`ic_violations`.  Row order: the n(n-1)
     IC rows in id order, then n IR rows, then n lottery-mass rows.
@@ -109,7 +115,7 @@ class MenuLP:
     objective: np.ndarray      # coefficients of the maximization objective
     lower: np.ndarray
     upper: np.ndarray
-    values: np.ndarray         # (n, m) support valuations, one row per type
+    values: np.ndarray         # (n, m) distinct support points, one row per type
     fixed: sp.csr_matrix       # the n IR rows, then the n lottery-mass rows
     b_fixed: np.ndarray
 
@@ -166,7 +172,13 @@ class MenuLP:
 
 
 def build_lp(dist: ExplicitDistribution) -> MenuLP:
-    """Assemble the revenue LP for an explicit distribution."""
+    """Assemble the revenue LP for an explicit distribution.
+
+    Type i is the i-th distinct support point in lexicographic order, with
+    the summed weight of its repeats: repeated rows are one valuation, and
+    as separate types they would only multiply the IC rows.
+    """
+    dist = dist.consolidated()
     V = dist.values
     w = dist.weights
     n, m = V.shape
@@ -200,8 +212,8 @@ def build_lp(dist: ExplicitDistribution) -> MenuLP:
 
 @dataclass(frozen=True)
 class LPSolution:
-    values: np.ndarray        # (n, m) support the program was built on, MenuLP.values
-    lotteries: np.ndarray     # (n, m) optimal allocation per support point
+    values: np.ndarray        # (n, m) types the program was built on, MenuLP.values
+    lotteries: np.ndarray     # (n, m) optimal allocation per type
     payments: np.ndarray      # (n,)
     objective: float
     rounds: int               # relaxations solved by the row-generation loop
@@ -384,7 +396,7 @@ def extract_menu(sol: LPSolution) -> Menu:
 
     Tiny solver negatives are clipped to 0 and every pair with a positive
     price is offered; the implicit zero entry stands for the rest.  Each
-    support point chooses among the offers by :func:`choose_batch`, and
+    type chooses among the offers by :func:`choose_batch`, and
     the pairs chosen, in type order, are the menu.  Pooled types buy the
     pool's dearest pair, so a pool is one entry; a pair no type buys is
     left out.

@@ -123,9 +123,7 @@ def sample_and_round(sampler: Sampler, cfg: PipelineConfig) -> Menu:
     cfg.validate_sampler(sampler)
     rng = np.random.default_rng(cfg.seed)
     empirical = explicit_from_samples(sampler.draw(cfg.t, rng), tag=sampler.tag, H=sampler.H)
-    # duplicate support rows only add vacuous IC constraints; merging them
-    # is exact and keeps the LP within its size contract
-    sol = solve_lp(build_lp(empirical.consolidated()))
+    sol = solve_lp(build_lp(empirical))
     menu = extract_menu(sol)
     if cfg.mode == "naive":
         return menu
@@ -261,7 +259,7 @@ def overfit_experiment(
 
     lp_on_sample = float("nan")
     if include_lp:
-        lp_on_sample = solve_lp(build_lp(explicit_from_samples(S).consolidated())).objective
+        lp_on_sample = solve_lp(build_lp(explicit_from_samples(S))).objective
     return OverfitReport(naive_on_sample, naive_on_fresh, price1_on_fresh, lp_on_sample)
 
 
@@ -302,4 +300,4 @@ def lower_bound_experiment(m: int, H: float, K: int, seed: int) -> LowerBoundRep
     dist = sparse_subsample(params, K, seed)
     lb = expected_revenue(lower_bound_menu(dist), dist)
     _, base = item_pricing_baseline(dist)
-    return LowerBoundReport(lb, base, lb / base if base > 0 else float("inf"))
+    return LowerBoundReport(lb, base, lb / base)

@@ -596,13 +596,16 @@ def test_a_flag_the_command_does_not_take_exits_2_and_writes_nothing(tmp_path, c
     assert sorted(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("source", ["4-point", "reduce-hitting-set"])
+@pytest.mark.parametrize("source", ["4-point", "4-point-each-thrice", "reduce-hitting-set"])
 def test_each_menu_solve_lp_writes_earns_its_printed_objective_under_evaluate(tmp_path, capsys, source):
     # the spread support's case is test_lp's test_spread_support_runs_through_solve_lp_and_evaluate
     dist, menu = tmp_path / "lp-dist.json", tmp_path / "lp-menu.json"
     if source == "reduce-hitting-set":
         hs = _subcommand_inputs(tmp_path)["{hs.txt}"]
         assert cli.main(["reduce-hitting-set", "--in", hs, "--H", "4", "--out", str(dist)]) == cli.EXIT_OK
+    elif source == "4-point-each-thrice":
+        support = _FOUR_POINT["params"]["support"] * 3
+        dist.write_text(json.dumps({"type": "explicit", "params": {"support": support, "weights": [1 / 12] * 12}}))
     else:
         dist.write_text(json.dumps(_FOUR_POINT))
     assert cli.main(["solve-lp", "--dist", str(dist), "--out", str(menu)]) == cli.EXIT_OK
@@ -610,6 +613,12 @@ def test_each_menu_solve_lp_writes_earns_its_printed_objective_under_evaluate(tm
     lp, ev = (line.split() for line in capsys.readouterr().out.splitlines()[-2:])
     assert lp[0] == "objective" and ev[0] == "expected_revenue"
     assert float(ev[1]) >= float(lp[1]) - 1e-7
+    if source == "4-point-each-thrice":
+        # repeated support points are one type: the LP is the 4-point form's
+        four = tmp_path / "four.json"
+        four.write_text(json.dumps(_FOUR_POINT))
+        assert cli.main(["solve-lp", "--dist", str(four), "--out", str(tmp_path / "four-menu.json")]) == cli.EXIT_OK
+        assert capsys.readouterr().out.split() == lp
 
 
 def test_a_sparse_subsample_description_and_its_explicit_form_give_the_same_solve_lp_bytes(tmp_path):
@@ -814,6 +823,9 @@ def _json_dist(dist, message, name):
                'explicit distribution params has the unknown field "Tag"', "dist-params-unknown-field"),
     pytest.param(["cover", "enumerate", "--kind", "additive", "--epsilon", "0.1", "--m", "0"], "",
                  "m must be at least 1", id="cover-enumerate-m-0"),
+    # the count would have about 127,876 digits, more than Python prints
+    pytest.param(["cover", "enumerate", "--kind", "multiplicative", "--epsilon", "0.5", "--m", "100000"], "",
+                 "m=100000", id="cover-enumerate-count-too-long"),
     pytest.param(["experiment", "lowerbound", "--K", "0", "--seeds", "0"], "", "K must be at least 1",
                  id="lowerbound-K-0"),
     pytest.param(["evaluate", "--menu", "{menu.json}", "--dist", "{mono.json}"], "",

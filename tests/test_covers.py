@@ -122,6 +122,37 @@ def test_enumerate_cover_counts_without_building_the_grid(kind):
     assert enum.count == (size ** 2 if kind == "multiplicative" else math.comb(size + 1, 2))
 
 
+@pytest.mark.parametrize("kind, m", [("multiplicative", 100_000), ("additive", 20_000)])
+def test_a_count_too_long_to_print_raises_naming_the_cover(kind, m):
+    with pytest.raises(mf.ValidationError) as exc:
+        mf.enumerate_cover(CoverSpec(kind, 0.5, m, H=2.0))
+    message = str(exc.value)
+    for part in (kind, "epsilon=0.5", f"m={m}", f"{covers.MAX_COUNT_DIGITS} that can be printed"):
+        assert part in message, part
+
+
+@pytest.mark.parametrize("kind", covers.COVER_KINDS)
+def test_the_longest_printable_count_stays_exact(kind):
+    # the largest m whose count has at most MAX_COUNT_DIGITS digits, found
+    # by integer comparison, is counted exactly; one more m raises
+    def count(m):
+        spec = CoverSpec(kind, 0.5, m, H=2.0)
+        size = len(covers.grid_values(spec))
+        return size ** m if kind == "multiplicative" else math.comb(size + m - 1, m)
+
+    limit = 10 ** covers.MAX_COUNT_DIGITS
+    lo, hi = 1, 2
+    while count(hi) < limit:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if count(mid) < limit else (lo, mid)
+    enum = mf.enumerate_cover(CoverSpec(kind, 0.5, lo, H=2.0))
+    assert enum.lotteries is None and enum.count == count(lo)
+    with pytest.raises(mf.ValidationError, match=f"m={hi} "):
+        mf.enumerate_cover(CoverSpec(kind, 0.5, hi, H=2.0))
+
+
 def test_round_outputs_live_in_enumerated_cover():
     rng = np.random.default_rng(1)
     for kind, H in (("additive", 1.0), ("multiplicative", 2.0), ("monotone_tail", 2.0)):

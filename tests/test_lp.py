@@ -165,7 +165,7 @@ def test_extracted_menu_earns_the_objective_on_monotone_samples(key):
     # t=100 monotone samples (m=5, H=8) on which a merge of pairs within 1e-7
     # earned up to 1.5e-2 less than the objective
     V = mf.MonotoneUniformSampler(5, 8.0, 0).draw(100, np.random.default_rng(key))
-    d = mf.explicit_from_samples(V, tag="monotone", H=8.0).consolidated()
+    d = mf.explicit_from_samples(V, tag="monotone", H=8.0)
     sol = mf.solve_lp(mf.build_lp(d))
     assert mf.expected_revenue(mf.extract_menu(sol), d) >= sol.objective - 1e-7
 
@@ -219,6 +219,7 @@ def test_weight_scaling_invariance():
 
 def test_duplicate_support_points_are_fine():
     d = mf.ExplicitDistribution(np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([0.5, 0.5]))
+    assert mf.build_lp(d).n == 1  # one type, of weight 1
     sol = mf.solve_lp(mf.build_lp(d))
     assert sol.objective == pytest.approx(2.0, abs=1e-7)
 
@@ -260,7 +261,7 @@ def _fuzz_distributions():
     rows = np.repeat(1 + rng.integers(0, 3, (4, 3)).astype(float), 3, axis=0)
     out.append(mf.explicit_from_samples(rows))  # exact ties and triplicated rows
     draws = mf.OverfitProductSampler(mf.OverfitProductParams(64, 0.1), 3).draw(200, rng)
-    out.append(mf.explicit_from_samples(draws).consolidated())
+    out.append(mf.explicit_from_samples(draws))
     return out
 
 
@@ -322,14 +323,17 @@ def _seed_pairs(lp):
     return pairs
 
 
-def _check_seed_definition(V):
-    """Assert that the seed holds each type of support V against its
-    SEED_NEIGHBOURS nearest types (stable sort, ties to the lower index) and
-    its DOWN_NEIGHBOURS nearest dominated types; return the seed's pairs, the
-    number of types with an exact distance tie at the last nearest neighbour
-    and the number with fewer than DOWN_NEIGHBOURS dominated types."""
+def _check_seed_definition(support):
+    """Assert that the seed holds each type of the LP on ``support`` against
+    its SEED_NEIGHBOURS nearest types (stable sort, ties to the lower index)
+    and its DOWN_NEIGHBOURS nearest dominated types; return the seed's
+    pairs, the number of types with an exact distance tie at the last
+    nearest neighbour and the number with fewer than DOWN_NEIGHBOURS
+    dominated types.  The types are the LP's, ``lp.values``: the distinct
+    rows of ``support`` in lexicographic order."""
     k, k_down = lp_module.SEED_NEIGHBOURS, lp_module.DOWN_NEIGHBOURS
-    pairs = _seed_pairs(mf.build_lp(_uniform_dist(V)))
+    lp = mf.build_lp(_uniform_dist(support))
+    pairs, V = _seed_pairs(lp), lp.values
     ties = short = 0
     for a in range(V.shape[0]):
         dist = ((V - V[a]) ** 2).sum(axis=1)
@@ -344,14 +348,16 @@ def _check_seed_definition(V):
 
 def test_seed_holds_each_type_against_its_nearest_dominated_types():
     assert (lp_module.SEED_NEIGHBOURS, lp_module.DOWN_NEIGHBOURS) == (5, 2)
-    # types 1-5 sit close to type 0 but each beats it in one coordinate,
-    # so type 0's dominated types 6, 7 and 8 are all farther than its five
-    # nearest; type 8 dominates no type
-    V = np.array([[5.0, 5.0], [5.1, 4.96], [4.93, 5.12], [5.22, 4.91], [4.88, 5.17], [5.3, 4.97],
-                  [4.0, 4.0], [3.0, 3.0], [1.0, 1.0]])
+    # rows in lexicographic order, so type i is row i.  Types 3, 4, 6, 7
+    # and 8 sit close to type 5 but each beats it in one coordinate, so
+    # type 5's dominated types 0, 1 and 2 are all farther than its five
+    # nearest; type 0 dominates no type
+    V = np.array([[1.0, 1.0], [3.0, 3.0], [4.0, 4.0], [4.88, 5.17], [4.93, 5.12], [5.0, 5.0],
+                  [5.1, 4.96], [5.22, 4.91], [5.3, 4.97]])
+    assert np.array_equal(mf.build_lp(_uniform_dist(V)).values, V)
     pairs, _, _ = _check_seed_definition(V)
-    assert pairs[0] == {1, 2, 3, 4, 5, 6, 7}
-    assert len(pairs[8]) == 5
+    assert pairs[5] == {1, 2, 3, 4, 6, 7, 8}
+    assert len(pairs[0]) == 5
 
 
 def _guard_supports():
@@ -374,8 +380,9 @@ def test_seed_rows_are_the_stable_sort_and_dominance_definition():
 
 def test_separation_breaks_an_exact_tie_to_the_lower_reported_type(monkeypatch):
     # with no seed rows, the first relaxation sells each type its best item
-    # at its value: types 1 and 2 are identical, so they get the same pair
-    # and type 0's IC rows against them are violated by exactly as much
+    # at its value: types 0 = (1, 2) and 1 = (2, 1) each pay 2 for one item,
+    # which type 2 = (4, 4) values at 4, so type 2's IC rows against them
+    # are violated by exactly as much
     seen, added = [], []
     ic_violations, ic_rows = mf.MenuLP.ic_violations, mf.MenuLP.ic_rows
 
@@ -391,12 +398,13 @@ def test_separation_breaks_an_exact_tie_to_the_lower_reported_type(monkeypatch):
     monkeypatch.setattr(mf.MenuLP, "ic_rows", record_rows)
     monkeypatch.setattr(lp_module, "_neighbour_ic_rows", lambda lp: np.zeros(0, dtype=np.int64))
     monkeypatch.setattr(lp_module, "ROWS_PER_TYPE", 1)
-    lp = mf.build_lp(_uniform_dist([[4.0, 4.0], [2.0, 1.0], [2.0, 1.0]]))
+    lp = mf.build_lp(_uniform_dist([[4.0, 4.0], [2.0, 1.0], [1.0, 2.0]]))
+    assert lp.values.tolist() == [[1.0, 2.0], [2.0, 1.0], [4.0, 4.0]]
     sol = mf.solve_lp(lp)
-    first = seen[0][0]
-    assert first[1] == first[2] > lp_module.FEAS_TOL
-    # the seed adds nothing; round 1 adds cell 0*3 + 1, row (0, 1), not (0, 2)
-    assert added[0].size == 0 and added[1].tolist() == [1]
+    first = seen[0][2]
+    assert first[0] == first[1] > lp_module.FEAS_TOL
+    # the seed adds nothing; round 1 adds cell 2*3 + 0, row (2, 0), not (2, 1)
+    assert added[0].size == 0 and added[1].tolist() == [6]
     assert sol.objective == pytest.approx(_full_linprog(lp), abs=1e-7)
 
 
@@ -476,7 +484,7 @@ def test_ic_block_matches_pairwise_reference():
     cases = [np.array([[2.0]]), 1 + 3 * rng.random((6, 3)), rng.integers(0, 3, (9, 4)).astype(float)]
     for V in cases:
         lp = mf.build_lp(_uniform_dist(V))
-        want = _pairwise_ic_block(V)
+        want = _pairwise_ic_block(lp.values)
         want.sort_indices()
         got = lp.A_ub[: lp.num_ic_rows]
         got.sort_indices()

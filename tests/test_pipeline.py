@@ -43,8 +43,8 @@ def test_overfit_lp_fits_the_whole_sample(monkeypatch):
     original = pipeline.build_lp
 
     def recording_build_lp(dist):
-        seen.append(dist)
-        return original(dist)
+        seen.append((dist, original(dist)))
+        return seen[-1][1]
 
     monkeypatch.setattr(pipeline, "build_lp", recording_build_lp)
     m, delta, sample_n, seed = 8, 0.3, 260, 5
@@ -52,10 +52,15 @@ def test_overfit_lp_fits_the_whole_sample(monkeypatch):
     S = mf.OverfitProductSampler(mf.OverfitProductParams(m, delta), seed).draw(
         sample_n, np.random.default_rng(seed)
     )
-    whole = mf.explicit_from_samples(S).consolidated()
-    (dist,) = seen
-    assert np.array_equal(dist.values, whole.values)
-    assert np.array_equal(dist.weights, whole.weights)
+    # build_lp receives the sample as drawn, and its types are the
+    # sample's distinct rows with their summed weights
+    drawn = mf.explicit_from_samples(S)
+    whole = drawn.consolidated()
+    ((dist, lp),) = seen
+    assert np.array_equal(dist.values, drawn.values) and np.array_equal(dist.weights, drawn.weights)
+    assert lp.n < sample_n  # the sample repeats rows
+    assert np.array_equal(lp.values, whole.values)
+    assert np.array_equal(lp.objective[m :: m + 1], whole.weights)
 
 
 def test_item_pricing_from_samples_picks_the_baseline_menu_on_its_draws():
@@ -165,7 +170,7 @@ def test_overfit_lp_menu_earns_what_the_module_docstring_says():
         sampler = mf.OverfitProductSampler(mf.OverfitProductParams(64, 0.1), seed)
         S = sampler.draw(200, np.random.default_rng(seed))
         F = sampler.draw(100_000, np.random.default_rng([seed, 1]))
-        menu = mf.extract_menu(mf.solve_lp(mf.build_lp(mf.explicit_from_samples(S).consolidated())))
+        menu = mf.extract_menu(mf.solve_lp(mf.build_lp(mf.explicit_from_samples(S))))
         rounded = [mf.round_menu(menu, mf.RoundingParams(eps, 2.0, "multiplicative")) for eps in (0.1, 0.01)]
         assert [r.size for r in rounded] == [menu.size] * 2  # rounding keeps every entry
         figures.append([menu.size, mf.revenue_batch(menu, S).mean(), mf.revenue_batch(menu, F).mean(),
@@ -342,7 +347,7 @@ params = mf.PipelineConfig(t=100, epsilon=0.1, H=8.0, cover_kind="monotone_tail"
 digest = hashlib.sha256()
 for seed in range(3):
     samples = mf.MonotoneUniformSampler(5, 8.0, 0).draw(100, np.random.default_rng(seed))
-    dist = mf.explicit_from_samples(samples, tag="monotone", H=8.0).consolidated()
+    dist = mf.explicit_from_samples(samples, tag="monotone", H=8.0)
     menu = mf.extract_menu(mf.solve_lp(mf.build_lp(dist)))
     for out in (menu, mf.round_menu(menu, params)):
         digest.update(out.lotteries.tobytes() + out.prices.tobytes())
